@@ -9,7 +9,6 @@ from .graph import (
     Violation,
     bfs_tree,
     diameter,
-    induced_diameter,
     validate_partition,
 )
 from .engine import (
@@ -52,7 +51,6 @@ from .sim import (
     AggregationTask,
     RoundTrace,
     SimConfig,
-    leader_and_count,
     partwise_aggregate,
     run,
 )

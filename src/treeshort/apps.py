@@ -1,11 +1,12 @@
 """Shortcut-based applications run on the simulator, with exact oracles.
 
-Boruvka MST: fragments start as singletons; every phase builds a fresh BFS
-tree and shortcut for the current fragments, finds each fragment's
-minimum-weight outgoing edge by partwise aggregation (charged rounds), and
-merges along the chosen edges (centralized bookkeeping, uncharged, mirroring
-the simulator's control-plane rule).  Distinct weights make the MST unique
-and the per-phase choice cycle-free.
+Boruvka MST: fragments start as singletons; the graph never changes, so one
+BFS tree serves the whole run.  Every phase builds a shortcut for the current
+fragments on that tree, finds each fragment's minimum-weight outgoing edge by
+partwise aggregation (charged rounds), and merges along the chosen edges
+(centralized bookkeeping, uncharged, mirroring the simulator's control-plane
+rule).  Distinct weights make the MST unique and the per-phase choice
+cycle-free.
 
 Component labeling is Boruvka without weights: fragments of a designated
 edge subset merge along their minimum-id outgoing subset edge until none
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import EngineConfig, construct_full
 from .graph import Graph, GraphError, Partition, bfs_tree
@@ -131,12 +132,34 @@ def _min_outgoing(
     return values
 
 
+def _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng):
+    """Shortcut the current fragments on `tree`, then aggregate the minimum of
+    `values` per fragment, with messages wide enough for the sentinel.
+
+    Returns (fragment partition, construction result, per-node minima, trace).
+    """
+    parts = _fragment_parts(g, uf)
+    result = construct_full(g, tree, parts, EngineConfig(max_delta=max_delta), rng)
+    header = int_bits(max(parts.k - 1, 0)) + int_bits(1)
+    phase_cfg = replace(
+        cfg,
+        msg_bits=max(
+            cfg.msg_bits if cfg.msg_bits is not None else default_msg_bits(g.n),
+            header + int_bits(sentinel),
+        ),
+        seed=f"{cfg.seed}:{tag}",
+    )
+    task = AggregationTask(values=values, op="min", parts=parts)
+    results, trace = partwise_aggregate(g, parts, result.shortcut, task, phase_cfg)
+    return parts, result, results, trace
+
+
 def boruvka_mst(
     g: Graph, cfg: SimConfig, max_delta: int | None = None
 ) -> MstResult:
     """Distributed-style Boruvka on the simulator; exact unique MST."""
     g.require_distinct_weights()
-    bfs_tree(g, 0)  # connectivity check up front
+    tree = bfs_tree(g, 0)  # also the connectivity check
     eb = max(1, (max(g.m - 1, 1)).bit_length())
     sentinel = 1 << (31 + eb)
     mask = (1 << eb) - 1
@@ -151,23 +174,11 @@ def boruvka_mst(
         phases += 1
         if phases > max_phases:
             raise GraphError("fragment count failed to halve; merging is stuck")
-        tree = bfs_tree(g, 0)
-        parts = _fragment_parts(g, uf)
-        result = construct_full(g, tree, parts, EngineConfig(max_delta=max_delta), rng)
-        report = audit_shortcut(g, tree, parts, result.shortcut)
         values = _min_outgoing(g, uf, lambda e: (g.weights[e] << eb) | e, sentinel)
-        header = int_bits(max(parts.k - 1, 0)) + int_bits(1)
-        phase_cfg = SimConfig(
-            msg_bits=max(
-                cfg.msg_bits if cfg.msg_bits is not None else default_msg_bits(g.n),
-                header + int_bits(sentinel),
-            ),
-            max_rounds=cfg.max_rounds,
-            seed=f"{cfg.seed}:mst-phase{phases}",
-            log_messages=cfg.log_messages,
+        parts, result, results, trace = _phase(
+            g, tree, uf, values, cfg, f"mst-phase{phases}", sentinel, max_delta, rng
         )
-        task = AggregationTask(values=values, op="min", parts=parts)
-        results, trace = partwise_aggregate(g, parts, result.shortcut, task, phase_cfg)
+        report = audit_shortcut(g, tree, parts, result.shortcut)
         rounds_total += trace.rounds_used
         per_phase.append(
             PhaseStats(
@@ -257,28 +268,16 @@ def label_components(
 def _label_connected(
     g: Graph, active: frozenset[int], cfg: SimConfig, max_delta: int | None
 ) -> dict[int, int]:
+    tree = bfs_tree(g, 0)
     rng = random.Random(f"{cfg.seed}:labels")
     uf = UnionFind(g.n)
     sentinel = g.m + 1
     phase = 0
     max_phases = math.ceil(math.log2(max(g.n, 2))) + 2
 
-    def run_phase(op_values, op, phase_tag):
-        tree = bfs_tree(g, 0)
-        parts = _fragment_parts(g, uf)
-        result = construct_full(g, tree, parts, EngineConfig(max_delta=max_delta), rng)
-        header = int_bits(max(parts.k - 1, 0)) + int_bits(1)
-        phase_cfg = SimConfig(
-            msg_bits=max(
-                cfg.msg_bits if cfg.msg_bits is not None else default_msg_bits(g.n),
-                header + int_bits(sentinel),
-            ),
-            max_rounds=cfg.max_rounds,
-            seed=f"{cfg.seed}:{phase_tag}",
-            log_messages=cfg.log_messages,
-        )
-        task = AggregationTask(values=op_values, op=op, parts=parts)
-        return parts, partwise_aggregate(g, parts, result.shortcut, task, phase_cfg)[0]
+    def run_phase(values, tag):
+        parts, _, results, _ = _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng)
+        return parts, results
 
     while True:
         phase += 1
@@ -287,7 +286,7 @@ def _label_connected(
         values = _min_outgoing(
             g, uf, lambda e: e if e in active else None, sentinel
         )
-        parts, results = run_phase(values, "min", f"label-phase{phase}")
+        parts, results = run_phase(values, f"label-phase{phase}")
         merged_any = False
         for i in range(parts.k):
             best = results[parts.parts[i][0]]
@@ -300,5 +299,5 @@ def _label_connected(
         if not merged_any:
             break
     ids = {v: v for v in range(g.n)}
-    parts, results = run_phase(ids, "min", "label-final")
+    parts, results = run_phase(ids, "label-final")
     return {v: results[v] for v in range(g.n)}

@@ -21,6 +21,7 @@ from .graph import (
     Partition,
     RootedTree,
     Violation,
+    _diameter_of,
     bfs_distances,
 )
 
@@ -86,68 +87,19 @@ def measure_congestion(g: Graph, shortcut) -> int:
 
 
 def _merged_subgraph(g: Graph, part: Sequence[int], edges: frozenset[int]):
-    """Node set and adjacency of G[P_i] + H_i."""
-    nodes = set(part)
+    """Node set and adjacency lists of G[P_i] + H_i."""
+    adj: dict[int, list[int]] = {v: [] for v in part}
     for eid in edges:
         u, v = g.endpoints(eid)
-        nodes.add(u)
-        nodes.add(v)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     part_set = frozenset(part)
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for eid in edges:
-        u, v = g.endpoints(eid)
-        adj[u].append(v)
-        adj[v].append(u)
     for v in part:
         for u, eid in g.adjacency(v):
             if u in part_set and v < u and eid not in edges:
                 adj[u].append(v)
                 adj[v].append(u)
-    return nodes, adj
-
-
-def _bfs_far(adj: Mapping[int, list[int]], source: int) -> tuple[dict, int]:
-    dist = {source: 0}
-    queue = [source]
-    far = source
-    for v in queue:
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-                far = u
-    return dist, far
-
-
-def _diameter_of(adj: Mapping[int, list[int]], nodes: set[int]) -> int | float:
-    if not nodes:
-        return 0
-    start = next(iter(nodes))
-    dist, far = _bfs_far(adj, start)
-    if len(dist) != len(nodes):
-        return INFINITE
-    edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
-    if edge_count == len(nodes) - 1:
-        # connected with |V|-1 edges: a tree, where double-BFS is exact
-        dist2, _ = _bfs_far(adj, far)
-        return max(dist2.values())
-    best = 0
-    for s in nodes:
-        dist = {s: 0}
-        queue = [s]
-        for v in queue:
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        best = max(best, max(dist.values()))
-    return best
-
-
-def part_dilation(g: Graph, p: Partition, shortcut, i: int) -> int | float:
-    edges = as_edge_map(shortcut).get(i, frozenset())
-    nodes, adj = _merged_subgraph(g, p.parts[i], edges)
-    return _diameter_of(adj, nodes)
+    return adj.keys(), adj
 
 
 def measure_dilation(g: Graph, p: Partition, shortcut) -> int | float:

@@ -163,6 +163,9 @@ def _cmd_audit(args) -> int:
         raise GraphError(
             f"shortcut covers {len(shortcut.edge_sets)} parts, partition has {p.k}"
         )
+    unknown = [e for es in shortcut.edge_sets for e in es if not 0 <= e < g.m]
+    if unknown:
+        raise GraphError(f"unknown edge id {min(unknown)}")
     if not audit.check_tree_restricted(shortcut, tree):
         raise GraphError("shortcut uses non-tree edges relative to the BFS tree at root 0")
     report = audit.audit_shortcut(g, tree, p, shortcut)
@@ -254,6 +257,31 @@ _BENCH_HEADER = (
 )
 
 
+_BENCH_ARITY = {"lowerbound": 2, "grid": 2, "wheel": 1, "ktree": 2}
+
+
+def _check_bench_runs(runs: list) -> None:
+    """Reject a malformed run before any run starts; names the run's index."""
+
+    def is_int(x):
+        return type(x) is int  # JSON booleans are not counts
+
+    for idx, run in enumerate(runs):
+        if not isinstance(run, dict):
+            raise GraphError(f"bench run {idx}: expected an object, got {run!r}")
+        family = run.get("family")
+        if family not in _BENCH_ARITY:
+            raise GraphError(f"bench run {idx}: unknown family {family!r}")
+        arity = _BENCH_ARITY[family]
+        params = run.get("params")
+        if not (isinstance(params, list) and len(params) == arity and all(map(is_int, params))):
+            raise GraphError(f"bench run {idx}: {family} needs 'params' as {arity} integers")
+        if not is_int(run.get("seed")):
+            raise GraphError(f"bench run {idx}: 'seed' must be an integer")
+        if family != "lowerbound" and not is_int(run.get("parts")):
+            raise GraphError(f"bench run {idx}: {family} needs 'parts' as an integer")
+
+
 def _bench_instance(run: dict):
     family = run["family"]
     params = run["params"]
@@ -265,10 +293,8 @@ def _bench_instance(run: dict):
         g = generators.gen_grid(*params)
     elif family == "wheel":
         g = generators.gen_wheel(*params)
-    elif family == "ktree":
-        g = generators.gen_ktree(params[0], params[1], seed)
     else:
-        raise GraphError(f"unknown family {family!r}")
+        g = generators.gen_ktree(params[0], params[1], seed)
     parts = generators.gen_parts_random(g, run["parts"], seed)
     return g, parts, None
 
@@ -308,7 +334,7 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
             "ok",
         ]
         return ",".join(fields), True
-    except (GraphError, engine.EngineError, sim.SimError, KeyError, TypeError) as exc:
+    except (GraphError, engine.EngineError, sim.SimError) as exc:
         reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         fields += [""] * (len(_BENCH_HEADER.split(",")) - 3) + [f"error:{reason}"]
         return ",".join(fields), False
@@ -316,9 +342,10 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
 
 def _cmd_bench(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
-    runs = spec.get("runs")
+    runs = spec.get("runs") if isinstance(spec, dict) else None
     if not isinstance(runs, list) or not runs:
         raise GraphError("bench spec must contain a non-empty 'runs' list")
+    _check_bench_runs(runs)
     results = [_bench_row(run, args.max_delta) for run in runs]
     text = "# schema=1\n" + _BENCH_HEADER + "\n" + "\n".join(r for r, _ in results) + "\n"
     if args.out:

@@ -66,17 +66,6 @@ class CongestionMarking:
 
 
 @dataclass(frozen=True)
-class BipartiteCongestionGraph:
-    """Marked edges vs. parts; a link (e, i) means part i lies below edge e."""
-
-    edge_nodes: tuple[int, ...]
-    part_nodes: tuple[int, ...]
-    links: frozenset[tuple[int, int]]
-    edge_degree: Mapping[int, int]
-    part_degree: Mapping[int, int]
-
-
-@dataclass(frozen=True)
 class PartialShortcut:
     covered: frozenset[int]
     edge_sets: Mapping[int, frozenset[int]]
@@ -108,7 +97,6 @@ class Shortcut:
     """Edge sets for every part, plus the (delta, iteration) that assigned each."""
 
     edge_sets: tuple[frozenset[int], ...]
-    tree_restricted: bool
     provenance: tuple[tuple[int, int], ...]
 
 
@@ -184,24 +172,6 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
         overcongested=frozenset(overcongested),
         parts_below=parts_below,
         reps=reps,
-    )
-
-
-def build_bipartite(marking: CongestionMarking, k: int) -> BipartiteCongestionGraph:
-    links = set()
-    part_degree = {i: 0 for i in range(k)}
-    edge_degree = {}
-    for eid, parts in marking.parts_below.items():
-        edge_degree[eid] = len(parts)
-        for i in parts:
-            links.add((eid, i))
-            part_degree[i] += 1
-    return BipartiteCongestionGraph(
-        edge_nodes=tuple(sorted(marking.overcongested)),
-        part_nodes=tuple(range(k)),
-        links=frozenset(links),
-        edge_degree=edge_degree,
-        part_degree=part_degree,
     )
 
 
@@ -425,7 +395,6 @@ def construct_full(
         if not failed:
             shortcut = Shortcut(
                 edge_sets=tuple(es if es is not None else frozenset() for es in edge_sets),
-                tree_restricted=True,
                 provenance=tuple(pr if pr is not None else (delta, 0) for pr in provenance),
             )
             stats = ConstructStats(
@@ -463,13 +432,15 @@ def loads_shortcut(text: str) -> Shortcut:
         if not ln.strip():
             continue
         head, _, rest = ln.partition(":")
-        rows[int(head.strip())] = frozenset(int(tok) for tok in rest.split())
+        i = int(head)
+        if i in rows:
+            raise GraphError(f"shortcut file repeats part index {i}")
+        rows[i] = frozenset(int(tok) for tok in rest.split())
     if sorted(rows) != list(range(len(rows))):
         raise GraphError("shortcut file part indices are not dense")
     k = len(rows)
     return Shortcut(
         edge_sets=tuple(rows[i] for i in range(k)),
-        tree_restricted=True,
         provenance=tuple((0, 0) for _ in range(k)),
     )
 

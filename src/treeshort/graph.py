@@ -223,35 +223,42 @@ def bfs_tree(g: Graph, root: int) -> RootedTree:
     return RootedTree(g, root, parent)
 
 
+def _bfs_far(adj, source: int) -> tuple[dict[int, int], int]:
+    """BFS distances from source over `adj`, and the last node reached (a farthest one)."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist, queue[-1]
+
+
+def _diameter_of(adj, nodes) -> int | float:
+    """Exact diameter of the graph on `nodes` with neighbor lists `adj[v]`;
+    INFINITE if it is disconnected."""
+    dist, far = _bfs_far(adj, next(iter(nodes)))
+    if len(dist) != len(nodes):
+        return INFINITE
+    if sum(len(adj[v]) for v in nodes) == 2 * (len(nodes) - 1):
+        # connected with |V|-1 edges: a tree, where double-BFS is exact
+        dist, far = _bfs_far(adj, far)
+        return dist[far]
+    best = 0
+    for s in nodes:
+        dist, far = _bfs_far(adj, s)
+        best = max(best, dist[far])
+    return best
+
+
 def diameter(g: Graph) -> int:
-    """Exact diameter by all-sources BFS; error on disconnected input."""
-    best = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        far = max(dist)
-        if min(dist) < 0:
-            unreached = dist.index(-1)
-            raise GraphError(f"graph disconnected: node {unreached} unreachable from {s}")
-        best = max(best, far)
-    return best
-
-
-def induced_diameter(g: Graph, nodes: Iterable[int]) -> int | float:
-    """Diameter of G[nodes]; INFINITE if the induced subgraph is disconnected."""
-    allowed = frozenset(nodes)
-    if not allowed:
-        raise GraphError("node set is empty")
-    for v in allowed:
-        if not (0 <= v < g.n):
-            raise GraphError(f"invalid node id {v}")
-    best = 0
-    for s in allowed:
-        dist = bfs_distances(g, s, allowed)
-        reached = [dist[v] for v in allowed if dist[v] >= 0]
-        if len(reached) != len(allowed):
-            return INFINITE
-        best = max(best, max(reached))
-    return best
+    """Exact diameter; error on disconnected input."""
+    d = _diameter_of([g.neighbors(v) for v in range(g.n)], range(g.n))
+    if d == INFINITE:
+        unreached = bfs_distances(g, 0).index(-1)
+        raise GraphError(f"graph disconnected: node {unreached} unreachable from 0")
+    return d
 
 
 class Partition:

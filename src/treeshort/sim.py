@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .audit import as_edge_map
+from .audit import _merged_subgraph, as_edge_map
 from .graph import Graph, Partition
 
 
@@ -359,26 +359,10 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
     Returns (parent, children, nodes) maps; raises if the merged subgraph is
     disconnected.
     """
-    nodes = set(part)
-    adj: dict[int, list[int]] = {}
-    for eid in edges:
-        u, v = g.endpoints(eid)
-        nodes.add(u)
-        nodes.add(v)
-    for v in nodes:
-        adj[v] = []
-    for eid in edges:
-        u, v = g.endpoints(eid)
-        adj[u].append(v)
-        adj[v].append(u)
+    nodes, adj = _merged_subgraph(g, part, edges)
+    for nbrs in adj.values():
+        nbrs.sort()  # no duplicates: H_i and G[P_i] \ H_i carry distinct edge ids
     part_set = frozenset(part)
-    for v in part:
-        for u, eid in g.adjacency(v):
-            if u in part_set and v < u and eid not in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-    for v in adj:
-        adj[v] = sorted(set(adj[v]))
     root = min(part)
     parent: dict[int, int | None] = {root: None}
     order = [root]
@@ -487,17 +471,3 @@ def partwise_aggregate(
             results[v] = trace.outputs[v]
     return results, trace
 
-
-def leader_and_count(
-    g: Graph, parts: Partition, shortcut, cfg: SimConfig
-) -> tuple[dict[int, tuple[int, int]], tuple[RoundTrace, RoundTrace]]:
-    """Per part: (minimum node id, part size), via two aggregations."""
-    ids = AggregationTask(values={v: v for v in range(g.n)}, op="min", parts=parts)
-    ones = AggregationTask(values={v: 1 for v in range(g.n)}, op="sum", parts=parts)
-    leaders, trace_min = partwise_aggregate(g, parts, shortcut, ids, cfg)
-    sizes, trace_sum = partwise_aggregate(g, parts, shortcut, ones, cfg)
-    out = {}
-    for i in range(parts.k):
-        member = parts.parts[i][0]
-        out[i] = (leaders[member], sizes[member])
-    return out, (trace_min, trace_sum)

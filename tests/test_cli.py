@@ -93,6 +93,19 @@ class TestAuditCommand:
         for key in ("congestion", "dilation", "blocks", "quality", "per_part"):
             assert report[key] == written[key]
 
+    @pytest.mark.parametrize("eid", ["99999", "-1"])
+    def test_unknown_edge_id_named(self, caterpillar_files, tmp_path, capsys, eid):
+        graph, parts = caterpillar_files
+        shortcut = write(tmp_path / "sc.txt", f"0 : {eid}\n1 :\n2 :\n3 :\n")
+        assert main(["audit", graph, parts, shortcut]) == 2
+        assert f"unknown edge id {eid}" in capsys.readouterr().err
+
+    def test_repeated_part_index_rejected(self, caterpillar_files, tmp_path, capsys):
+        graph, parts = caterpillar_files
+        shortcut = write(tmp_path / "sc.txt", "0 : 0\n1 :\n2 :\n3 :\n0 :\n")
+        assert main(["audit", graph, parts, shortcut]) == 2
+        assert "repeats part index 0" in capsys.readouterr().err
+
     def test_csv_schema_line(self, caterpillar_files, tmp_path, capsys):
         graph, parts = caterpillar_files
         out = tmp_path / "sc"
@@ -188,3 +201,26 @@ class TestBench:
     def test_malformed_spec_validation_error(self, tmp_path):
         spec = write(tmp_path / "spec.json", "{}")
         assert main(["bench", spec]) == 2
+
+    @pytest.mark.parametrize(
+        "runs, message",
+        [
+            ([1], "bench run 0: expected an object"),
+            ([{"params": [3, 3], "parts": 2, "seed": 1}], "bench run 0: unknown family None"),
+            (
+                [
+                    {"family": "lowerbound", "params": [6, 16], "seed": 1},
+                    {"family": "grid", "params": [4], "parts": 2, "seed": 1},
+                ],
+                "bench run 1: grid needs 'params' as 2 integers",
+            ),
+            ([{"family": "grid", "params": [3, 3], "seed": 1}], "bench run 0: grid needs 'parts'"),
+            ([{"family": "wheel", "params": [6], "parts": 2}], "bench run 0: 'seed' must be"),
+        ],
+    )
+    def test_bad_run_rejected_before_any_run(self, tmp_path, capsys, runs, message):
+        spec = write(tmp_path / "spec.json", json.dumps({"runs": runs}))
+        out = tmp_path / "r.csv"
+        assert main(["bench", spec, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -14,7 +14,6 @@ from treeshort.audit import (
 from treeshort.engine import (
     EngineConfig,
     MaxDeltaExceeded,
-    build_bipartite,
     case_one_partial,
     construct_full,
     construct_partial,
@@ -33,6 +32,11 @@ def path_instance(n):
     return g, bfs_tree(g, 0)
 
 
+def part_degrees(marking, k):
+    """Per part, the number of marked edges it lies below."""
+    return [sum(i in s for s in marking.parts_below.values()) for i in range(k)]
+
+
 class TestMarking:
     def test_caterpillar_threshold_three(self, caterpillar):
         g, tree, parts = caterpillar
@@ -41,9 +45,8 @@ class TestMarking:
         assert marking.overcongested == {spine}
         assert marking.parts_below[spine] == frozenset(range(4))
         assert marking.reps == {(spine, i): i + 1 for i in range(4)}
-        bip = build_bipartite(marking, parts.k)
-        assert all(bip.part_degree[i] == 1 for i in range(4))
-        assert bip.edge_degree[spine] == 4
+        assert part_degrees(marking, parts.k) == [1, 1, 1, 1]
+        assert len(marking.parts_below[spine]) == 4
 
     def test_path_single_part_threshold_two_marks_nothing(self):
         g, tree = path_instance(6)
@@ -145,8 +148,7 @@ class TestCaseOne:
         tree = bfs_tree(g, 0)
         assert tree.D == 2
         marking = mark_overcongested(tree, parts, 8 * 1 * tree.D)
-        bip = build_bipartite(marking, parts.k)
-        assert set(bip.part_degree.values()) == {9}
+        assert set(part_degrees(marking, parts.k)) == {9}
         assert case_one_partial(marking, tree, parts, 1) is None
         # at delta=2 the same marking's degrees fall within 16
         assert case_one_partial(marking, tree, parts, 2) is not None
@@ -156,8 +158,7 @@ class TestCaseOne:
         g, parts = build_fan(9, 1, 9)
         tree = bfs_tree(g, 0)
         marking = mark_overcongested(tree, parts, 1)
-        bip = build_bipartite(marking, parts.k)
-        assert bip.part_degree[0] == 9
+        assert part_degrees(marking, parts.k) == [9]
         assert case_one_partial(marking, tree, parts, 1) is None
 
     def test_coverage_and_multiplicity_invariants(self):
@@ -176,7 +177,7 @@ class TestCaseOne:
                 continue
             assert len(partial.covered) >= -(-parts.k // 2)
             counts = {}
-            bip = build_bipartite(marking, parts.k)
+            deg = part_degrees(marking, parts.k)
             for i, edges in partial.edge_sets.items():
                 assert i in partial.covered
                 for eid in edges:
@@ -185,7 +186,7 @@ class TestCaseOne:
                 # a covered part has one block per live forest component it
                 # meets: at most its degree among marked edges, plus the root's
                 blocks = part_blocks(g, tree, parts.parts[i], edges)
-                assert blocks <= bip.part_degree[i] + 1
+                assert blocks <= deg[i] + 1
                 assert blocks <= 8 * 1 + 1
             assert all(v < c for v in counts.values())
 
@@ -193,10 +194,10 @@ class TestCaseOne:
         g, parts = fan_instance
         tree = bfs_tree(g, 0)
         marking = mark_overcongested(tree, parts, 16)
-        bip = build_bipartite(marking, parts.k)
-        assert set(bip.edge_nodes) == marking.overcongested
-        assert all(deg >= 16 for deg in bip.edge_degree.values())
-        assert bip.links == {
+        assert set(marking.parts_below) == marking.overcongested
+        assert all(len(s) >= 16 for s in marking.parts_below.values())
+        # every (marked edge, part below it) link has a recorded representative
+        assert set(marking.reps) == {
             (e, i) for e, s in marking.parts_below.items() for i in s
         }
 

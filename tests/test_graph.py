@@ -9,11 +9,11 @@ from treeshort.graph import (
     diameter,
     dumps_graph,
     dumps_partition,
-    induced_diameter,
     loads_graph,
     loads_partition,
     validate_partition,
 )
+from treeshort.audit import measure_dilation
 from treeshort.generators import gen_grid, gen_ktree, gen_wheel
 
 import oracles
@@ -97,27 +97,33 @@ class TestDiameter:
 
 
 class TestInducedDiameter:
+    """G[nodes] is the merged subgraph of the single part `nodes` with H empty."""
+
+    @staticmethod
+    def induced(g, nodes):
+        return measure_dilation(g, Partition(g.n, [list(nodes)]), {0: set()})
+
     def test_singleton_zero(self):
-        assert induced_diameter(path_graph(3), [1]) == 0
+        assert self.induced(path_graph(3), [1]) == 0
 
     def test_wheel_rim_matches_oracle(self):
         # Full 9-node rim of wheel(10) is a 9-cycle: induced diameter 4.
         g = gen_wheel(10)
         rim = range(1, 10)
-        assert induced_diameter(g, rim) == oracles.induced_diameter(g.n, g.edges, rim) == 4
+        assert self.induced(g, rim) == oracles.induced_diameter(g.n, g.edges, rim) == 4
 
     def test_sub_rim_path_stretches_to_eight(self):
         # Dropping one rim node of wheel(11) leaves a 9-node induced path.
         g = gen_wheel(11)
         sub = range(1, 10)
-        assert induced_diameter(g, sub) == oracles.induced_diameter(g.n, g.edges, sub) == 8
+        assert self.induced(g, sub) == oracles.induced_diameter(g.n, g.edges, sub) == 8
 
     def test_disconnected_is_infinite(self):
-        assert induced_diameter(path_graph(3), [0, 2]) == INFINITE
+        assert self.induced(path_graph(3), [0, 2]) == INFINITE
 
     @pytest.mark.parametrize("g", [gen_grid(3, 4), gen_wheel(8)])
     def test_whole_vertex_set_equals_diameter(self, g):
-        assert induced_diameter(g, range(g.n)) == diameter(g)
+        assert self.induced(g, range(g.n)) == diameter(g)
 
 
 class TestPartition:

@@ -18,7 +18,6 @@ from treeshort.sim import (
     SimTimeout,
     default_msg_bits,
     int_bits,
-    leader_and_count,
     partwise_aggregate,
     payload_bits,
     run,
@@ -235,17 +234,30 @@ class TestPartwiseAggregate:
 
 
 class TestLeaderAndCount:
+    """Per part, the minimum node id and the part size, by two aggregations."""
+
+    @staticmethod
+    def leader_and_count(g, p, shortcut, cfg):
+        def per_part(values, op):
+            task = AggregationTask(values=values, op=op, parts=p)
+            results, _ = partwise_aggregate(g, p, shortcut, task, cfg)
+            return [results[p.parts[i][0]] for i in range(p.k)]
+
+        leaders = per_part({v: v for v in range(g.n)}, "min")
+        sizes = per_part({v: 1 for v in range(g.n)}, "sum")
+        return dict(enumerate(zip(leaders, sizes)))
+
     def test_singletons(self):
         g = path_graph(4)
         p = Partition(4, [[v] for v in range(4)])
-        out, _ = leader_and_count(g, p, {i: frozenset() for i in range(4)}, SimConfig())
+        out = self.leader_and_count(g, p, {i: frozenset() for i in range(4)}, SimConfig())
         assert out == {v: (v, 1) for v in range(4)}
 
     def test_whole_wheel(self):
         g = gen_wheel(10)
         t = bfs_tree(g, 0)
         p = Partition(10, [list(range(10))])
-        out, _ = leader_and_count(g, p, {0: t.tree_edges}, SimConfig(seed=4))
+        out = self.leader_and_count(g, p, {0: t.tree_edges}, SimConfig(seed=4))
         assert out == {0: (0, 10)}
 
     def test_random_grid_partition_matches_direct_computation(self):
@@ -253,5 +265,5 @@ class TestLeaderAndCount:
         t = bfs_tree(g, 0)
         p = gen_parts_random(g, 7, 13)
         shortcut = construct_full(g, t, p, EngineConfig(), random.Random(13)).shortcut
-        out, _ = leader_and_count(g, p, shortcut, SimConfig(seed=8))
+        out = self.leader_and_count(g, p, shortcut, SimConfig(seed=8))
         assert out == {i: (min(p.parts[i]), len(p.parts[i])) for i in range(p.k)}
