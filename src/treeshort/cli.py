@@ -20,6 +20,7 @@ from .graph import (
     Graph,
     GraphError,
     Partition,
+    RootedTree,
     bfs_tree,
     diameter,
     load_graph,
@@ -155,10 +156,10 @@ def _cmd_shortcut(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    g, p = _load_instance(args.graph, args.parts)
-    tree = bfs_tree(g, 0)
-    shortcut = engine.loads_shortcut(Path(args.shortcut).read_text())
+def _load_shortcut(path: str, g: Graph, p: Partition, tree: RootedTree) -> engine.Shortcut:
+    """Read a shortcut file that covers exactly the parts of `p` with known
+    edge ids, all of them edges of `tree`."""
+    shortcut = engine.loads_shortcut(Path(path).read_text())
     if len(shortcut.edge_sets) != p.k:
         raise GraphError(
             f"shortcut covers {len(shortcut.edge_sets)} parts, partition has {p.k}"
@@ -168,6 +169,13 @@ def _cmd_audit(args) -> int:
         raise GraphError(f"unknown edge id {min(unknown)}")
     if not audit.check_tree_restricted(shortcut, tree):
         raise GraphError("shortcut uses non-tree edges relative to the BFS tree at root 0")
+    return shortcut
+
+
+def _cmd_audit(args) -> int:
+    g, p = _load_instance(args.graph, args.parts)
+    tree = bfs_tree(g, 0)
+    shortcut = _load_shortcut(args.shortcut, g, p, tree)
     report = audit.audit_shortcut(g, tree, p, shortcut)
     if args.format == "csv":
         text = (
@@ -194,7 +202,7 @@ def _cmd_aggregate(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
     tree = bfs_tree(g, 0)
     if args.shortcut:
-        shortcut = engine.loads_shortcut(Path(args.shortcut).read_text())
+        shortcut = _load_shortcut(args.shortcut, g, p, tree)
     else:
         shortcut = engine.construct_full(
             g, tree, p, engine.EngineConfig(max_delta=args.max_delta),
@@ -278,8 +286,14 @@ def _check_bench_runs(runs: list) -> None:
             raise GraphError(f"bench run {idx}: {family} needs 'params' as {arity} integers")
         if not is_int(run.get("seed")):
             raise GraphError(f"bench run {idx}: 'seed' must be an integer")
-        if family != "lowerbound" and not is_int(run.get("parts")):
+        if family == "lowerbound":
+            continue
+        parts = run.get("parts")
+        if not is_int(parts):
             raise GraphError(f"bench run {idx}: {family} needs 'parts' as an integer")
+        n = params[0] * params[1] if family == "grid" else params[0]
+        if not 1 <= parts <= n:
+            raise GraphError(f"bench run {idx}: 'parts' must be in [1, {n}], got {parts}")
 
 
 def _bench_instance(run: dict):

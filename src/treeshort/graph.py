@@ -237,7 +237,13 @@ def _bfs_far(adj, source: int) -> tuple[dict[int, int], int]:
 
 def _diameter_of(adj, nodes) -> int | float:
     """Exact diameter of the graph on `nodes` with neighbor lists `adj[v]`;
-    INFINITE if it is disconnected."""
+    INFINITE if it is disconnected.
+
+    BoundingDiameters (Takes & Kosters, 2011): a BFS from s with eccentricity
+    e bounds every candidate w by max(d, e-d) <= ecc(w) <= e+d, d = d(s, w).
+    Exact because a dropped candidate's ecc(w) is at most `best`, the largest
+    eccentricity measured; each BFS drops its own source, so at most |V| BFS run.
+    """
     dist, far = _bfs_far(adj, next(iter(nodes)))
     if len(dist) != len(nodes):
         return INFINITE
@@ -245,11 +251,31 @@ def _diameter_of(adj, nodes) -> int | float:
         # connected with |V|-1 edges: a tree, where double-BFS is exact
         dist, far = _bfs_far(adj, far)
         return dist[far]
+    upper = dict.fromkeys(nodes, INFINITE)  # the candidates and their upper bounds
+    lower = dict.fromkeys(nodes, 0)
     best = 0
-    for s in nodes:
+    pick_upper = True
+    while True:
+        e = dist[far]
+        best = max(best, e)
+        kept = {}
+        # comparisons rather than min()/max() calls: this loop dominates the bookkeeping
+        for w, hi in upper.items():
+            d = dist[w]
+            if e + d < hi:
+                hi = e + d
+            if hi > best:  # also drops w once its bounds meet, since lower[w] <= best
+                kept[w] = hi
+                lo = d if d > e - d else e - d
+                if lo > lower[w]:
+                    lower[w] = lo
+        if not kept:
+            return best
+        upper = kept
+        # alternate: the largest upper bound, then the smallest lower bound
+        s = max(upper, key=upper.get) if pick_upper else min(upper, key=lower.get)
+        pick_upper = not pick_upper
         dist, far = _bfs_far(adj, s)
-        best = max(best, dist[far])
-    return best
 
 
 def diameter(g: Graph) -> int:

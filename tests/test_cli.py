@@ -3,7 +3,7 @@ import json
 import pytest
 
 from treeshort.cli import main
-from treeshort.graph import load_graph, load_partition
+from treeshort.graph import bfs_tree, load_graph, load_partition
 
 
 def write(path, text):
@@ -134,6 +134,37 @@ class TestAggregate:
         assert trace.read_text().splitlines()[0] == "round,src,dst,bits,tag"
 
 
+class TestAggregateShortcutFile:
+    """`aggregate --shortcut` rejects the files that `audit` rejects."""
+
+    @pytest.fixture
+    def grid_files(self, tmp_path, capsys):
+        main(["gen", "grid", "8", "8", "--out", str(tmp_path), "--parts", "10", "--seed", "3"])
+        capsys.readouterr()
+        return str(tmp_path / "graph.txt"), str(tmp_path / "parts.txt")
+
+    def aggregate(self, grid_files, tmp_path, rows):
+        shortcut = write(tmp_path / "sc.txt", "".join(f"{i} : {r}\n" for i, r in enumerate(rows)))
+        return main(["aggregate", *grid_files, "--seed", "1", "--shortcut", shortcut])
+
+    def test_short_shortcut_rejected(self, grid_files, tmp_path, capsys):
+        assert self.aggregate(grid_files, tmp_path, [""]) == 2
+        assert "shortcut covers 1 parts, partition has 10" in capsys.readouterr().err
+
+    def test_unknown_edge_id_rejected(self, grid_files, tmp_path, capsys):
+        assert self.aggregate(grid_files, tmp_path, ["99999"] + [""] * 9) == 2
+        assert "unknown edge id 99999" in capsys.readouterr().err
+
+    def test_non_tree_edge_rejected(self, grid_files, tmp_path, capsys):
+        g = load_graph(grid_files[0])
+        non_tree = min(set(range(g.m)) - bfs_tree(g, 0).tree_edges)
+        assert self.aggregate(grid_files, tmp_path, [str(non_tree)] + [""] * 9) == 2
+        assert "non-tree edges" in capsys.readouterr().err
+
+    def test_valid_file_accepted(self, grid_files, tmp_path):
+        assert self.aggregate(grid_files, tmp_path, [""] * 10) == 0
+
+
 class TestMst:
     def test_tree_single_phase(self, tmp_path, capsys):
         graph = write(tmp_path / "t.txt", "4 3 weighted\n0 1 5\n0 2 2\n0 3 9\n")
@@ -216,6 +247,21 @@ class TestBench:
             ),
             ([{"family": "grid", "params": [3, 3], "seed": 1}], "bench run 0: grid needs 'parts'"),
             ([{"family": "wheel", "params": [6], "parts": 2}], "bench run 0: 'seed' must be"),
+            (
+                [{"family": "grid", "params": [3, 3], "seed": 1, "parts": 0}],
+                "bench run 0: 'parts' must be in [1, 9], got 0",
+            ),
+            (
+                [{"family": "grid", "params": [3, 3], "seed": 1, "parts": 10}],
+                "bench run 0: 'parts' must be in [1, 9], got 10",
+            ),
+            (
+                [
+                    {"family": "wheel", "params": [6], "seed": 1, "parts": 6},
+                    {"family": "ktree", "params": [20, 2], "seed": 1, "parts": 21},
+                ],
+                "bench run 1: 'parts' must be in [1, 20], got 21",
+            ),
         ],
     )
     def test_bad_run_rejected_before_any_run(self, tmp_path, capsys, runs, message):

@@ -2,14 +2,25 @@
 builder against the brute-force oracles.
 
 Examples are derandomised so that every run of the suite tries the same
-inputs.
+inputs.  The diameter routine prunes sources by eccentricity bounds, so some
+inputs are large enough (n up to 40, a 12x12 grid) for the pruning to engage,
+and a BFS-count guard catches a return to one BFS per node.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshort.audit import _merged_subgraph, measure_dilation
+import treeshort.graph
+from treeshort.audit import _merged_subgraph, audit_shortcut, measure_dilation
+from treeshort.generators import (
+    gen_grid,
+    gen_lower_bound,
+    gen_parts_random,
+    gen_wheel,
+)
 from treeshort.graph import INFINITE, Graph, GraphError, Partition, bfs_tree, diameter
 from treeshort.sim import AggregationError, _part_tree
 
@@ -29,6 +40,36 @@ def graphs(draw, connected=False, max_n=9):
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
     return Graph(n, sorted(edges))
+
+
+@st.composite
+def sized_graphs(draw):
+    """Connected graphs with n up to 40, from trees to dense, labels shuffled."""
+    n = draw(st.integers(2, 40))
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    return Graph(n, sorted((label[u], label[v]) for u, v in edges))
+
+
+def all_ancestor_shortcut(tree, p):
+    """H_i = every tree edge between a node of P_i and the root."""
+    edge_sets = []
+    for part in p.parts:
+        edges = set()
+        for v in part:
+            while v != tree.root:
+                edges.add(tree.parent_edge[v])
+                v = tree.parent[v]
+        edge_sets.append(frozenset(edges))
+    return edge_sets
+
+
+def cycle_edges(n):
+    return [(v, (v + 1) % n) for v in range(n)]
 
 
 @st.composite
@@ -69,6 +110,85 @@ def test_diameter_matches_all_pairs_oracle(g):
         first = min(set(range(g.n)) - set(reached))
         with pytest.raises(GraphError, match=f"node {first} unreachable from 0$"):
             diameter(g)
+
+
+@SETTINGS
+@given(sized_graphs())
+def test_diameter_matches_oracle_up_to_40_nodes(g):
+    assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(12, cycle_edges(12)),
+        Graph(13, cycle_edges(13)),
+        Graph(4, cycle_edges(4)),
+        Graph(3, cycle_edges(3)),
+        # a cycle with a pendant path: the far end of the path sets the diameter
+        Graph(17, cycle_edges(10) + [(0, 10)] + [(v, v + 1) for v in range(10, 16)]),
+        # the same with the path hung from a node other than the first source
+        Graph(17, cycle_edges(10) + [(5, 10)] + [(v, v + 1) for v in range(10, 16)]),
+        gen_grid(7, 5),
+        gen_grid(1, 9),
+        gen_wheel(4),
+        gen_wheel(11),
+        Graph(7, [(a, b) for a in range(3) for b in range(3, 7)]),  # K_{3,4}
+        Graph(2, [(0, 1)]),
+        gen_lower_bound(5, 12).graph,
+    ],
+    ids=[
+        "cycle12", "cycle13", "cycle4", "cycle3", "cycle-pendant-at-0",
+        "cycle-pendant-at-5", "grid7x5", "grid1x9", "wheel4", "wheel11", "K3x4",
+        "K2", "lowerbound-5-12",
+    ],
+)
+def test_diameter_on_tight_and_tied_families(g):
+    assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
+
+
+@pytest.mark.parametrize("seed, k", [(1, 6), (2, 20), (3, 40), (4, 72)])
+def test_dilation_of_all_ancestor_merged_subgraphs_on_grid(seed, k):
+    # cyclic merged subgraphs carrying pendant ancestor paths, as in the benchmark
+    g = gen_grid(12, 12)
+    tree = bfs_tree(g, 0)
+    p = gen_parts_random(g, k, seed)
+    shortcut = all_ancestor_shortcut(tree, p)
+    want = [merged_oracle(g, p.parts[i], shortcut[i]) for i in range(k)]
+    for i in range(k):
+        assert measure_dilation(g, Partition(g.n, [p.parts[i]]), {0: shortcut[i]}) == want[i]
+    report = audit_shortcut(g, tree, p, shortcut)
+    assert [q.dilation for q in report.per_part] == want
+    assert measure_dilation(g, p, shortcut) == report.dilation == max(want)
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Count the BFS runs of the shared diameter routine."""
+    calls = []
+    bfs = treeshort.graph._bfs_far
+
+    def counting(adj, source):
+        calls.append(source)
+        return bfs(adj, source)
+
+    monkeypatch.setattr(treeshort.graph, "_bfs_far", counting)
+    return calls
+
+
+def test_grid_diameter_needs_few_bfs(bfs_calls):
+    assert diameter(gen_grid(32, 32)) == 62
+    assert len(bfs_calls) <= 10  # one BFS per node would be 1,024
+
+
+def test_audit_runs_far_fewer_bfs_than_merged_nodes(bfs_calls):
+    g = gen_grid(32, 32)
+    tree = bfs_tree(g, 0)
+    p = gen_parts_random(g, 200, 1)
+    shortcut = all_ancestor_shortcut(tree, p)
+    merged_nodes = sum(len(_merged_subgraph(g, p.parts[i], shortcut[i])[0]) for i in range(p.k))
+    audit_shortcut(g, tree, p, shortcut)
+    assert len(bfs_calls) <= merged_nodes / 4
 
 
 @SETTINGS
