@@ -26,16 +26,12 @@ from .engine import (
     sample_dense_minor,
 )
 from .audit import (
-    DensityBounds,
     QualityReport,
     audit_shortcut,
     block_dilation_bound,
     check_tree_restricted,
-    measure_blocks,
     measure_congestion,
-    measure_dilation,
     partial_to_full_congestion,
-    thomason_bounds,
     validate_minor,
 )
 from .generators import (

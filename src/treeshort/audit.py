@@ -3,8 +3,11 @@
 Everything here recomputes from scratch: congestion, dilation, block counts,
 tree-restriction, and certificate soundness are derived only from the graph,
 the partition, and the candidate object, never trusted from producer
-bookkeeping.  Closed-form bounds are exposed as pure functions so tests can
-compare measured values against formula values explicitly.
+bookkeeping.  Each part's merged subgraph G[P_i] + H_i is built once and
+yields both measures: dilation is its diameter, and blocks, the components
+of the forest (P_i ∪ V(H_i), H_i), are its node count minus |H_i|.
+Closed-form bounds are exposed as pure functions so tests can compare
+measured values against formula values explicitly.
 """
 
 from __future__ import annotations
@@ -54,13 +57,6 @@ class QualityReport:
         }
 
 
-@dataclass(frozen=True)
-class DensityBounds:
-    r: int
-    delta_low: Fraction
-    delta_high: float
-
-
 def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
     """Normalize a shortcut-like object to a mapping part index -> edge id set.
 
@@ -102,54 +98,16 @@ def _merged_subgraph(g: Graph, part: Sequence[int], edges: frozenset[int]):
     return adj.keys(), adj
 
 
-def measure_dilation(g: Graph, p: Partition, shortcut) -> int | float:
-    """Max over parts of diameter(G[P_i] + H_i); INFINITE if any merged subgraph splits."""
-    edge_map = as_edge_map(shortcut)
-    best: int | float = 0
-    for i in range(p.k):
-        nodes, adj = _merged_subgraph(g, p.parts[i], edge_map.get(i, frozenset()))
-        d = _diameter_of(adj, nodes)
-        if d == INFINITE:
-            return INFINITE
-        best = max(best, d)
-    return best
+def part_blocks(t: RootedTree, nodes, edges: frozenset[int]) -> int:
+    """Component count of the forest (P_i ∪ V(H_i), H_i), given its node set.
 
-
-def part_blocks(g: Graph, t: RootedTree, part: Sequence[int], edges: frozenset[int]) -> int:
+    H_i is a set of tree edges, so it is a forest and every edge joins two
+    components: the count is |nodes| - |H_i|.
+    """
     for eid in edges:
-        if not t.is_tree_edge(eid):
+        if eid not in t.tree_edges:
             raise GraphError(f"edge {eid} is not a tree edge; shortcut is not tree-restricted")
-    nodes = set(part)
-    for eid in edges:
-        u, v = g.endpoints(eid)
-        nodes.add(u)
-        nodes.add(v)
-    # union-find over (P_i ∪ V(H_i), H_i)
-    root: dict[int, int] = {v: v for v in nodes}
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    components = len(nodes)
-    for eid in edges:
-        u, v = g.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            root[ru] = rv
-            components -= 1
-    return components
-
-
-def measure_blocks(t: RootedTree, p: Partition, shortcut) -> int:
-    """Max over parts of the component count of (P_i ∪ V(H_i), H_i)."""
-    edge_map = as_edge_map(shortcut)
-    g = t.graph
-    return max(
-        part_blocks(g, t, p.parts[i], edge_map.get(i, frozenset())) for i in range(p.k)
-    )
+    return len(nodes) - len(edges)
 
 
 def check_tree_restricted(shortcut, t: RootedTree) -> bool:
@@ -174,17 +132,6 @@ def partial_to_full_congestion(c: int, k: int) -> int:
     return c * math.ceil(math.log2(max(k, 2)))
 
 
-def thomason_bounds(r: int) -> DensityBounds:
-    """Two-sided bounds on the minor density of a graph whose largest clique minor is K_r."""
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    return DensityBounds(
-        r=r,
-        delta_low=Fraction(r - 1, 2),
-        delta_high=8.0 * r * math.sqrt(math.log2(r)),
-    )
-
-
 def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityReport:
     """Full recomputation of (congestion, dilation, blocks, quality) plus per-part detail."""
     edge_map = as_edge_map(shortcut)
@@ -194,8 +141,8 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
     for i in range(p.k):
         edges = edge_map.get(i, frozenset())
         nodes, adj = _merged_subgraph(g, p.parts[i], edges)
+        blocks = part_blocks(t, nodes, edges)
         dil = _diameter_of(adj, nodes)
-        blocks = part_blocks(g, t, p.parts[i], edges)
         per_part.append(PartQuality(i, dil, blocks))
         worst_dilation = max(worst_dilation, dil)
         worst_blocks = max(worst_blocks, blocks)

@@ -59,7 +59,6 @@ class CongestionMarking:
     edge.
     """
 
-    threshold: int
     overcongested: frozenset[int]
     parts_below: Mapping[int, frozenset[int]]
     reps: Mapping[tuple[int, int], int]
@@ -94,10 +93,9 @@ class MinorCertificate:
 
 @dataclass(frozen=True)
 class Shortcut:
-    """Edge sets for every part, plus the (delta, iteration) that assigned each."""
+    """Edge sets for every part."""
 
     edge_sets: tuple[frozenset[int], ...]
-    provenance: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,8 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class ConstructStats:
-    delta_final: int
     iterations_by_delta: tuple[tuple[int, int], ...]
+    covering_iterations: tuple[int, ...]  # per part: the iteration at delta_final that covered it
     uncertified_failures: int
     certificate_deltas: tuple[int, ...]  # aligned with the certificates tuple
 
@@ -168,7 +166,6 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
             for part, node in acc.items():
                 reps[(eid, part)] = node
     return CongestionMarking(
-        threshold=c,
         overcongested=frozenset(overcongested),
         parts_below=parts_below,
         reps=reps,
@@ -368,7 +365,7 @@ def construct_full(
     delta = 1
     while delta <= max_delta:
         edge_sets: list[frozenset[int] | None] = [None] * p.k
-        provenance: list[tuple[int, int] | None] = [None] * p.k
+        covering: list[int | None] = [None] * p.k
         remaining = list(range(p.k))
         iteration = 0
         failed = False
@@ -387,19 +384,17 @@ def construct_full(
             for sub_i, edges in partial.edge_sets.items():
                 orig = remaining[sub_i]
                 edge_sets[orig] = edges
-                provenance[orig] = (delta, iteration)
+                covering[orig] = iteration
             remaining = [
                 remaining[j] for j in range(len(remaining)) if j not in partial.covered
             ]
         iterations_log.append((delta, iteration))
         if not failed:
-            shortcut = Shortcut(
-                edge_sets=tuple(es if es is not None else frozenset() for es in edge_sets),
-                provenance=tuple(pr if pr is not None else (delta, 0) for pr in provenance),
-            )
+            # every part is covered here, so no entry is still None
+            shortcut = Shortcut(edge_sets=tuple(edge_sets))
             stats = ConstructStats(
-                delta_final=delta,
                 iterations_by_delta=tuple(iterations_log),
+                covering_iterations=tuple(covering),
                 uncertified_failures=uncertified,
                 certificate_deltas=tuple(certificate_deltas),
             )
@@ -438,11 +433,7 @@ def loads_shortcut(text: str) -> Shortcut:
         rows[i] = frozenset(int(tok) for tok in rest.split())
     if sorted(rows) != list(range(len(rows))):
         raise GraphError("shortcut file part indices are not dense")
-    k = len(rows)
-    return Shortcut(
-        edge_sets=tuple(rows[i] for i in range(k)),
-        provenance=tuple((0, 0) for _ in range(k)),
-    )
+    return Shortcut(edge_sets=tuple(rows[i] for i in range(len(rows))))
 
 
 def certificate_to_json_dict(cert: MinorCertificate) -> dict:

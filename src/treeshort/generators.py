@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from .graph import Graph, GraphError, Partition
 
 
@@ -103,22 +101,6 @@ def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
     )
 
 
-def lower_bound_attachment_edges(inst: LowerBoundInstance) -> list[int]:
-    """Edge ids of the delta*(delta-1) attachments to rows other than row 1.
-
-    Deleting them leaves a planar graph, which is what caps the minor density
-    of the family via Euler's formula.
-    """
-    ids = []
-    for j in range(1, inst.delta + 1):
-        col = (j - 1) * inst.D + 1
-        anchor = inst.p_node((j - 1) * inst.k + 1)
-        for jp in range(2, inst.delta + 1):  # row 1 attachments stay
-            row = (jp - 1) * inst.D + 1
-            ids.append(inst.graph.edge_id(inst.v_node(row, col), anchor))
-    return ids
-
-
 def gen_grid(w: int, h: int) -> Graph:
     """w x h grid, node (r, c) -> r*w + c; planar, so every minor density < 3."""
     if w < 1 or h < 1:
@@ -202,11 +184,3 @@ def assign_weights(g: Graph, seed: int) -> Graph:
     rng = random.Random(seed)
     return g.with_weights(rng.sample(range(1, 2**31), g.m))
 
-
-def is_planar(g: Graph) -> bool:
-    """Planarity check backing the Euler-formula density arguments in tests."""
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n))
-    gx.add_edges_from(g.edges)
-    planar, _ = nx.check_planarity(gx)
-    return planar

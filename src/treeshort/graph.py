@@ -105,18 +105,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"no edge ({u}, {v})") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_index
-
-    def weight(self, eid: int) -> int:
-        if self.weights is None:
-            raise GraphError("graph is unweighted")
-        if not (0 <= eid < self.m):
-            raise GraphError(f"unknown edge id {eid}")
-        return self.weights[eid]
-
     def with_weights(self, weights: Sequence[int]) -> "Graph":
         return Graph(self.n, self.edges, weights)
 
@@ -180,9 +168,6 @@ class RootedTree:
         self.tree_edges = frozenset(
             self.parent_edge[v] for v in range(graph.n) if v != root
         )
-
-    def is_tree_edge(self, eid: int) -> bool:
-        return eid in self.tree_edges
 
     def deeper_endpoint(self, eid: int) -> int:
         """The endpoint of a tree edge further from the root."""

@@ -5,7 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from treeshort.graph import Graph, Partition, RootedTree
+from treeshort.audit import _merged_subgraph
+from treeshort.graph import Graph, Partition, RootedTree, _diameter_of
+
+
+def merged_diameter(g, part, h):
+    """Diameter of G[part] + h, where h may hold non-tree edges; INFINITE
+    if the merged subgraph is disconnected."""
+    nodes, adj = _merged_subgraph(g, part, frozenset(h))
+    return _diameter_of(adj, nodes)
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ plain dict adjacency, plain BFS, exhaustive enumeration.  They are the
 second route for every dual-route check.
 """
 
+import math
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -106,3 +109,32 @@ def component_labels(n, edges_subset_endpoints):
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
     return {v: find(v) for v in range(n)}
+
+
+def is_planar(g):
+    """Planarity check backing the Euler-formula density arguments in tests."""
+    import networkx as nx  # only the planarity tests need networkx
+
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges)
+    planar, _ = nx.check_planarity(gx)
+    return planar
+
+
+@dataclass(frozen=True)
+class DensityBounds:
+    r: int
+    delta_low: Fraction
+    delta_high: float
+
+
+def thomason_bounds(r):
+    """Two-sided bounds on the minor density of a graph whose largest clique minor is K_r."""
+    if r < 2:
+        raise ValueError("r must be at least 2")
+    return DensityBounds(
+        r=r,
+        delta_low=Fraction(r - 1, 2),
+        delta_high=8.0 * r * math.sqrt(math.log2(r)),
+    )

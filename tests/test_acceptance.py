@@ -20,7 +20,6 @@ from treeshort.audit import (
     block_dilation_bound,
     check_tree_restricted,
     partial_to_full_congestion,
-    thomason_bounds,
     validate_minor,
 )
 from treeshort.cli import main as cli_main
@@ -32,13 +31,13 @@ from treeshort.generators import (
     gen_lower_bound,
     gen_parts_random,
     gen_wheel,
-    is_planar,
 )
 from treeshort.graph import bfs_tree, diameter
 from treeshort.sim import AggregationTask, SimConfig, default_msg_bits, partwise_aggregate
 
 import oracles
 from conftest import build_fan
+from oracles import is_planar, thomason_bounds
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:

@@ -7,16 +7,16 @@ from treeshort.audit import (
     audit_shortcut,
     block_dilation_bound,
     check_tree_restricted,
-    measure_blocks,
     measure_congestion,
-    measure_dilation,
     partial_to_full_congestion,
-    thomason_bounds,
     validate_minor,
 )
 from treeshort.engine import MinorCertificate, MinorEdge, MinorNode
 from treeshort.graph import INFINITE, Graph, GraphError, Partition, bfs_tree
 from treeshort.generators import gen_wheel
+
+from conftest import merged_diameter
+from oracles import thomason_bounds
 
 
 def k4():
@@ -41,18 +41,16 @@ class TestCongestion:
 class TestDilation:
     def test_singleton_empty(self):
         g = Graph(2, [(0, 1)])
-        assert measure_dilation(g, Partition(2, [[0]]), {0: set()}) == 0
+        assert merged_diameter(g, [0], set()) == 0
 
     def test_wheel_rim_with_all_spokes(self):
         g = gen_wheel(10)
-        p = Partition(10, [list(range(1, 10))])
         spokes = {g.edge_id(0, v) for v in range(1, 10)}
-        assert measure_dilation(g, p, {0: spokes}) == 2
+        assert merged_diameter(g, list(range(1, 10)), spokes) == 2
 
     def test_disconnected_merged_is_infinite(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        p = Partition(3, [[0, 2]])
-        assert measure_dilation(g, p, {0: set()}) == INFINITE
+        assert merged_diameter(g, [0, 2], set()) == INFINITE
 
     def test_tree_merged_subgraphs_match_all_pairs_oracle(self):
         # tree-shaped merged subgraphs take the double-BFS fast path; the
@@ -62,8 +60,7 @@ class TestDilation:
 
         for seed in range(5):
             g = gen_ktree(40, 1, seed)
-            p = Partition(g.n, [list(range(g.n))])
-            assert measure_dilation(g, p, {0: set()}) == oracles.all_pairs_diameter(
+            assert merged_diameter(g, list(range(g.n)), set()) == oracles.all_pairs_diameter(
                 g.n, g.edges
             )
 
@@ -72,15 +69,15 @@ class TestBlocks:
     def test_empty_shortcut_counts_isolated_nodes(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         t = bfs_tree(g, 0)
-        assert measure_blocks(t, Partition(4, [[1]]), {0: set()}) == 1
-        assert measure_blocks(t, Partition(4, [[1, 2, 3]]), {0: set()}) == 3
+        assert audit_shortcut(g, t, Partition(4, [[1]]), {0: set()}).blocks == 1
+        assert audit_shortcut(g, t, Partition(4, [[1, 2, 3]]), {0: set()}).blocks == 3
 
     def test_part_split_by_one_missing_tree_edge(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         t = bfs_tree(g, 0)
         # part {1,2,3,4} shortcut omits edge (2,3): two fragments
         edges = {g.edge_id(1, 2), g.edge_id(3, 4)}
-        assert measure_blocks(t, Partition(5, [[1, 2, 3, 4]]), {0: edges}) == 2
+        assert audit_shortcut(g, t, Partition(5, [[1, 2, 3, 4]]), {0: edges}).blocks == 2
 
     def test_non_tree_edge_is_an_error(self):
         g = gen_wheel(6)
@@ -88,7 +85,7 @@ class TestBlocks:
         rim_edge = g.edge_id(1, 2)
         assert rim_edge not in t.tree_edges
         with pytest.raises(GraphError):
-            measure_blocks(t, Partition(6, [[1]]), {0: {rim_edge}})
+            audit_shortcut(g, t, Partition(6, [[1]]), {0: {rim_edge}})
 
 
 class TestTreeRestriction:

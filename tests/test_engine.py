@@ -7,7 +7,6 @@ import pytest
 from treeshort.audit import (
     audit_shortcut,
     check_tree_restricted,
-    measure_blocks,
     measure_congestion,
     validate_minor,
 )
@@ -141,7 +140,7 @@ class TestCaseOne:
         for i in range(4):
             assert partial.edge_sets[i] == {g.edge_id(0, i + 1)}
         assert measure_congestion(g, partial) == 1
-        assert measure_blocks(tree, parts, partial) == 1
+        assert audit_shortcut(g, tree, parts, partial).blocks == 1
 
     def test_every_part_degree_nine_returns_none(self, fan_instance):
         g, parts = fan_instance
@@ -162,7 +161,7 @@ class TestCaseOne:
         assert case_one_partial(marking, tree, parts, 1) is None
 
     def test_coverage_and_multiplicity_invariants(self):
-        from treeshort.audit import part_blocks
+        from treeshort.audit import _merged_subgraph, part_blocks
 
         for seed in range(8):
             rng = random.Random(3000 + seed)
@@ -185,7 +184,8 @@ class TestCaseOne:
                     counts[eid] = counts.get(eid, 0) + 1
                 # a covered part has one block per live forest component it
                 # meets: at most its degree among marked edges, plus the root's
-                blocks = part_blocks(g, tree, parts.parts[i], edges)
+                nodes, _ = _merged_subgraph(g, parts.parts[i], edges)
+                blocks = part_blocks(tree, nodes, edges)
                 assert blocks <= deg[i] + 1
                 assert blocks <= 8 * 1 + 1
             assert all(v < c for v in counts.values())
@@ -275,7 +275,7 @@ class TestConstructFull:
         assert result.delta_final == 1
         assert result.shortcut.edge_sets[0] == tree.tree_edges
         assert measure_congestion(g, result.shortcut) == 1
-        assert measure_blocks(tree, parts, result.shortcut) == 1
+        assert audit_shortcut(g, tree, parts, result.shortcut).blocks == 1
 
     def test_fan_doubles_once_and_certifies(self, fan_instance):
         g, parts = fan_instance
@@ -291,7 +291,8 @@ class TestConstructFull:
         assert report.dilation == 4
         assert report.blocks == 1
         assert check_tree_restricted(result.shortcut, tree)
-        assert all(pr == (2, 1) for pr in result.shortcut.provenance)
+        assert result.delta_final == 2
+        assert result.stats.covering_iterations == (1,) * parts.k
 
     def test_max_delta_cap_carries_certificates(self, fan_instance):
         g, parts = fan_instance
@@ -318,12 +319,12 @@ class TestConstructFull:
         lg = math.ceil(math.log2(parts.k))
         assert report.congestion <= 8 * 1 * tree.D * lg
         assert report.blocks <= 8
-        # provenance records which iteration froze each part's edges
-        iterations = {pr[1] for pr in result.shortcut.provenance}
+        # the stats record which iteration froze each part's edges
+        iterations = set(result.stats.covering_iterations)
         assert iterations == {1, 2}
-        for i, pr in enumerate(result.shortcut.provenance):
+        for i, it in enumerate(result.stats.covering_iterations):
             expected = 2 if len(parts.parts[i]) == 9 else 1
-            assert pr == (1, expected)
+            assert (result.delta_final, it) == (1, expected)
         # chained parts were covered against an empty marking: whole ancestry
         root_edges = {g.edge_id(0, 1 + b) for b in range(9)}
         for i in range(15):

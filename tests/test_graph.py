@@ -13,10 +13,10 @@ from treeshort.graph import (
     loads_partition,
     validate_partition,
 )
-from treeshort.audit import measure_dilation
 from treeshort.generators import gen_grid, gen_ktree, gen_wheel
 
 import oracles
+from conftest import merged_diameter
 
 
 def path_graph(n):
@@ -43,7 +43,7 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph(2, [(0, 1)], [2**31])
         g = Graph(2, [(0, 1)], [2**31 - 1])
-        assert g.weight(0) == 2**31 - 1
+        assert g.weights[0] == 2**31 - 1
 
     def test_neighbors_sorted(self):
         g = Graph(4, [(2, 0), (0, 3), (0, 1)])
@@ -101,7 +101,7 @@ class TestInducedDiameter:
 
     @staticmethod
     def induced(g, nodes):
-        return measure_dilation(g, Partition(g.n, [list(nodes)]), {0: set()})
+        return merged_diameter(g, list(nodes), set())
 
     def test_singleton_zero(self):
         assert self.induced(path_graph(3), [1]) == 0

@@ -1,5 +1,5 @@
-"""Randomised checks of the shared diameter routine and the merged-subgraph
-builder against the brute-force oracles.
+"""Randomised checks of the shared diameter routine, the merged-subgraph
+builder and the audit's block count against the brute-force oracles.
 
 Examples are derandomised so that every run of the suite tries the same
 inputs.  The diameter routine prunes sources by eccentricity bounds, so some
@@ -14,17 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeshort.graph
-from treeshort.audit import _merged_subgraph, audit_shortcut, measure_dilation
+from treeshort.audit import _merged_subgraph, audit_shortcut
 from treeshort.generators import (
     gen_grid,
+    gen_ktree,
     gen_lower_bound,
     gen_parts_random,
     gen_wheel,
 )
-from treeshort.graph import INFINITE, Graph, GraphError, Partition, bfs_tree, diameter
+from treeshort.graph import INFINITE, Graph, GraphError, bfs_tree, diameter
 from treeshort.sim import AggregationError, _part_tree
 
 import oracles
+from conftest import merged_diameter
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -156,10 +158,11 @@ def test_dilation_of_all_ancestor_merged_subgraphs_on_grid(seed, k):
     shortcut = all_ancestor_shortcut(tree, p)
     want = [merged_oracle(g, p.parts[i], shortcut[i]) for i in range(k)]
     for i in range(k):
-        assert measure_dilation(g, Partition(g.n, [p.parts[i]]), {0: shortcut[i]}) == want[i]
+        assert merged_diameter(g, p.parts[i], shortcut[i]) == want[i]
     report = audit_shortcut(g, tree, p, shortcut)
     assert [q.dilation for q in report.per_part] == want
-    assert measure_dilation(g, p, shortcut) == report.dilation == max(want)
+    dilation = max(merged_diameter(g, p.parts[i], shortcut[i]) for i in range(k))
+    assert dilation == report.dilation == max(want)
 
 
 @pytest.fixture
@@ -205,7 +208,7 @@ def test_diameter_of_spanning_tree_matches_oracle(g):
 def test_dilation_matches_merged_subgraph_oracle(inst):
     g, part, h = inst
     want = merged_oracle(g, part, h)
-    got = measure_dilation(g, Partition(g.n, [part]), {0: h})
+    got = merged_diameter(g, part, h)
     assert got == (INFINITE if want is None else want)
 
 
@@ -214,7 +217,7 @@ def test_dilation_matches_merged_subgraph_oracle(inst):
 def test_induced_diameter_matches_oracle(g, data):
     part = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
     want = oracles.induced_diameter(g.n, g.edges, part)
-    got = measure_dilation(g, Partition(g.n, [part]), {0: set()})
+    got = merged_diameter(g, part, set())
     assert got == (INFINITE if want is None else want)
 
 
@@ -255,3 +258,44 @@ def test_part_tree_spans_part_inside_merged_subgraph(inst):
             steps += 1
             assert steps <= len(live)
         assert v == root
+
+
+@st.composite
+def tree_restricted_instances(draw):
+    """A random tree, k-tree or grid with random parts, and per part a random
+    set of BFS-tree edges as H_i, sparse to nearly all of them."""
+    family = draw(st.sampled_from(["tree", "ktree", "grid"]))
+    seed = draw(st.integers(0, 2**32))
+    if family == "tree":
+        g = gen_ktree(draw(st.integers(2, 40)), 1, seed)  # a 1-tree is a tree
+    elif family == "ktree":
+        g = gen_ktree(draw(st.integers(4, 60)), draw(st.integers(2, 3)), seed)
+    else:
+        g = gen_grid(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    tree = bfs_tree(g, 0)
+    p = gen_parts_random(g, draw(st.integers(1, min(g.n, 12))), seed)
+    share = draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+    rng = random.Random(seed)
+    tree_edges = sorted(tree.tree_edges)
+    shortcut = [frozenset(e for e in tree_edges if rng.random() < share) for _ in p.parts]
+    return g, tree, p, shortcut
+
+
+@SETTINGS
+@given(tree_restricted_instances())
+def test_blocks_match_forest_component_oracle(inst):
+    g, tree, p, shortcut = inst
+    report = audit_shortcut(g, tree, p, shortcut)
+    for i, q in enumerate(report.per_part):
+        h_edges = [g.edges[e] for e in shortcut[i]]
+        nodes = set(p.parts[i]) | {x for e in h_edges for x in e}
+        labels = oracles.component_labels(g.n, h_edges)
+        assert q.blocks == len({labels[v] for v in nodes})
+    assert report.blocks == max(q.blocks for q in report.per_part)
+    non_tree = sorted(set(range(g.m)) - tree.tree_edges)
+    if non_tree:
+        bad = list(shortcut)
+        bad[-1] = shortcut[-1] | {non_tree[0]}
+        message = f"^edge {non_tree[0]} is not a tree edge; shortcut is not tree-restricted$"
+        with pytest.raises(GraphError, match=message):
+            audit_shortcut(g, tree, p, bad)
