@@ -288,6 +288,14 @@ def _check_bench_runs(runs: list) -> None:
             raise GraphError(f"bench run {idx}: 'seed' must be an integer")
         if family == "lowerbound":
             continue
+        if family == "grid" and min(params) < 1:
+            raise GraphError(f"bench run {idx}: grid dimensions must be positive, got {params}")
+        if family == "wheel" and params[0] < 4:
+            raise GraphError(f"bench run {idx}: wheel needs at least 4 nodes, got {params[0]}")
+        if family == "ktree" and not 1 <= params[1] < params[0]:
+            raise GraphError(
+                f"bench run {idx}: ktree needs k >= 1 and n >= k+1, got n={params[0]}, k={params[1]}"
+            )
         parts = run.get("parts")
         if not is_int(parts):
             raise GraphError(f"bench run {idx}: {family} needs 'parts' as an integer")

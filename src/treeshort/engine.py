@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .audit import validate_minor
-from .graph import Graph, GraphError, Partition, RootedTree
+from .graph import Graph, GraphError, Partition, RootedTree, _line_ints
 
 # Case-II retry budget per construction call, scaled by tree depth.  One
 # attempt succeeds with probability Omega(1/D) when the dichotomy holds, so
@@ -423,14 +423,17 @@ def dumps_shortcut(shortcut: Shortcut) -> str:
 
 def loads_shortcut(text: str) -> Shortcut:
     rows: dict[int, frozenset[int]] = {}
-    for ln in text.splitlines():
+    for no, ln in enumerate(text.splitlines(), 1):
         if not ln.strip():
             continue
         head, _, rest = ln.partition(":")
-        i = int(head)
+        index = head.split()
+        if len(index) != 1:
+            raise GraphError(f"shortcut file line {no}: expected 'part : edge ids', got {ln!r}")
+        (i,) = _line_ints(index, "shortcut", no)
         if i in rows:
             raise GraphError(f"shortcut file repeats part index {i}")
-        rows[i] = frozenset(int(tok) for tok in rest.split())
+        rows[i] = frozenset(_line_ints(rest.split(), "shortcut", no))
     if sorted(rows) != list(range(len(rows))):
         raise GraphError("shortcut file part indices are not dense")
     return Shortcut(edge_sets=tuple(rows[i] for i in range(len(rows))))

@@ -345,29 +345,40 @@ def dumps_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_ints(tokens: list[str], kind: str, lineno: int) -> list[int]:
+    """The integers of one line of a `kind` file; a bad token names the
+    1-based line."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise GraphError(f"{kind} file line {lineno}: {tok!r} is not an integer") from None
+    return out
+
+
 def loads_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise GraphError("empty graph file")
-    head = lines[0].split()
+    head_no, head_line = lines[0]
+    head = head_line.split()
     if len(head) not in (2, 3) or (len(head) == 3 and head[2] != "weighted"):
-        raise GraphError(f"bad header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+        raise GraphError(f"bad header line: {head_line!r}")
+    n, m = _line_ints(head[:2], "graph", head_no)
     weighted = len(head) == 3
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges, weights = [], []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         fields = ln.split()
+        want = "u v w" if weighted else "u v"
+        if len(fields) != len(want.split()):
+            raise GraphError(f"expected '{want}': {ln!r}")
+        nums = _line_ints(fields, "graph", no)
+        edges.append((nums[0], nums[1]))
         if weighted:
-            if len(fields) != 3:
-                raise GraphError(f"expected 'u v w': {ln!r}")
-            edges.append((int(fields[0]), int(fields[1])))
-            weights.append(int(fields[2]))
-        else:
-            if len(fields) != 2:
-                raise GraphError(f"expected 'u v': {ln!r}")
-            edges.append((int(fields[0]), int(fields[1])))
+            weights.append(nums[2])
     return Graph(n, edges, weights if weighted else None)
 
 
@@ -386,7 +397,11 @@ def dumps_partition(p: Partition) -> str:
 
 
 def loads_partition(text: str, n: int) -> Partition:
-    parts = [[int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()]
+    parts = [
+        _line_ints(ln.split(), "partition", no)
+        for no, ln in enumerate(text.splitlines(), 1)
+        if ln.strip()
+    ]
     return Partition(n, parts)
 
 

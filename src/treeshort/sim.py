@@ -1,10 +1,12 @@
 """Synchronous bandwidth-limited message-passing simulator and aggregation.
 
 The simulator runs lock-step rounds: messages sent during round r are
-delivered at the start of round r+1, every non-halted node steps once per
-round, and each directed edge carries at most one message of at most
-`msg_bits` bits per round (violations raise, they are never silently
-dropped).
+delivered at the start of round r+1, and each directed edge carries at most
+one message of at most `msg_bits` bits per round (violations raise, they are
+never silently dropped).  A non-halted node steps once per round unless it
+sleeps: a node that calls `ctx.sleep(until)` is next stepped when a message
+reaches it or in round `until`, whichever comes first.  Rounds in which no
+node steps and no message is in flight are skipped but still counted.
 
 The partwise-aggregation protocol splits work into an uncharged control
 plane (per-part spanning trees of G[P_i]+H_i pruned to the part, start
@@ -18,6 +20,7 @@ graph edges are counted in the trace.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -114,23 +117,36 @@ class AggregationTask:
 class NodeContext:
     """Per-node handle the simulator passes to programs."""
 
-    __slots__ = ("node", "neighbors", "rng", "_sim")
+    __slots__ = ("node", "neighbors", "_rng", "_sim")
 
-    def __init__(self, node: int, neighbors: tuple[int, ...], rng: random.Random, sim):
+    def __init__(self, node: int, neighbors: tuple[int, ...], sim):
         self.node = node
         self.neighbors = neighbors
-        self.rng = rng
+        self._rng = None
         self._sim = sim
 
     @property
     def round(self) -> int:
         return self._sim.round_no
 
+    @property
+    def rng(self) -> random.Random:
+        """The node's own stream, seeded `f"{seed}:{node}"` on first use."""
+        if self._rng is None:
+            self._rng = random.Random(f"{self._sim.cfg.seed}:{self.node}")
+        return self._rng
+
     def send(self, dst: int, payload, tag: str = "") -> None:
         self._sim.submit(self.node, dst, payload, tag)
 
+    def sleep(self, until: int | None = None) -> None:
+        """Step this node next when a message reaches it or in round `until`
+        (never, if None), whichever comes first.  An `until` that is not
+        after the current round leaves the node awake."""
+        self._sim.sleep(self.node, until)
+
     def halt(self) -> None:
-        self._sim.halted[self.node] = True
+        self._sim.halt(self.node)
 
     def set_output(self, value) -> None:
         self._sim.outputs[self.node] = value
@@ -158,6 +174,12 @@ class _SimCore:
         self.cfg = cfg
         self.round_no = 0
         self.halted = [False] * g.n
+        self.live = g.n
+        self.awake = set(range(g.n))  # stepped every round
+        # round given to each node's latest sleep(); left over, harmlessly, once awake
+        self.wake_at: list[int | None] = [None] * g.n
+        # heap of (round, node); an entry that no longer matches wake_at is stale
+        self.wakes: list[tuple[int, int]] = []
         self.outputs: dict[int, object] = {}
         self.neighbor_sets = [frozenset(g.neighbors(v)) for v in range(g.n)]
         self.outbox: list[tuple[int, int, object, str]] = []
@@ -184,6 +206,29 @@ class _SimCore:
         if self.log is not None:
             self.log.append(MessageRecord(self.round_no + 1, src, dst, bits, tag))
 
+    def halt(self, v: int) -> None:
+        if not self.halted[v]:
+            self.halted[v] = True
+            self.live -= 1
+            self.awake.discard(v)
+
+    def sleep(self, v: int, until: int | None) -> None:
+        if until is not None and until <= self.round_no:
+            return
+        self.awake.discard(v)
+        self.wake_at[v] = until
+        if until is not None:
+            heapq.heappush(self.wakes, (until, v))
+
+    def pop_due(self, rnd: int) -> list[int]:
+        """Sleepers whose wake round is `rnd`."""
+        wakes, due = self.wakes, []
+        while wakes and wakes[0][0] <= rnd:
+            w, v = heapq.heappop(wakes)
+            if self.wake_at[v] == w:
+                due.append(v)
+        return due
+
     def trace(self) -> RoundTrace:
         return RoundTrace(
             rounds_used=self.round_no,
@@ -205,18 +250,26 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
 
     Messages sent during round r (round 0 being the init hook) occupy their
     edge in round r+1; a message addressed to a node that has already halted
-    is counted and logged but silently dropped.
+    is counted and logged but silently dropped.  Each round steps, in
+    ascending id order, the awake nodes, the non-halted nodes with mail and
+    the sleepers whose wake round has come; a step wakes the node.  When no
+    node is awake and no message is in flight, the clock jumps to the round
+    before the next wake round, or to max_rounds if no sleeper has one; the
+    skipped rounds count in `rounds_used`.
     """
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
     core = _SimCore(g, cfg)
-    contexts = [
-        NodeContext(v, g.neighbors(v), random.Random(f"{cfg.seed}:{v}"), core)
-        for v in range(g.n)
-    ]
+    contexts = [NodeContext(v, g.neighbors(v), core) for v in range(g.n)]
     for v in range(g.n):
         programs[v].on_init(contexts[v])
-    while not all(core.halted):
+    halted, awake = core.halted, core.awake
+    empty: dict[int, object] = {}
+    while core.live:
+        if not awake and not core.outbox:
+            # a stale heap top costs one empty round, never a missed wake
+            wake = core.wakes[0][0] if core.wakes else cfg.max_rounds + 1
+            core.round_no = min(wake - 1, cfg.max_rounds)
         if core.round_no >= cfg.max_rounds:
             raise SimTimeout(
                 f"exceeded max_rounds={cfg.max_rounds}", core.trace()
@@ -227,9 +280,9 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
             inboxes.setdefault(dst, {})[src] = payload
         core.outbox = []
         core.sent_edges = set()
-        empty: dict[int, object] = {}
-        for v in range(g.n):
-            if not core.halted[v]:
+        for v in sorted(awake.union(inboxes, core.pop_due(core.round_no))):
+            if not halted[v]:
+                awake.add(v)  # a later sleep() overwrites any pending wake
                 programs[v].on_round(contexts[v], inboxes.get(v, empty))
     return core.trace()
 
@@ -256,7 +309,6 @@ class _Role:
         "pending_children",
         "sent_up",
         "result",
-        "queued",
     )
 
     def __init__(self, part, parent, children, in_part, delay, value):
@@ -269,14 +321,15 @@ class _Role:
         self.pending_children = len(children)
         self.sent_up = False
         self.result = None
-        self.queued = 0
 
 
 class _AggregateProgram(NodeProgram):
     def __init__(self, op: str):
         self.op = _OPS[op]
         self.roles: dict[int, _Role] = {}
+        # per destination, in first-use order, which fixes the send order
         self.pending: dict[int, list[tuple[tuple[int, int], int, int, int]]] = {}
+        self.backlog = 0  # messages held in `pending`
         self.next_wake = 0
 
     def add_role(self, role: _Role) -> None:
@@ -289,7 +342,7 @@ class _AggregateProgram(NodeProgram):
         self.pending.setdefault(dst, []).append(
             ((role.delay, role.part), role.part, kind, value)
         )
-        role.queued += 1
+        self.backlog += 1
 
     def _deliver_result(self, ctx: NodeContext, role: _Role, value: int) -> None:
         role.result = value
@@ -319,27 +372,25 @@ class _AggregateProgram(NodeProgram):
                 continue
             best = min(range(len(queue)), key=lambda j: queue[j][0])
             _, part, kind, value = queue.pop(best)
-            self.roles[part].queued -= 1
+            self.backlog -= 1
             ctx.send(dst, (part, kind, value), tag="up" if kind == _UP else "down")
 
-    def _maybe_halt(self, ctx: NodeContext) -> None:
-        if any(q for q in self.pending.values()):
+    def _settle(self, ctx: NodeContext) -> None:
+        """With nothing queued, halt once every role has its result, else
+        sleep until mail or the next delay gate opens."""
+        if self.backlog:
             return
-        for role in self.roles.values():
-            if role.result is None or role.queued:
-                return
-        ctx.halt()
+        if all(role.result is not None for role in self.roles.values()):
+            ctx.halt()
+        else:
+            ctx.sleep(self.next_wake if self.next_wake >= 0 else None)
 
     def on_init(self, ctx: NodeContext) -> None:
         self._advance(ctx, 0)
         self._flush(ctx)
-        self._maybe_halt(ctx)
+        self._settle(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
-        rnd = ctx.round
-        if not inbox and not any(q for q in self.pending.values()):
-            if self.next_wake < 0 or rnd < self.next_wake:
-                return  # waiting on children or on a delay gate
         for src, payload in inbox.items():
             part, kind, value = payload
             role = self.roles[part]
@@ -348,9 +399,9 @@ class _AggregateProgram(NodeProgram):
                 role.pending_children -= 1
             else:
                 self._deliver_result(ctx, role, value)
-        self._advance(ctx, rnd)
+        self._advance(ctx, ctx.round)
         self._flush(ctx)
-        self._maybe_halt(ctx)
+        self._settle(ctx)
 
 
 def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):

@@ -117,6 +117,44 @@ class TestAuditCommand:
         assert lines[1].startswith("instance,k,D,")
 
 
+class TestLoaderErrors:
+    """A token that is not an integer names the file kind and its 1-based
+    line (blank lines count) and exits 2."""
+
+    def test_graph_file(self, caterpillar_files, tmp_path, capsys):
+        _, parts = caterpillar_files
+        graph = write(tmp_path / "g.txt", "6 5\n0 1\n\n0 2\n0 x3\n0 4\n0 5\n")
+        assert main(["shortcut", graph, parts, "--seed", "1"]) == 2
+        assert "graph file line 5: 'x3' is not an integer" in capsys.readouterr().err
+
+    def test_graph_header(self, caterpillar_files, tmp_path, capsys):
+        _, parts = caterpillar_files
+        graph = write(tmp_path / "g.txt", "\nsix 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
+        assert main(["shortcut", graph, parts, "--seed", "1"]) == 2
+        assert "graph file line 2: 'six' is not an integer" in capsys.readouterr().err
+
+    def test_partition_file(self, caterpillar_files, tmp_path, capsys):
+        graph, _ = caterpillar_files
+        parts = write(tmp_path / "p.txt", "1\n2\n3 y\n4\n")
+        assert main(["shortcut", graph, parts, "--seed", "1"]) == 2
+        assert "partition file line 3: 'y' is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 : 0\n1 :\n2 :\nx : 0\n", "shortcut file line 4: 'x' is not an integer"),
+            ("0 : 0\n\n1 : 1 z\n2 :\n3 :\n", "shortcut file line 3: 'z' is not an integer"),
+            ("0 : 0\n: 1\n", "shortcut file line 2: expected 'part : edge ids'"),
+        ],
+        ids=["index", "edge-id", "no-index"],
+    )
+    def test_shortcut_file(self, caterpillar_files, tmp_path, capsys, text, message):
+        graph, parts = caterpillar_files
+        shortcut = write(tmp_path / "sc.txt", text)
+        assert main(["audit", graph, parts, shortcut]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestAggregate:
     def test_sum_with_trace(self, tmp_path):
         main(["gen", "grid", "5", "5", "--out", str(tmp_path), "--parts", "3", "--seed", "4"])
@@ -261,6 +299,29 @@ class TestBench:
                     {"family": "ktree", "params": [20, 2], "seed": 1, "parts": 21},
                 ],
                 "bench run 1: 'parts' must be in [1, 20], got 21",
+            ),
+            (
+                [{"family": "wheel", "params": [3], "seed": 1, "parts": 1}],
+                "bench run 0: wheel needs at least 4 nodes, got 3",
+            ),
+            (
+                [
+                    {"family": "wheel", "params": [4], "seed": 1, "parts": 1},
+                    {"family": "ktree", "params": [3, 3], "seed": 1, "parts": 3},
+                ],
+                "bench run 1: ktree needs k >= 1 and n >= k+1, got n=3, k=3",
+            ),
+            (
+                [{"family": "ktree", "params": [5, 0], "seed": 1, "parts": 2}],
+                "bench run 0: ktree needs k >= 1 and n >= k+1, got n=5, k=0",
+            ),
+            (
+                [{"family": "grid", "params": [-2, -3], "seed": 1, "parts": 6}],
+                "bench run 0: grid dimensions must be positive, got [-2, -3]",
+            ),
+            (
+                [{"family": "grid", "params": [4, 0], "seed": 1, "parts": 1}],
+                "bench run 0: grid dimensions must be positive, got [4, 0]",
             ),
         ],
     )

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from conftest import build_fan
+from treeshort import sim
 from treeshort.audit import audit_shortcut
 from treeshort.engine import EngineConfig, construct_full
 from treeshort.generators import gen_grid, gen_parts_random, gen_wheel
@@ -130,6 +133,158 @@ class TestRun:
         assert first == second
         assert len(set(first.values())) == 4
         assert first != other
+
+
+class Sleeper(NodeProgram):
+    """Sleep in init until `first`; on each step record the round and, if
+    `plan` has an entry for it, sleep until that round, else halt."""
+
+    def __init__(self, first, plan=None):
+        self.first = first
+        self.plan = plan or {}
+        self.steps = []
+
+    def on_init(self, ctx):
+        ctx.sleep(self.first)
+
+    def on_round(self, ctx, inbox):
+        self.steps.append(ctx.round)
+        if ctx.round in self.plan:
+            ctx.sleep(self.plan[ctx.round])
+        else:
+            ctx.halt()
+
+
+class Poke(NodeProgram):
+    """Send one message to every neighbour in init, then halt."""
+
+    def on_init(self, ctx):
+        for u in ctx.neighbors:
+            ctx.send(u, 1)
+        ctx.halt()
+
+
+class TestScheduler:
+    def test_sleeper_not_stepped_before_its_wake_round(self):
+        sleeper = Sleeper(5)
+        trace = run(Graph(1, []), [sleeper], SimConfig())
+        assert sleeper.steps == [5]
+        assert trace.rounds_used == 5
+
+    def test_mail_wakes_early_and_cancels_the_wake(self):
+        class Ticker(NodeProgram):
+            """Awake until round 15, so that no round is skipped."""
+
+            def on_round(self, ctx, inbox):
+                if ctx.round == 15:
+                    ctx.halt()
+
+        sleeper = Sleeper(10, plan={1: 20})
+        trace = run(path_graph(3), [sleeper, Poke(), Ticker()], SimConfig())
+        assert sleeper.steps == [1, 20]  # not stepped in round 10
+        assert trace.rounds_used == 20
+        assert trace.messages_sent == 2
+
+    def test_all_asleep_gap_counts_in_rounds_used(self):
+        early, late = Sleeper(3, plan={3: 40}), Sleeper(700)
+        trace = run(path_graph(2), [early, late], SimConfig())
+        assert early.steps == [3, 40]
+        assert late.steps == [700]
+        assert trace.rounds_used == 700
+
+    def test_past_wake_round_keeps_node_awake(self):
+        sleeper = Sleeper(0, plan={1: 1})
+        trace = run(path_graph(2), [sleeper, HaltAtInit()], SimConfig(max_rounds=50))
+        assert sleeper.steps == [1, 2]
+        assert trace.rounds_used == 2
+
+    def test_all_asleep_without_wake_times_out_at_once(self):
+        sleepers = [Sleeper(None), Sleeper(None)]
+        with pytest.raises(SimTimeout, match="max_rounds=1000000") as err:
+            run(path_graph(2), sleepers, SimConfig(max_rounds=10**6))
+        assert err.value.trace.rounds_used == 10**6
+        assert all(s.steps == [] for s in sleepers)
+
+    def test_wake_after_max_rounds_times_out_at_max_rounds(self):
+        sleeper = Sleeper(50)
+        with pytest.raises(SimTimeout) as err:
+            run(Graph(1, []), [sleeper], SimConfig(max_rounds=30))
+        assert err.value.trace.rounds_used == 30
+        assert sleeper.steps == []
+
+    def test_mail_to_halted_node_is_dropped(self):
+        sleeper = Sleeper(4)
+        trace = run(path_graph(3), [Poke(), HaltAtInit(), sleeper], SimConfig())
+        assert sleeper.steps == [4]
+        assert trace.messages_sent == 1
+
+    def test_halt_is_idempotent(self):
+        class HaltTwice(NodeProgram):
+            def on_init(self, ctx):
+                ctx.halt()
+                ctx.halt()
+
+        class HaltAtThree(NodeProgram):
+            def on_round(self, ctx, inbox):
+                if ctx.round == 3:
+                    ctx.halt()
+
+        trace = run(path_graph(2), [HaltTwice(), HaltAtThree()], SimConfig())
+        assert trace.rounds_used == 3
+
+    def test_aggregation_steps_only_nodes_with_work(self, monkeypatch):
+        """Steps are bounded by one per message plus one delay-gate wake per
+        node, not by rounds times nodes."""
+        g, p = build_fan(9, 18, 9)
+        t = bfs_tree(g, 0)
+        shortcut = construct_full(g, t, p, EngineConfig(), random.Random(1)).shortcut
+        steps = 0
+        on_round = sim._AggregateProgram.on_round
+
+        def counted(self, ctx, inbox):
+            nonlocal steps
+            steps += 1
+            on_round(self, ctx, inbox)
+
+        monkeypatch.setattr(sim._AggregateProgram, "on_round", counted)
+        task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+        _, trace = partwise_aggregate(g, p, shortcut, task, SimConfig(seed=1))
+        assert 0 < steps <= trace.messages_sent + g.n
+
+
+def log_digest(log):
+    text = "".join(f"{r.round} {r.src} {r.dst} {r.bits} {r.tag}\n" for r in log)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenLogs:
+    """Message logs pinned byte for byte, so that a scheduler change cannot
+    reorder sends or deliveries unnoticed."""
+
+    @staticmethod
+    def aggregate_log(g, p, seed):
+        t = bfs_tree(g, 0)
+        shortcut = construct_full(g, t, p, EngineConfig(), random.Random(seed)).shortcut
+        task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+        _, trace = partwise_aggregate(
+            g, p, shortcut, task, SimConfig(seed=seed, log_messages=True)
+        )
+        return trace
+
+    def test_grid(self):
+        g = gen_grid(12, 12)
+        trace = self.aggregate_log(g, gen_parts_random(g, 15, 3), 3)
+        assert (trace.rounds_used, trace.messages_sent) == (17, 268)
+        assert log_digest(trace.log) == (
+            "c4615a0564cb76a34ee7acb7aa135f8d32d88555f54a64d0ad274990fc490475"
+        )
+
+    def test_fan(self):
+        trace = self.aggregate_log(*build_fan(9, 18, 9), 1)
+        assert (trace.rounds_used, trace.messages_sent) == (28, 540)
+        assert log_digest(trace.log) == (
+            "6e35ba86f462c9add469e9dec2e8b8d517a8bf9e1ee77fe4393ba70828e38b79"
+        )
 
 
 class TestPartwiseAggregate:
