@@ -450,12 +450,42 @@ def certificate_to_json_dict(cert: MinorCertificate) -> dict:
     }
 
 
+def _cert_field(obj, key: str, path: str, kind: type):
+    """obj[key], checked to be a `kind` (a bool is not an int); a missing or
+    mistyped field raises GraphError naming it, as in `nodes[2].vertices`."""
+    name = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise GraphError(f"certificate field {path or 'root'}: expected an object")
+    if key not in obj:
+        raise GraphError(f"certificate field {name} is missing")
+    value = obj[key]
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise GraphError(
+            f"certificate field {name}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def certificate_from_json_dict(data: dict) -> MinorCertificate:
-    num, _, den = data["density"].partition("/")
-    return MinorCertificate(
-        nodes=tuple(
-            MinorNode(n["kind"], n["ref"], tuple(n["vertices"])) for n in data["nodes"]
-        ),
-        edges=tuple(MinorEdge(e["a"], e["b"], e["witness"]) for e in data["edges"]),
-        density=Fraction(int(num), int(den or "1")),
-    )
+    """Inverse of certificate_to_json_dict; a malformed field raises GraphError."""
+    text = _cert_field(data, "density", "", str)
+    num, _, den = text.partition("/")
+    try:
+        density = Fraction(int(num), int(den or "1"))
+    except ValueError:
+        raise GraphError(f"certificate field density: {text!r} is not an integer ratio") from None
+    except ZeroDivisionError:
+        raise GraphError(f"certificate field density: {text!r} has a zero denominator") from None
+    nodes = []
+    for idx, node in enumerate(_cert_field(data, "nodes", "", list)):
+        path = f"nodes[{idx}]"
+        kind, ref = _cert_field(node, "kind", path, str), _cert_field(node, "ref", path, int)
+        vertices = _cert_field(node, "vertices", path, list)
+        if not all(type(v) is int for v in vertices):
+            raise GraphError(f"certificate field {path}.vertices: expected a list of ints")
+        nodes.append(MinorNode(kind, ref, tuple(vertices)))
+    edges = [
+        MinorEdge(*(_cert_field(edge, key, f"edges[{idx}]", int) for key in ("a", "b", "witness")))
+        for idx, edge in enumerate(_cert_field(data, "edges", "", list))
+    ]
+    return MinorCertificate(nodes=tuple(nodes), edges=tuple(edges), density=density)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import add
 from typing import Iterable, Sequence
 
 INFINITE = math.inf
@@ -220,47 +222,159 @@ def _bfs_far(adj, source: int) -> tuple[dict[int, int], int]:
     return dist, queue[-1]
 
 
+# Kernel rule: all-pairs distances on a kernel of K nodes cost about K*K
+# steps and a BFS about n.  A kernel of more than n/4 nodes (dense parts, such
+# as k-tree parts and grid blocks) or of more than 4*sqrt(n) nodes (large
+# subdivided meshes) would cost more than the handful of BFS runs that
+# BoundingDiameters needs on such graphs, so those keep the BFS loop.
+_KERNEL_RATIO = 4
+
+
 def _diameter_of(adj, nodes) -> int | float:
     """Exact diameter of the graph on `nodes` with neighbor lists `adj[v]`;
     INFINITE if it is disconnected.
 
-    BoundingDiameters (Takes & Kosters, 2011): a BFS from s with eccentricity
-    e bounds every candidate w by max(d, e-d) <= ecc(w) <= e+d, d = d(s, w).
-    Exact because a dropped candidate's ecc(w) is at most `best`, the largest
-    eccentricity measured; each BFS drops its own source, so at most |V| BFS run.
+    Peel: strip degree-1 nodes until none is left, keeping each remaining
+    node's pendant height h; the two tallest branches at each node give the
+    longest path inside the pendant trees, so a tree needs no BFS.
+    Contract: the core's degree-2 nodes with h == 0 form chains, paths of
+    L edges between kernel nodes a and b (a == b for a loop); the kernel is
+    every other core node (one node of a core that is a bare cycle).
+    Maximise: with d the all-pairs distances on the weighted kernel, the
+    diameter is the largest of
+      - the longest pendant-tree path;
+      - h[a] + d(a, b) + h[b] over kernel pairs a != b;
+      - floor((L + d(a, y) + d(b, y)) / 2) + h[y] from a chain (a, b, L) to
+        a kernel node y, since the chain point t steps from a lies
+        min(t + d(a, y), L - t + d(b, y)) from y; y = a covers two points
+        within one chain, floor((L + d(a, b)) / 2);
+      - chain against chain (x, y, M): the same sum with y replaced by the
+        point s steps from x, whose distances to a and to b are concave in s
+        with breakpoints (M + d(a, y) - d(a, x)) / 2 and (M + d(b, y) -
+        d(b, x)) / 2; their sum peaks between the two, so its integer
+        maximum lies at an integer point next to a breakpoint.
+    Kernel rule: when the kernel holds more than a quarter of the nodes, or
+    more than 4*sqrt(n) of them (_KERNEL_RATIO), the routine runs
+    BoundingDiameters (Takes & Kosters, 2011) on the full adjacency instead:
+    a BFS from s with eccentricity e bounds every candidate w by
+    max(d, e-d) <= ecc(w) <= e+d, d = d(s, w), and a candidate is dropped
+    once its upper bound is at most `best`, the largest distance found.
     """
-    dist, far = _bfs_far(adj, next(iter(nodes)))
-    if len(dist) != len(nodes):
-        return INFINITE
-    if sum(len(adj[v]) for v in nodes) == 2 * (len(nodes) - 1):
-        # connected with |V|-1 edges: a tree, where double-BFS is exact
-        dist, far = _bfs_far(adj, far)
-        return dist[far]
-    upper = dict.fromkeys(nodes, INFINITE)  # the candidates and their upper bounds
-    lower = dict.fromkeys(nodes, 0)
+    deg = {v: len(adj[v]) for v in nodes}
+    height = dict.fromkeys(deg, 0)
     best = 0
-    pick_upper = True
-    while True:
-        e = dist[far]
-        best = max(best, e)
-        kept = {}
-        # comparisons rather than min()/max() calls: this loop dominates the bookkeeping
-        for w, hi in upper.items():
-            d = dist[w]
-            if e + d < hi:
-                hi = e + d
-            if hi > best:  # also drops w once its bounds meet, since lower[w] <= best
-                kept[w] = hi
-                lo = d if d > e - d else e - d
-                if lo > lower[w]:
-                    lower[w] = lo
-        if not kept:
-            return best
-        upper = kept
-        # alternate: the largest upper bound, then the smallest lower bound
-        s = max(upper, key=upper.get) if pick_upper else min(upper, key=lower.get)
-        pick_upper = not pick_upper
-        dist, far = _bfs_far(adj, s)
+    leaves = [v for v, d in deg.items() if d == 1]
+    peeled = 0
+    for v in leaves:
+        if deg[v] != 1:
+            continue  # its last neighbor was peeled first: v is a tree's last node
+        deg[v] = -1
+        peeled += 1
+        for p in adj[v]:
+            if deg[p] > 0:
+                break
+        hv, hp = height[v] + 1, height[p]
+        if hp + hv > best:
+            best = hp + hv
+        if hv > hp:
+            height[p] = hv
+        deg[p] -= 1
+        if deg[p] == 1:
+            leaves.append(p)
+    core = [v for v, d in deg.items() if d > 0]
+    tree_ends = len(deg) - peeled - len(core)  # one per tree component
+    if tree_ends:
+        return best if tree_ends == 1 and not core else INFINITE
+    kernel = [v for v in core if deg[v] != 2 or height[v]]
+    size = len(kernel)
+    if size * _KERNEL_RATIO > len(deg) or size * size > _KERNEL_RATIO**2 * len(deg):
+        dist, far = _bfs_far(adj, next(iter(nodes)))
+        if len(dist) != len(deg):
+            return INFINITE
+        upper = dict.fromkeys(nodes, INFINITE)  # the candidates and their upper bounds
+        lower = dict.fromkeys(nodes, 0)
+        pick_upper = True
+        while True:
+            e = dist[far]
+            best = max(best, e)
+            kept = {}
+            # comparisons rather than min()/max() calls: this loop dominates the bookkeeping
+            for w, hi in upper.items():
+                d = dist[w]
+                if e + d < hi:
+                    hi = e + d
+                if hi > best:  # also drops w once its bounds meet, since lower[w] <= best
+                    kept[w] = hi
+                    lo = d if d > e - d else e - d
+                    if lo > lower[w]:
+                        lower[w] = lo
+            if not kept:
+                return best
+            upper = kept
+            # alternate: the largest upper bound, then the smallest lower bound
+            s = max(upper, key=upper.get) if pick_upper else min(upper, key=lower.get)
+            pick_upper = not pick_upper
+            dist, far = _bfs_far(adj, s)
+    if not kernel:
+        kernel = core[:1]
+    index = {v: i for i, v in enumerate(kernel)}
+    kadj: list[list[tuple[int, int]]] = [[] for _ in kernel]
+    chains = []
+    inner = set()
+    for i, a in enumerate(kernel):
+        for u in adj[a]:
+            if deg[u] < 0 or u in inner:
+                continue  # a peeled node, or a chain walked from its other end
+            prev, length, j = a, 1, index.get(u)
+            while j is None:
+                inner.add(u)
+                x, y = adj[u]
+                prev, u = u, (y if x == prev else x)
+                length += 1
+                j = index.get(u)
+            kadj[i].append((j, length))
+            if length > 1:
+                kadj[j].append((i, length))
+                chains.append((i, j, length))
+    if len(inner) + len(kernel) < len(core):
+        return INFINITE  # a cycle apart from every kernel node
+    dist = []
+    for s in range(len(kernel)):
+        d = [INFINITE] * len(kernel)
+        d[s] = 0
+        heap = [(0, s)]
+        while heap:
+            dv, v = heappop(heap)
+            if dv == d[v]:
+                for u, w in kadj[v]:
+                    if dv + w < d[u]:
+                        d[u] = dv + w
+                        heappush(heap, (dv + w, u))
+        if INFINITE in d:
+            return INFINITE
+        dist.append(d)
+    h = [height[v] for v in kernel]
+    for a in range(len(kernel) - 1):
+        best = max(best, h[a] + max(map(add, dist[a][a + 1 :], h[a + 1 :])))
+    reach = []  # per chain, the farthest kernel node from any of its points
+    for a, b, length in chains:
+        far = [(length + ay + by) // 2 for ay, by in zip(dist[a], dist[b])]
+        best = max(best, max(map(add, far, h)))
+        reach.append(max(far))
+    # a point of chain (x, y, M) is at most M // 2 from x or y, so a chain
+    # whose reach plus the largest such half is at most `best` is done
+    half = max((m // 2 for _, _, m in chains), default=0)
+    live = [chain for chain, r in zip(chains, reach) if r + half > best]
+    for c, (a, b, length) in enumerate(live):
+        da, db = dist[a], dist[b]
+        for x, y, m in live[c + 1 :]:
+            ax, ay, bx, by = da[x], da[y], db[x], db[y]
+            twice_a, twice_b = m + ay - ax, m + by - bx  # twice the breakpoints
+            for s in (twice_a // 2, (twice_a + 1) // 2, twice_b // 2, (twice_b + 1) // 2):
+                far = (length + min(s + ax, m - s + ay) + min(s + bx, m - s + by)) // 2
+                if far > best:
+                    best = far
+    return best
 
 
 def diameter(g: Graph) -> int:

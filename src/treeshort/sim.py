@@ -44,7 +44,15 @@ def payload_bits(payload) -> int:
     if isinstance(payload, int):
         return int_bits(payload)
     if isinstance(payload, tuple):
-        return sum(payload_bits(x) for x in payload)
+        # one loop over the members, recursing only into nested tuples: this
+        # runs once per message
+        bits = 0
+        for x in payload:
+            if isinstance(x, int):
+                bits += (x.bit_length() or 1) + 1  # int_bits(x); bit_length ignores the sign
+            else:
+                bits += payload_bits(x)
+        return bits
     raise SimError(f"unsupported payload type {type(payload).__name__}")
 
 

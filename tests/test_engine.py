@@ -14,12 +14,13 @@ from treeshort.engine import (
     EngineConfig,
     MaxDeltaExceeded,
     case_one_partial,
+    certificate_from_json_dict,
     construct_full,
     construct_partial,
     mark_overcongested,
     sample_dense_minor,
 )
-from treeshort.graph import Graph, Partition, bfs_tree
+from treeshort.graph import Graph, GraphError, Partition, bfs_tree
 from treeshort.generators import gen_ktree, gen_parts_random
 
 import oracles
@@ -240,6 +241,86 @@ class TestSampleDenseMinor:
         data = certificate_to_json_dict(cert)
         assert "/" in data["density"]
         assert certificate_from_json_dict(data) == cert
+
+
+def _cert_data():
+    return {
+        "density": "3/2",
+        "nodes": [
+            {"kind": "part", "ref": 0, "vertices": [1, 2]},
+            {"kind": "edge", "ref": 4, "vertices": [0]},
+        ],
+        "edges": [{"a": 0, "b": 1, "witness": 0}, {"a": 1, "b": 0, "witness": 2}],
+    }
+
+
+class TestCertificateJson:
+    """A malformed certificate raises GraphError naming the field."""
+
+    def test_valid_data_loads(self):
+        cert = certificate_from_json_dict(_cert_data())
+        assert cert.density == Fraction(3, 2)
+        assert cert.nodes[1].vertices == (0,)
+        assert cert.edges[1].witness == 2
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("density",), "^certificate field density is missing$"),
+            (("nodes",), "^certificate field nodes is missing$"),
+            (("edges",), "^certificate field edges is missing$"),
+            (("nodes", 1, "vertices"), r"^certificate field nodes\[1\]\.vertices is missing$"),
+            (("nodes", 0, "kind"), r"^certificate field nodes\[0\]\.kind is missing$"),
+            (("edges", 1, "witness"), r"^certificate field edges\[1\]\.witness is missing$"),
+        ],
+        ids=["density", "nodes", "edges", "vertices", "kind", "witness"],
+    )
+    def test_missing_key(self, path, message):
+        data = _cert_data()
+        obj = data
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+        with pytest.raises(GraphError, match=message):
+            certificate_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "density, message",
+        [
+            ("3/x", "'3/x' is not an integer ratio"),
+            ("1.5", "'1.5' is not an integer ratio"),
+            ("", "'' is not an integer ratio"),
+            ("3/0", "'3/0' has a zero denominator"),
+            (1.5, "expected str, got float"),
+        ],
+        ids=["letter", "decimal", "empty", "zero-denominator", "not-a-string"],
+    )
+    def test_bad_density(self, density, message):
+        data = _cert_data()
+        data["density"] = density
+        with pytest.raises(GraphError, match=f"^certificate field density: {message}$"):
+            certificate_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("edges", 0, "a"), "0", r"edges\[0\]\.a: expected int, got str"),
+            (("edges", 0, "b"), True, r"edges\[0\]\.b: expected int, got bool"),
+            (("nodes", 0, "vertices"), [1, None], r"nodes\[0\]\.vertices: expected a list of ints"),
+            (("nodes", 0, "kind"), 7, r"nodes\[0\]\.kind: expected str, got int"),
+            (("nodes", 1), [0], r"nodes\[1\]: expected an object"),
+            (("edges",), {}, "edges: expected list, got dict"),
+        ],
+        ids=["a-str", "b-bool", "vertex-none", "kind-int", "node-list", "edges-dict"],
+    )
+    def test_mistyped_field(self, where, value, message):
+        data = _cert_data()
+        obj = data
+        for key in where[:-1]:
+            obj = obj[key]
+        obj[where[-1]] = value
+        with pytest.raises(GraphError, match=f"^certificate field {message}$"):
+            certificate_from_json_dict(data)
 
 
 class TestConstructPartial:

@@ -2,9 +2,13 @@
 builder and the audit's block count against the brute-force oracles.
 
 Examples are derandomised so that every run of the suite tries the same
-inputs.  The diameter routine prunes sources by eccentricity bounds, so some
-inputs are large enough (n up to 40, a 12x12 grid) for the pruning to engage,
-and a BFS-count guard catches a return to one BFS per node.
+inputs.  The diameter routine peels pendant trees and contracts degree-2
+chains, then maximises closed forms over the kernel that is left, or runs
+bound-pruned BFS when that kernel is dense; so the inputs include trees,
+cycles, chains of unequal length between and around kernel nodes, pendant
+paths, and graphs large enough (n up to 40, a 12x12 grid) for the BFS
+pruning to engage.  BFS-count guards catch a return to one BFS per node and
+audits that stop taking the kernel route.
 """
 
 import random
@@ -120,6 +124,32 @@ def test_diameter_matches_oracle_up_to_40_nodes(g):
     assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
 
 
+def path_edges(nodes):
+    return list(zip(nodes, nodes[1:]))
+
+
+def chains_graph(chains, kernel=2, pendants=()):
+    """`kernel` nodes joined by chains (a, b, L) of L edges (a == b for a
+    loop), then pendant paths (v, length) hung at existing nodes."""
+    n, edges = kernel, []
+    for a, b, length in chains:
+        edges += path_edges([a, *range(n, n + length - 1), b])
+        n += length - 1
+    for v, length in pendants:
+        edges += path_edges([v, *range(n, n + length)])
+        n += length
+    return Graph(n, edges)
+
+
+def clique_edges(nodes):
+    return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+
+
+def subdivided_grid(a, b, times):
+    g = gen_grid(a, b)
+    return chains_graph([(u, v, times + 1) for u, v in g.edges], kernel=g.n)
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -138,15 +168,106 @@ def test_diameter_matches_oracle_up_to_40_nodes(g):
         Graph(7, [(a, b) for a in range(3) for b in range(3, 7)]),  # K_{3,4}
         Graph(2, [(0, 1)]),
         gen_lower_bound(5, 12).graph,
+        chains_graph([(0, 0, 9)], kernel=1),
+        chains_graph([(0, 0, 4)], kernel=1, pendants=[(0, 6)]),
+        chains_graph([(0, 1, 2), (0, 1, 5), (0, 1, 9)]),
+        chains_graph([(0, 1, 1), (0, 1, 4), (0, 1, 4)]),
+        chains_graph([(0, 1, 3), (0, 1, 3), (0, 1, 8), (0, 1, 2)]),
+        chains_graph([(0, 1, 2), (0, 1, 7)], pendants=[(1, 3), (0, 1)]),
+        chains_graph([(0, 0, 5), (0, 0, 8)], kernel=1),
+        chains_graph([(0, 0, 3), (0, 0, 11)], kernel=1),
+        chains_graph([(0, 0, 6), (0, 0, 7), (0, 0, 4)], kernel=1),
+        chains_graph([(0, 0, 5), (0, 0, 8)], kernel=1, pendants=[(0, 2)]),
+        # the trimmed-shortcut shape: a pendant path hung at a chain interior
+        chains_graph([(0, 1, 5), (1, 0, 9)], pendants=[(6, 4)]),
+        chains_graph([(0, 0, 12)], kernel=1, pendants=[(5, 3), (9, 2)]),
+        chains_graph([(0, 1, 4), (1, 2, 6), (2, 0, 5), (0, 3, 3), (3, 3, 7)], kernel=4),
+        # a chain pair whose farthest points sit next to the second breakpoint
+        chains_graph([(2, 1, 1), (2, 0, 3), (2, 0, 2), (1, 0, 4), (1, 2, 6)], kernel=3),
+        # one tall pendant path: h[a] + h[a] is no distance
+        chains_graph([(0, 1, 1), (0, 1, 2), (0, 1, 2)], pendants=[(0, 8)]),
+        Graph(8, clique_edges(range(5)) + path_edges(range(4, 8))),  # lollipop
+        Graph(13, clique_edges(range(4)) + path_edges(range(3, 9)) + clique_edges(range(8, 13))),
+        Graph(10, clique_edges(range(3)) + path_edges(range(2, 5)) + clique_edges(range(4, 7))
+              + path_edges(range(6, 10))),
+        subdivided_grid(3, 3, 1),
+        subdivided_grid(4, 3, 2),
+        subdivided_grid(2, 5, 3),
+        subdivided_grid(1, 4, 2),
+        chains_graph([], kernel=1, pendants=[(0, 5), (0, 3), (2, 4), (7, 2)]),  # a tree
+        gen_ktree(30, 1, 7),
+        Graph(1, []),
     ],
     ids=[
         "cycle12", "cycle13", "cycle4", "cycle3", "cycle-pendant-at-0",
         "cycle-pendant-at-5", "grid7x5", "grid1x9", "wheel4", "wheel11", "K3x4",
         "K2", "lowerbound-5-12",
+        "cycle9", "cycle4-pendant6", "theta-2-5-9", "theta-1-4-4", "theta-3-3-8-2",
+        "theta-pendants", "loops-5-8", "loops-3-11", "loops-6-7-4", "loops-pendant",
+        "cycle-chain-pendant", "cycle12-two-pendants", "kernel4-with-loop",
+        "kernel3-second-breakpoint", "theta-tall-pendant", "lollipop",
+        "barbell", "barbell-tail", "subgrid3x3x1", "subgrid4x3x2", "subgrid2x5x3",
+        "subgrid1x4x2", "spider", "tree30", "K1",
     ],
 )
 def test_diameter_on_tight_and_tied_families(g):
     assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
+
+
+@st.composite
+def subdivided_multigraphs(draw):
+    """A multigraph on up to six nodes, loops and parallel edges allowed,
+    every edge subdivided 0-6 times (a loop at least twice, and all but one
+    of a set of parallel edges at least once, so the result is simple),
+    plus random pendant trees; labels shuffled, possibly disconnected."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 6))
+    n, edges, direct = k, [], set()
+    for _ in range(draw(st.integers(0, 9))):
+        a, b = rng.randrange(k), rng.randrange(k)
+        times = rng.randint(0, 6)
+        if a == b:
+            times = max(times, 2)
+        elif times == 0 and (min(a, b), max(a, b)) in direct:
+            times = 1
+        if times == 0:
+            direct.add((min(a, b), max(a, b)))
+        edges += path_edges([a, *range(n, n + times), b])
+        n += times
+    for _ in range(draw(st.integers(0, 8))):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@SETTINGS
+@given(subdivided_multigraphs())
+def test_diameter_of_subdivided_multigraphs_matches_oracle(g):
+    want = oracles.induced_diameter(g.n, g.edges, range(g.n))
+    assert merged_diameter(g, range(g.n), ()) == (INFINITE if want is None else want)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(9, path_edges([0, 1, 2, 3]) + path_edges([4, 5, 6, 7, 4, 8])),
+        Graph(7, path_edges([0, 1, 2]) + path_edges([3, 4, 5, 6])),
+        Graph(8, path_edges([0, 1, 2, 0]) + path_edges([3, 4, 5, 6, 7, 3])),
+        Graph(10, path_edges([0, 1, 2, 3, 0, 4]) + path_edges([5, 6, 7, 8, 9, 5])),
+        Graph(9, path_edges([0, 1, 2, 0, 3, 4, 0]) + path_edges([5, 6, 7, 5, 8])),
+        Graph(5, path_edges([1, 2, 3, 4, 1])),
+        Graph(2, []),
+    ],
+    ids=[
+        "tree-and-cycle", "two-trees", "two-cycles", "kernel-and-bare-cycle",
+        "two-kernels", "node-and-cycle", "two-nodes",
+    ],
+)
+def test_disconnected_graphs_are_infinite(g):
+    assert oracles.induced_diameter(g.n, g.edges, range(g.n)) is None
+    assert merged_diameter(g, range(g.n), ()) == INFINITE
 
 
 @pytest.mark.parametrize("seed, k", [(1, 6), (2, 20), (3, 40), (4, 72)])
@@ -192,6 +313,18 @@ def test_audit_runs_far_fewer_bfs_than_merged_nodes(bfs_calls):
     merged_nodes = sum(len(_merged_subgraph(g, p.parts[i], shortcut[i])[0]) for i in range(p.k))
     audit_shortcut(g, tree, p, shortcut)
     assert len(bfs_calls) <= merged_nodes / 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_audit_takes_the_kernel_route_for_most_parts(bfs_calls, seed):
+    # the merged subgraphs are small cycles and kernels with pendant ancestor
+    # paths; BFS is left for the dense parts (about 1,100 runs per audit
+    # when every part used bound-pruned BFS)
+    g = gen_grid(32, 32)
+    tree = bfs_tree(g, 0)
+    p = gen_parts_random(g, 200, seed)
+    audit_shortcut(g, tree, p, all_ancestor_shortcut(tree, p))
+    assert len(bfs_calls) <= 100
 
 
 @SETTINGS

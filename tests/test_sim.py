@@ -120,6 +120,16 @@ class TestRun:
         assert payload_bits(7) == 4
         assert payload_bits((1, 0, 7)) == int_bits(1) + int_bits(0) + int_bits(7)
 
+    def test_payload_bits_signs_bools_and_nesting(self):
+        assert payload_bits(-5) == payload_bits((-5,)) == 4
+        assert payload_bits(True) == payload_bits((True,)) == 2  # a bool is an int
+        assert payload_bits(()) == 0
+        assert payload_bits((1, (2, -3))) == 2 + 3 + 3
+        assert payload_bits((0, ((), (-1,)))) == 2 + 2
+        for bad in (1.5, (1, 1.5), (1, (2, 1.5))):
+            with pytest.raises(SimError, match="^unsupported payload type float$"):
+                payload_bits(bad)
+
     def test_per_node_rng_streams_are_seeded_and_distinct(self):
         class Draw(NodeProgram):
             def on_init(self, ctx):
