@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import apps, audit, engine, generators, sim
@@ -60,58 +59,45 @@ def _load_instance(graph_path: str, parts_path: str) -> tuple[Graph, Partition]:
 # ---------------------------------------------------------------------------
 
 
+def _instance(family: str, params: list[int], seed, parts_count):
+    """Graph, partition (its own, `parts_count` random ones or None) and
+    lower-bound record (or None) of one instance of `family`."""
+    built = generators.FAMILIES[family].build(params, seed)
+    if isinstance(built, generators.LowerBoundInstance):
+        return built.graph, built.parts, built
+    parts = None if parts_count is None else generators.gen_parts_random(built, parts_count, seed)
+    return built, parts, None
+
+
 def _cmd_gen(args) -> int:
     family = args.family
-    params = args.params
-    needs_seed = family == "ktree" or args.parts is not None or args.weights
-    if needs_seed and args.seed is None:
+    spec = generators.FAMILIES[family]
+    if len(args.params) != len(spec.params):
+        raise UsageError(f"gen {family} needs: {' '.join(spec.params)}")
+    if spec.n is None and args.parts is not None:
+        raise UsageError(f"{family} carries its own parts")
+    if (spec.seeded or args.parts is not None or args.weights) and args.seed is None:
         raise UsageError("--seed is required when the command draws randomness")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta: dict = {"family": family, "params": params, "seed": args.seed}
-    parts = None
-    if family == "lowerbound":
-        if len(params) != 2:
-            raise UsageError("gen lowerbound needs: DELTA_PRIME D_PRIME")
-        if args.parts is not None:
-            raise UsageError("lowerbound instances carry their own row parts")
-        inst = generators.gen_lower_bound(params[0], params[1])
-        g, parts = inst.graph, inst.parts
+    g, parts, inst = _instance(family, args.params, args.seed, args.parts)
+    meta: dict = {"family": family, "params": args.params, "seed": args.seed}
+    if inst is not None:
         meta.update(
             delta_prime=inst.delta_prime,
             D_prime=inst.D_prime,
             delta=inst.delta,
-            k=inst.k,
             D=inst.D,
             top_path_nodes=inst.top_path_nodes,
             grid_side=inst.grid_side,
             quality_floor=f"{inst.quality_floor.numerator}/{inst.quality_floor.denominator}",
         )
-    elif family == "grid":
-        if len(params) != 2:
-            raise UsageError("gen grid needs: WIDTH HEIGHT")
-        g = generators.gen_grid(params[0], params[1])
-    elif family == "wheel":
-        if len(params) != 1:
-            raise UsageError("gen wheel needs: N")
-        g = generators.gen_wheel(params[0])
-    elif family == "ktree":
-        if len(params) != 2:
-            raise UsageError("gen ktree needs: N K")
-        g = generators.gen_ktree(params[0], params[1], args.seed)
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    if args.parts is not None:
-        parts = generators.gen_parts_random(g, args.parts, args.seed)
     if args.weights:
         g = generators.assign_weights(g, args.seed)
-    meta["n"] = g.n
-    meta["m"] = g.m
-    meta["diameter"] = diameter(g)
-    if parts is not None:
-        meta["k"] = parts.k
+    meta.update(n=g.n, m=g.m, diameter=diameter(g))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_graph(g, out / "graph.txt")
     if parts is not None:
+        meta["k"] = parts.k
         save_partition(parts, out / "parts.txt")
     _write_json(out / "meta.json", meta)
     print(f"wrote {family} instance: n={g.n} m={g.m} -> {out}")
@@ -265,9 +251,6 @@ _BENCH_HEADER = (
 )
 
 
-_BENCH_ARITY = {"lowerbound": 2, "grid": 2, "wheel": 1, "ktree": 2}
-
-
 def _check_bench_runs(runs: list) -> None:
     """Reject a malformed run before any run starts; names the run's index."""
 
@@ -275,50 +258,35 @@ def _check_bench_runs(runs: list) -> None:
         return type(x) is int  # JSON booleans are not counts
 
     for idx, run in enumerate(runs):
-        if not isinstance(run, dict):
-            raise GraphError(f"bench run {idx}: expected an object, got {run!r}")
-        family = run.get("family")
-        if family not in _BENCH_ARITY:
-            raise GraphError(f"bench run {idx}: unknown family {family!r}")
-        arity = _BENCH_ARITY[family]
-        params = run.get("params")
-        if not (isinstance(params, list) and len(params) == arity and all(map(is_int, params))):
-            raise GraphError(f"bench run {idx}: {family} needs 'params' as {arity} integers")
-        if not is_int(run.get("seed")):
-            raise GraphError(f"bench run {idx}: 'seed' must be an integer")
-        if family == "lowerbound":
-            continue
-        if family == "grid" and min(params) < 1:
-            raise GraphError(f"bench run {idx}: grid dimensions must be positive, got {params}")
-        if family == "wheel" and params[0] < 4:
-            raise GraphError(f"bench run {idx}: wheel needs at least 4 nodes, got {params[0]}")
-        if family == "ktree" and not 1 <= params[1] < params[0]:
-            raise GraphError(
-                f"bench run {idx}: ktree needs k >= 1 and n >= k+1, got n={params[0]}, k={params[1]}"
-            )
-        parts = run.get("parts")
-        if not is_int(parts):
-            raise GraphError(f"bench run {idx}: {family} needs 'parts' as an integer")
-        n = params[0] * params[1] if family == "grid" else params[0]
-        if not 1 <= parts <= n:
-            raise GraphError(f"bench run {idx}: 'parts' must be in [1, {n}], got {parts}")
-
-
-def _bench_instance(run: dict):
-    family = run["family"]
-    params = run["params"]
-    seed = run["seed"]
-    if family == "lowerbound":
-        inst = generators.gen_lower_bound(*params)
-        return inst.graph, inst.parts, inst.quality_floor
-    if family == "grid":
-        g = generators.gen_grid(*params)
-    elif family == "wheel":
-        g = generators.gen_wheel(*params)
-    else:
-        g = generators.gen_ktree(params[0], params[1], seed)
-    parts = generators.gen_parts_random(g, run["parts"], seed)
-    return g, parts, None
+        try:
+            if not isinstance(run, dict):
+                raise GraphError(f"expected an object, got {run!r}")
+            family = run.get("family")
+            spec = generators.FAMILIES.get(family) if isinstance(family, str) else None
+            if spec is None:
+                raise GraphError(f"unknown family {family!r}")
+            arity = len(spec.params)
+            params = run.get("params")
+            if not (isinstance(params, list) and len(params) == arity and all(map(is_int, params))):
+                raise GraphError(f"{family} needs 'params' as {arity} integers")
+            if not is_int(run.get("seed")):
+                raise GraphError("'seed' must be an integer")
+            name = run.get("name") or ""  # null or "": the row is named from the run
+            if not isinstance(name, str) or "," in name or "\n" in name:
+                raise GraphError("'name' must be a string without commas or newlines")
+            spec.check(*params)
+            if spec.n is None:
+                if "parts" in run:
+                    raise GraphError(f"{family} carries its own parts")
+                continue
+            parts = run.get("parts")
+            if not is_int(parts):
+                raise GraphError(f"{family} needs 'parts' as an integer")
+            n = spec.n(*params)
+            if not 1 <= parts <= n:
+                raise GraphError(f"'parts' must be in [1, {n}], got {parts}")
+        except GraphError as exc:
+            raise GraphError(f"bench run {idx}: {exc}") from None
 
 
 def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
@@ -330,7 +298,7 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
     )
     fields = [name, run["family"]]
     try:
-        g, parts, floor = _bench_instance(run)
+        g, parts, inst = _instance(run["family"], run["params"], run["seed"], run.get("parts"))
         tree = bfs_tree(g, 0)
         result = engine.construct_full(
             g, tree, parts, engine.EngineConfig(max_delta=max_delta),
@@ -340,7 +308,7 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
         task = sim.AggregationTask(values={v: 1 for v in range(g.n)}, op="sum", parts=parts)
         cfg = sim.SimConfig(seed=f"{run['seed']}:agg")
         _, trace = sim.partwise_aggregate(g, parts, result.shortcut, task, cfg)
-        floor_txt = "" if floor is None else f"{float(Fraction(floor)):g}"
+        floor_txt = "" if inst is None else f"{float(inst.quality_floor):g}"
         fields += [
             str(g.n),
             str(parts.k),
@@ -387,7 +355,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance family")
-    gen.add_argument("family", choices=["lowerbound", "grid", "wheel", "ktree"])
+    gen.add_argument("family", choices=list(generators.FAMILIES))
     gen.add_argument("params", type=int, nargs="+")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", default=".")

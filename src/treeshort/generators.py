@@ -11,6 +11,7 @@ pins down how far the engine's doubling search may go.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,10 +48,7 @@ def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
     k = floor(D'/(2 delta)), D = k*delta; the diameter is at most 1.5D+1 <= D'
     and every minor has density below delta'.
     """
-    if delta_prime < 5 or 2 * delta_prime > D_prime:
-        raise GraphError(
-            f"need 5 <= delta' <= D'/2, got delta'={delta_prime}, D'={D_prime}"
-        )
+    FAMILIES["lowerbound"].check(delta_prime, D_prime)
     delta = delta_prime - 2
     k = D_prime // (2 * delta)
     D = k * delta
@@ -103,8 +101,7 @@ def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
 
 def gen_grid(w: int, h: int) -> Graph:
     """w x h grid, node (r, c) -> r*w + c; planar, so every minor density < 3."""
-    if w < 1 or h < 1:
-        raise GraphError("grid dimensions must be positive")
+    FAMILIES["grid"].check(w, h)
     edges = []
     for r in range(h):
         for c in range(w):
@@ -118,8 +115,7 @@ def gen_grid(w: int, h: int) -> Graph:
 
 def gen_wheel(n: int) -> Graph:
     """Wheel: hub 0, rim cycle 1..n-1, spokes from hub to every rim node."""
-    if n < 4:
-        raise GraphError(f"wheel needs at least 4 nodes, got {n}")
+    FAMILIES["wheel"].check(n)
     edges = [(0, v) for v in range(1, n)]
     edges += [(v, v + 1) for v in range(1, n - 1)]
     edges.append((1, n - 1))
@@ -131,10 +127,7 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
     Treewidth is exactly k, so every minor has density at most k.
     """
-    if k < 1:
-        raise GraphError("k must be positive")
-    if n < k + 1:
-        raise GraphError(f"k-tree needs at least k+1={k + 1} nodes")
+    FAMILIES["ktree"].check(n, k)
     rng = random.Random(seed)
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
     cliques: list[tuple[int, ...]] = [
@@ -184,3 +177,38 @@ def assign_weights(g: Graph, seed: int) -> Graph:
     rng = random.Random(seed)
     return g.with_weights(rng.sample(range(1, 2**31), g.m))
 
+
+@dataclass(frozen=True)
+class Family:
+    """One instance family as `treeshort gen` and `treeshort bench` take it."""
+
+    params: tuple[str, ...]  # names, for the arity check and the usage text
+    valid: Callable[..., bool]  # the parameter ranges
+    error: str  # formatted with params that are not valid
+    build: Callable[[list[int], int | None], Graph | LowerBoundInstance]  # (params, seed)
+    n: Callable[..., int] | None = None  # node count; None for a family with its own parts
+    seeded: bool = False  # draws randomness, so needs a seed
+
+    def check(self, *params: int) -> None:
+        if not self.valid(*params):
+            raise GraphError(self.error.format(*params))
+
+
+FAMILIES = {
+    "lowerbound": Family(
+        ("DELTA'", "D'"), lambda dp, Dp: 5 <= dp and 2 * dp <= Dp,
+        "need 5 <= delta' <= D'/2, got delta'={}, D'={}", lambda p, seed: gen_lower_bound(*p),
+    ),
+    "grid": Family(
+        ("W", "H"), lambda w, h: min(w, h) >= 1, "grid dimensions must be positive, got [{}, {}]",
+        lambda p, seed: gen_grid(*p), n=lambda w, h: w * h,
+    ),
+    "wheel": Family(
+        ("N",), lambda n: n >= 4, "wheel needs at least 4 nodes, got {}",
+        lambda p, seed: gen_wheel(*p), n=lambda n: n,
+    ),
+    "ktree": Family(
+        ("N", "K"), lambda n, k: 1 <= k < n, "ktree needs k >= 1 and n >= k+1, got n={}, k={}",
+        lambda p, seed: gen_ktree(*p, seed), n=lambda n, k: n, seeded=True,
+    ),
+}

@@ -1,7 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from treeshort import engine
 from treeshort.cli import main
 from treeshort.graph import bfs_tree, load_graph, load_partition
 
@@ -253,12 +257,23 @@ class TestBench:
             assert vals["status"] == "ok"
             assert float(vals["quality"]) >= float(vals["quality_floor"])
 
-    def test_failed_run_reported_and_nonzero_exit(self, tmp_path):
+    def test_failed_run_reported_and_nonzero_exit(self, tmp_path, monkeypatch):
+        # no valid run is known to fail at run time, so the second run is made to
+        # fail; the first still runs the real pipeline
+        construct_full, calls = engine.construct_full, []
+
+        def fail_second_run(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise engine.EngineError("forced failure")
+            return construct_full(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "construct_full", fail_second_run)
         spec = write(
             tmp_path / "spec.json",
             json.dumps({"runs": [
                 {"family": "grid", "params": [3, 3], "parts": 2, "seed": 1},
-                {"family": "lowerbound", "params": [4, 12], "seed": 1},
+                {"family": "wheel", "params": [6], "parts": 2, "seed": 1},
             ]}),
         )
         out = tmp_path / "r.csv"
@@ -323,6 +338,30 @@ class TestBench:
                 [{"family": "grid", "params": [4, 0], "seed": 1, "parts": 1}],
                 "bench run 0: grid dimensions must be positive, got [4, 0]",
             ),
+            (
+                [{"family": "lowerbound", "params": [4, 12], "seed": 1}],
+                "bench run 0: need 5 <= delta' <= D'/2, got delta'=4, D'=12",
+            ),
+            (
+                [
+                    {"family": "grid", "params": [3, 3], "seed": 1, "parts": 2},
+                    {"family": "lowerbound", "params": [5, 12], "parts": 7, "seed": 1},
+                ],
+                "bench run 1: lowerbound carries its own parts",
+            ),
+            ([{"family": ["grid"], "params": [3, 3], "seed": 1}], "bench run 0: unknown family"),
+            (
+                [{"family": "wheel", "params": [6], "parts": 2, "seed": 1, "name": 6}],
+                "bench run 0: 'name' must be a string",
+            ),
+            (
+                [{"family": "wheel", "params": [6], "parts": 2, "seed": 1, "name": "a,b"}],
+                "bench run 0: 'name' must be a string without commas",
+            ),
+            (
+                [{"family": "wheel", "params": [6], "seed": 1, "parts": 7}],
+                "bench run 0: 'parts' must be in [1, 6], got 7",
+            ),
         ],
     )
     def test_bad_run_rejected_before_any_run(self, tmp_path, capsys, runs, message):
@@ -331,3 +370,38 @@ class TestBench:
         assert main(["bench", spec, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "gen_args, run",
+    [
+        (["grid", "4", "0"], {"family": "grid", "params": [4, 0], "parts": 1}),
+        (["wheel", "3"], {"family": "wheel", "params": [3], "parts": 1}),
+        (["ktree", "3", "3"], {"family": "ktree", "params": [3, 3], "parts": 1}),
+        (["lowerbound", "4", "12"], {"family": "lowerbound", "params": [4, 12]}),
+    ],
+    ids=["grid", "wheel", "ktree", "lowerbound"],
+)
+def test_gen_and_bench_reject_bad_params_alike(tmp_path, capsys, gen_args, run):
+    assert main(["gen", *gen_args, "--seed", "1", "--out", str(tmp_path / "g")]) == 2
+    gen_err = capsys.readouterr().err
+    assert gen_err.startswith("validation error: ")
+    spec = write(tmp_path / "spec.json", json.dumps({"runs": [dict(run, seed=1)]}))
+    assert main(["bench", spec]) == 2
+    bench_err = capsys.readouterr().err
+    assert bench_err == gen_err.replace("validation error: ", "validation error: bench run 0: ")
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    """The `treeshort gen` lines and the bench spec in README's "Command line"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    gen_lines = [
+        line.split("#")[0] for line in section.splitlines() if line.startswith("treeshort gen ")
+    ]
+    (spec,) = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(gen_lines) == 3
+    monkeypatch.chdir(tmp_path)
+    for line in gen_lines:
+        assert main(shlex.split(line)[1:]) == 0
+    assert main(["bench", write(tmp_path / "spec.json", spec), "--out", "r.csv"]) == 0
