@@ -85,8 +85,11 @@ def measure_congestion(g: Graph, shortcut) -> int:
 def _merged_subgraph(g: Graph, part: Sequence[int], edges: frozenset[int]):
     """Node set and adjacency lists of G[P_i] + H_i."""
     adj: dict[int, list[int]] = {v: [] for v in part}
+    ends, m = g.edges, g.m
     for eid in edges:
-        u, v = g.endpoints(eid)
+        if not 0 <= eid < m:
+            raise GraphError(f"unknown edge id {eid}")
+        u, v = ends[eid]
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     part_set = frozenset(part)

@@ -282,9 +282,7 @@ def _check_bench_runs(runs: list) -> None:
             parts = run.get("parts")
             if not is_int(parts):
                 raise GraphError(f"{family} needs 'parts' as an integer")
-            n = spec.n(*params)
-            if not 1 <= parts <= n:
-                raise GraphError(f"'parts' must be in [1, {n}], got {parts}")
+            generators.check_part_count(parts, spec.n(*params))
         except GraphError as exc:
             raise GraphError(f"bench run {idx}: {exc}") from None
 

@@ -142,14 +142,19 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def check_part_count(count: int, n: int) -> None:
+    """Raise unless a graph of n nodes can hold `count` non-empty parts."""
+    if not 1 <= count <= n:
+        raise GraphError(f"part count must be in [1, {n}], got {count}")
+
+
 def gen_parts_random(g: Graph, count: int, seed: int) -> Partition:
     """Partition grown by multi-source BFS from `count` random distinct roots.
 
     Every part is connected; on a connected graph the growth saturates and no
     node is left unassigned.
     """
-    if not (1 <= count <= g.n):
-        raise GraphError(f"part count must be in [1, {g.n}], got {count}")
+    check_part_count(count, g.n)
     rng = random.Random(seed)
     roots = rng.sample(range(g.n), count)
     part_of = [-1] * g.n

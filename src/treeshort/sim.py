@@ -16,6 +16,12 @@ each part tree followed by a broadcast of the result down).  Contention on a
 shared edge is resolved by deterministic priority, smaller delay first, then
 smaller part index; losers retry next round.  Only data-plane messages on
 graph edges are counted in the trace.
+
+Cost model: the control plane is linear in the merged subgraphs (one BFS of
+each, kept to the paths from the part's nodes up to its root).  A run builds
+no per-node neighbour tables: sends are checked against the graph's edge
+index, and `ctx.neighbors` is computed when read.  An aggregation step costs
+its inbox plus its sends, not the number of roles its node holds.
 """
 
 from __future__ import annotations
@@ -125,13 +131,17 @@ class AggregationTask:
 class NodeContext:
     """Per-node handle the simulator passes to programs."""
 
-    __slots__ = ("node", "neighbors", "_rng", "_sim")
+    __slots__ = ("node", "_rng", "_sim")
 
-    def __init__(self, node: int, neighbors: tuple[int, ...], sim):
+    def __init__(self, node: int, sim):
         self.node = node
-        self.neighbors = neighbors
         self._rng = None
         self._sim = sim
+
+    @property
+    def neighbors(self) -> tuple[int, ...]:
+        """The node's neighbours in ascending order, computed on each read."""
+        return self._sim.g.neighbors(self.node)
 
     @property
     def round(self) -> int:
@@ -189,16 +199,16 @@ class _SimCore:
         # heap of (round, node); an entry that no longer matches wake_at is stale
         self.wakes: list[tuple[int, int]] = []
         self.outputs: dict[int, object] = {}
-        self.neighbor_sets = [frozenset(g.neighbors(v)) for v in range(g.n)]
+        self.edge_index = g._edge_index  # (u, v) with u < v -> edge id
         self.outbox: list[tuple[int, int, object, str]] = []
         self.sent_edges: set[tuple[int, int]] = set()
         self.messages_sent = 0
         self.log: list[MessageRecord] | None = [] if cfg.log_messages else None
 
     def submit(self, src: int, dst: int, payload, tag: str) -> None:
-        if dst not in self.neighbor_sets[src]:
-            raise SimError(f"node {src} tried to message non-neighbor {dst}")
         key = (src, dst)
+        if key not in self.edge_index and (dst, src) not in self.edge_index:
+            raise SimError(f"node {src} tried to message non-neighbor {dst}")
         if key in self.sent_edges:
             raise DuplicateSendError(
                 f"node {src} sent twice on edge ({src}, {dst}) in round {self.round_no + 1}"
@@ -268,7 +278,7 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
     core = _SimCore(g, cfg)
-    contexts = [NodeContext(v, g.neighbors(v), core) for v in range(g.n)]
+    contexts = [NodeContext(v, core) for v in range(g.n)]
     for v in range(g.n):
         programs[v].on_init(contexts[v])
     halted, awake = core.halted, core.awake
@@ -307,17 +317,7 @@ _UP, _DOWN = 0, 1
 class _Role:
     """One node's participation in one part tree."""
 
-    __slots__ = (
-        "part",
-        "parent",
-        "children",
-        "in_part",
-        "delay",
-        "acc",
-        "pending_children",
-        "sent_up",
-        "result",
-    )
+    __slots__ = ("part", "parent", "children", "in_part", "delay", "acc", "pending_children")
 
     def __init__(self, part, parent, children, in_part, delay, value):
         self.part = part
@@ -327,59 +327,64 @@ class _Role:
         self.delay = delay
         self.acc = value  # None on pure relay nodes until children report
         self.pending_children = len(children)
-        self.sent_up = False
-        self.result = None
 
 
 class _AggregateProgram(NodeProgram):
     def __init__(self, op: str):
         self.op = _OPS[op]
         self.roles: dict[int, _Role] = {}
+        # heap of (delay, part) over the roles whose children have all
+        # reported and that have not sent up yet
+        self.ready: list[tuple[int, int]] = []
+        self.unresolved = 0  # roles still waiting for their part's result
         # per destination, in first-use order, which fixes the send order
-        self.pending: dict[int, list[tuple[tuple[int, int], int, int, int]]] = {}
+        self.pending: dict[int, list[tuple[int, int, int, int]]] = {}
         self.backlog = 0  # messages held in `pending`
-        self.next_wake = 0
 
     def add_role(self, role: _Role) -> None:
         self.roles[role.part] = role
-
-    def _combine(self, acc, value):
-        return value if acc is None else self.op(acc, value)
+        self.unresolved += 1
+        if not role.children:
+            heapq.heappush(self.ready, (role.delay, role.part))
 
     def _queue(self, role: _Role, dst: int, kind: int, value: int) -> None:
-        self.pending.setdefault(dst, []).append(
-            ((role.delay, role.part), role.part, kind, value)
-        )
+        # (delay, part) is the contention priority and unique per queue
+        self.pending.setdefault(dst, []).append((role.delay, role.part, kind, value))
         self.backlog += 1
 
     def _deliver_result(self, ctx: NodeContext, role: _Role, value: int) -> None:
-        role.result = value
+        self.unresolved -= 1
         if role.in_part:
             ctx.set_output(value)
         for ch in role.children:
             self._queue(role, ch, _DOWN, value)
 
-    def _advance(self, ctx: NodeContext, rnd: int) -> None:
-        self.next_wake = -1
-        for role in self.roles.values():
-            if role.sent_up or role.pending_children > 0:
-                continue
-            if rnd < role.delay:
-                if self.next_wake < 0 or role.delay < self.next_wake:
-                    self.next_wake = role.delay
-                continue
-            role.sent_up = True
+    def _advance(self, ctx: NodeContext) -> None:
+        """Send up (or, at a root, resolve) every ready role whose delay gate
+        is open, in part order, which fixes the order of the sends."""
+        ready, due = self.ready, []
+        while ready and ready[0][0] <= ctx.round:
+            due.append(heapq.heappop(ready)[1])
+        due.sort()
+        for part in due:
+            role = self.roles[part]
             if role.parent is None:
                 self._deliver_result(ctx, role, role.acc)
             else:
                 self._queue(role, role.parent, _UP, role.acc)
 
     def _flush(self, ctx: NodeContext) -> None:
+        if not self.backlog:
+            return
         for dst, queue in self.pending.items():
             if not queue:
                 continue
-            best = min(range(len(queue)), key=lambda j: queue[j][0])
-            _, part, kind, value = queue.pop(best)
+            if len(queue) == 1:
+                entry = queue.pop()
+            else:
+                entry = min(queue)
+                queue.remove(entry)
+            _, part, kind, value = entry
             self.backlog -= 1
             ctx.send(dst, (part, kind, value), tag="up" if kind == _UP else "down")
 
@@ -388,26 +393,27 @@ class _AggregateProgram(NodeProgram):
         sleep until mail or the next delay gate opens."""
         if self.backlog:
             return
-        if all(role.result is not None for role in self.roles.values()):
+        if not self.unresolved:
             ctx.halt()
         else:
-            ctx.sleep(self.next_wake if self.next_wake >= 0 else None)
+            ctx.sleep(self.ready[0][0] if self.ready else None)
 
     def on_init(self, ctx: NodeContext) -> None:
-        self._advance(ctx, 0)
+        self._advance(ctx)
         self._flush(ctx)
         self._settle(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
-        for src, payload in inbox.items():
-            part, kind, value = payload
+        for part, kind, value in inbox.values():
             role = self.roles[part]
             if kind == _UP:
-                role.acc = self._combine(role.acc, value)
+                role.acc = value if role.acc is None else self.op(role.acc, value)
                 role.pending_children -= 1
+                if not role.pending_children:
+                    heapq.heappush(self.ready, (role.delay, part))
             else:
                 self._deliver_result(ctx, role, value)
-        self._advance(ctx, ctx.round)
+        self._advance(ctx)
         self._flush(ctx)
         self._settle(ctx)
 
@@ -415,13 +421,15 @@ class _AggregateProgram(NodeProgram):
 def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):
     """Rooted spanning tree of G[P_i]+H_i pruned to the part (control plane).
 
-    Returns (parent, children, nodes) maps; raises if the merged subgraph is
-    disconnected.
+    The tree is the BFS tree from min(P_i), over neighbours in ascending
+    order, cut down to the union of the paths from the part's nodes up to
+    the root.  Returns (parent, children, live): the BFS parent of every
+    merged node, the children of every live node as a tuple in BFS order,
+    and the live node set; raises if the merged subgraph is disconnected.
     """
     nodes, adj = _merged_subgraph(g, part, edges)
     for nbrs in adj.values():
         nbrs.sort()  # no duplicates: H_i and G[P_i] \ H_i carry distinct edge ids
-    part_set = frozenset(part)
     root = min(part)
     parent: dict[int, int | None] = {root: None}
     order = [root]
@@ -432,26 +440,16 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
                 order.append(u)
     if len(order) != len(nodes):
         raise AggregationError(f"merged subgraph of part {index} is disconnected")
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v, pv in parent.items():
-        if pv is not None:
-            children[pv].append(v)
-    # prune relay leaves that serve no part node
-    degree = {v: len(children[v]) for v in order}
-    live = set(order)
-    stack = [v for v in order if degree[v] == 0 and v not in part_set]
-    while stack:
-        v = stack.pop()
-        live.discard(v)
-        pv = parent[v]
-        if pv is not None:
-            degree[pv] -= 1
-            if degree[pv] == 0 and pv not in part_set:
-                stack.append(pv)
-    pruned_children = {
-        v: tuple(c for c in children[v] if c in live) for v in live
-    }
-    return parent, pruned_children, live
+    live = {root}
+    for v in part:
+        while v not in live:
+            live.add(v)
+            v = parent[v]
+    children: dict[int, list[int]] = {v: [] for v in live}
+    for v in order[1:]:
+        if v in live:
+            children[parent[v]].append(v)
+    return parent, {v: tuple(cs) for v, cs in children.items()}, live
 
 
 def partwise_aggregate(
@@ -492,7 +490,7 @@ def partwise_aggregate(
         trees.append((parent, children, live))
         for v in live:
             pv = parent[v]
-            if pv is not None and pv in live:
+            if pv is not None:
                 eid = g.edge_id(pv, v)
                 edge_use[eid] = edge_use.get(eid, 0) + 1
     congestion = max(edge_use.values(), default=0)
@@ -501,17 +499,16 @@ def partwise_aggregate(
     delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
     programs = [_AggregateProgram(task.op) for _ in range(g.n)]
     for i, (parent, children, live) in enumerate(trees):
-        part_set = frozenset(parts.parts[i])
         for v in live:
-            pv = parent[v]
+            in_part = parts.part_of[v] == i
             programs[v].add_role(
                 _Role(
                     part=i,
-                    parent=pv if (pv is not None and pv in live) else None,
+                    parent=parent[v],
                     children=children[v],
-                    in_part=v in part_set,
+                    in_part=in_part,
                     delay=delays[i],
-                    value=task.values[v] if v in part_set else None,
+                    value=task.values[v] if in_part else None,
                 )
             )
     trace = run(g, programs, cfg)

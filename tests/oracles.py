@@ -62,6 +62,41 @@ def induced_diameter(n, edges, subset):
     return best
 
 
+def pruned_part_tree(n, edges, part):
+    """The aggregation part tree built the long way: the BFS tree of the
+    graph (n, edges) from min(part), over neighbours in ascending order, with
+    relay leaves outside the part peeled one at a time until none is left.
+
+    Returns (parent, children, live) over the nodes the BFS reaches, children
+    as tuples in BFS order.
+    """
+    adj = {v: sorted(nbrs) for v, nbrs in adjacency(n, edges).items()}
+    part_set = set(part)
+    root = min(part)
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    children = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    degree = {v: len(children[v]) for v in order}
+    live = set(order)
+    stack = [v for v in order if degree[v] == 0 and v not in part_set]
+    while stack:
+        v = stack.pop()
+        live.discard(v)
+        pv = parent[v]
+        if pv is not None:
+            degree[pv] -= 1
+            if degree[pv] == 0 and pv not in part_set:
+                stack.append(pv)
+    return parent, {v: tuple(c for c in children[v] if c in live) for v in live}, live
+
+
 def parts_below_tree_edge(tree, partition, blocked, eid):
     """Parts intersecting the deeper endpoint's component of the forest
     (tree minus blocked edges), computed by direct downward traversal."""

@@ -302,18 +302,18 @@ class TestBench:
             ([{"family": "wheel", "params": [6], "parts": 2}], "bench run 0: 'seed' must be"),
             (
                 [{"family": "grid", "params": [3, 3], "seed": 1, "parts": 0}],
-                "bench run 0: 'parts' must be in [1, 9], got 0",
+                "bench run 0: part count must be in [1, 9], got 0",
             ),
             (
                 [{"family": "grid", "params": [3, 3], "seed": 1, "parts": 10}],
-                "bench run 0: 'parts' must be in [1, 9], got 10",
+                "bench run 0: part count must be in [1, 9], got 10",
             ),
             (
                 [
                     {"family": "wheel", "params": [6], "seed": 1, "parts": 6},
                     {"family": "ktree", "params": [20, 2], "seed": 1, "parts": 21},
                 ],
-                "bench run 1: 'parts' must be in [1, 20], got 21",
+                "bench run 1: part count must be in [1, 20], got 21",
             ),
             (
                 [{"family": "wheel", "params": [3], "seed": 1, "parts": 1}],
@@ -360,7 +360,7 @@ class TestBench:
             ),
             (
                 [{"family": "wheel", "params": [6], "seed": 1, "parts": 7}],
-                "bench run 0: 'parts' must be in [1, 6], got 7",
+                "bench run 0: part count must be in [1, 6], got 7",
             ),
         ],
     )

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from treeshort import engine
 from treeshort.audit import (
     audit_shortcut,
+    block_dilation_bound,
     check_tree_restricted,
     measure_congestion,
+    partial_to_full_congestion,
     validate_minor,
 )
 from treeshort.engine import (
@@ -374,6 +377,27 @@ class TestConstructFull:
         assert check_tree_restricted(result.shortcut, tree)
         assert result.delta_final == 2
         assert result.stats.covering_iterations == (1,) * parts.k
+
+    def test_uncertified_case_two_still_yields_a_bounded_shortcut(self, fan_instance, monkeypatch):
+        # with no minor-sampling attempts every case-II event is uncertified,
+        # and the doubling search must still end in a full, bounded shortcut
+        monkeypatch.setattr(engine, "MINOR_ATTEMPTS_PER_DEPTH", 0)
+        g, parts = fan_instance
+        tree = bfs_tree(g, 0)
+        result = construct_full(g, tree, parts, EngineConfig(), random.Random(7))
+        assert result.stats.uncertified_failures >= 1
+        assert result.certificates == ()
+        assert result.stats.certificate_deltas == ()
+        assert len(result.shortcut.edge_sets) == parts.k
+        assert None not in result.stats.covering_iterations
+        assert check_tree_restricted(result.shortcut, tree)
+        delta, D, k = result.delta_final, tree.D, parts.k
+        report = audit_shortcut(g, tree, parts, result.shortcut)
+        assert report.congestion <= partial_to_full_congestion(8 * delta * D, k)
+        assert report.blocks <= 8 * delta
+        assert report.dilation <= 8 * delta * (2 * D + 1)
+        for q in report.per_part:
+            assert q.dilation <= block_dilation_bound(q.blocks, D)
 
     def test_max_delta_cap_carries_certificates(self, fan_instance):
         g, parts = fan_instance

@@ -1,5 +1,6 @@
 """Randomised checks of the shared diameter routine, the merged-subgraph
-builder and the audit's block count against the brute-force oracles.
+builder, the aggregation part tree and the audit's block count against the
+brute-force oracles.
 
 Examples are derandomised so that every run of the suite tries the same
 inputs.  The diameter routine peels pendant trees and contracts degree-2
@@ -375,6 +376,10 @@ def test_part_tree_spans_part_inside_merged_subgraph(inst):
         return
     nodes, edges = merged_edges(g, part, h)
     parent, children, live = _part_tree(g, part, h, 5)
+    want_parent, want_children, want_live = oracles.pruned_part_tree(g.n, edges, part)
+    assert live == want_live
+    assert {v: parent[v] for v in live} == {v: want_parent[v] for v in live}
+    assert children == want_children  # tuples compared in order
     root = min(part)
     assert set(part) <= live <= nodes
     assert parent[root] is None

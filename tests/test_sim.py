@@ -242,6 +242,26 @@ class TestScheduler:
         trace = run(path_graph(2), [HaltTwice(), HaltAtThree()], SimConfig())
         assert trace.rounds_used == 3
 
+    def test_run_builds_no_neighbor_tuples(self, monkeypatch):
+        """Neighbour checks go through the edge index; `ctx.neighbors` is
+        computed only for programs that read it."""
+        calls = 0
+        neighbors = Graph.neighbors
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            return neighbors(self, v)
+
+        monkeypatch.setattr(Graph, "neighbors", counted)
+        g = gen_grid(6, 6)
+        p = gen_parts_random(g, 4, 2)
+        task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+        results, trace = partwise_aggregate(g, p, [bfs_tree(g, 0).tree_edges] * 4, task, SimConfig())
+        assert trace.messages_sent > 0 and calls == 0
+        run(path_graph(5), [Flood(v == 0) for v in range(5)], SimConfig())
+        assert calls > 0
+
     def test_aggregation_steps_only_nodes_with_work(self, monkeypatch):
         """Steps are bounded by one per message plus one delay-gate wake per
         node, not by rounds times nodes."""
@@ -294,6 +314,17 @@ class TestGoldenLogs:
         assert (trace.rounds_used, trace.messages_sent) == (28, 540)
         assert log_digest(trace.log) == (
             "6e35ba86f462c9add469e9dec2e8b8d517a8bf9e1ee77fe4393ba70828e38b79"
+        )
+
+    def test_wheel_hub_relays_four_parts(self):
+        # the hub holds one role per rim arc, all ready in the same round, so
+        # the log pins the order in which one node's roles send
+        g = gen_wheel(41)
+        p = Partition(g.n, [list(range(1 + 10 * a, 11 + 10 * a)) for a in range(4)])
+        trace = self.aggregate_log(g, p, 1)
+        assert (trace.rounds_used, trace.messages_sent) == (4, 80)
+        assert log_digest(trace.log) == (
+            "fed7b122ea64aaceaeff24579e3a6d4d234d8f40bff06e48da479eae07be8307"
         )
 
 
