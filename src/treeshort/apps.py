@@ -1,16 +1,22 @@
 """Shortcut-based applications run on the simulator, with exact oracles.
 
-Boruvka MST: fragments start as singletons; the graph never changes, so one
-BFS tree serves the whole run.  Every phase builds a shortcut for the current
-fragments on that tree, finds each fragment's minimum-weight outgoing edge by
-partwise aggregation (charged rounds), and merges along the chosen edges
-(centralized bookkeeping, uncharged, mirroring the simulator's control-plane
-rule).  Distinct weights make the MST unique and the per-phase choice
-cycle-free.
+MST and component labelling share one Boruvka merge loop (`_boruvka`).
+Fragments start as singletons; the graph never changes, so one BFS tree
+serves the whole run.  Every phase builds a shortcut for the current
+fragments on that tree, finds each fragment's minimum-key outgoing edge by
+partwise aggregation (charged rounds), and merges along the chosen edges in
+part order (centralized bookkeeping, uncharged, mirroring the simulator's
+control-plane rule).  The loop stops when one fragment is left or when a
+phase chooses no edge.
 
-Component labeling is Boruvka without weights: fragments of a designated
-edge subset merge along their minimum-id outgoing subset edge until none
-remains, then learn their minimum member id as the label.
+MST keys an edge by its weight, then its id.  Distinct weights make the MST
+unique and the per-phase choice cycle-free.
+
+Component labelling runs the loop per connected component of the host
+graph, keying only the designated subset's edges, by id.  Fragments grow to
+the subset's components, and the loop stops at the first phase in which no
+fragment has an outgoing subset edge (or at one fragment).  One last
+aggregation gives every node its fragment's minimum id as the label.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ import random
 from dataclasses import dataclass, replace
 
 from .engine import EngineConfig, construct_full
-from .graph import Graph, GraphError, Partition, bfs_tree
+from .graph import MAX_WEIGHT, Graph, GraphError, Partition, bfs_tree
 from .audit import audit_shortcut
 from .sim import (
     AggregationTask,
     SimConfig,
-    default_msg_bits,
+    aggregate_header_bits,
     int_bits,
     partwise_aggregate,
 )
@@ -68,9 +74,15 @@ class PhaseStats:
 class MstResult:
     tree_edges: frozenset[int]
     total_weight: int
-    phases: int
-    rounds_total: int
     per_phase: tuple[PhaseStats, ...]
+
+    @property
+    def phases(self) -> int:
+        return len(self.per_phase)
+
+    @property
+    def rounds_total(self) -> int:
+        return sum(ph.rounds for ph in self.per_phase)
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,8 +121,7 @@ def _fragment_parts(g: Graph, uf: UnionFind) -> Partition:
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(uf.find(v), []).append(v)
-    ordered = [groups[r] for r in sorted(groups, key=lambda r: min(groups[r]))]
-    return Partition(g.n, ordered)
+    return Partition(g.n, groups.values())  # first seen is the minimum: min-id order
 
 
 def _min_outgoing(
@@ -132,6 +143,11 @@ def _min_outgoing(
     return values
 
 
+def _edge_bits(g: Graph) -> int:
+    """Bits that hold any edge id of g (at least one): the low bits of a key."""
+    return max(1, (g.m - 1).bit_length())
+
+
 def _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng):
     """Shortcut the current fragments on `tree`, then aggregate the minimum of
     `values` per fragment, with messages wide enough for the sentinel.
@@ -140,12 +156,10 @@ def _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng):
     """
     parts = _fragment_parts(g, uf)
     result = construct_full(g, tree, parts, EngineConfig(max_delta=max_delta), rng)
-    header = int_bits(max(parts.k - 1, 0)) + int_bits(1)
     phase_cfg = replace(
         cfg,
         msg_bits=max(
-            cfg.msg_bits if cfg.msg_bits is not None else default_msg_bits(g.n),
-            header + int_bits(sentinel),
+            cfg.msg_bits_for(g.n), aggregate_header_bits(parts.k) + int_bits(sentinel)
         ),
         seed=f"{cfg.seed}:{tag}",
     )
@@ -154,32 +168,48 @@ def _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng):
     return parts, result, results, trace
 
 
-def boruvka_mst(
-    g: Graph, cfg: SimConfig, max_delta: int | None = None
-) -> MstResult:
+def _boruvka(g, tree, uf, key_of, sentinel, cfg, tag, max_delta, rng):
+    """Merge the fragments of `uf` along their minimum-key outgoing edges.
+
+    `key_of(eid)` is None for an edge that may not be chosen, else an int
+    below `sentinel` whose low `_edge_bits(g)` bits are `eid`.  Phase N is
+    tagged f"{tag}{N}".  Yields (fragment partition, construction result,
+    trace, chosen edge ids) per phase, after merging; stops when one
+    fragment is left or a phase chooses no edge.
+    """
+    mask = (1 << _edge_bits(g)) - 1
+    max_phases = math.ceil(math.log2(max(g.n, 2))) + 2
+    phase = 0
+    while uf.count > 1:
+        phase += 1
+        if phase > max_phases:
+            raise GraphError("fragment count failed to halve; merging is stuck")
+        values = _min_outgoing(g, uf, key_of, sentinel)
+        parts, result, results, trace = _phase(
+            g, tree, uf, values, cfg, f"{tag}{phase}", sentinel, max_delta, rng
+        )
+        minima = [results[nodes[0]] for nodes in parts.parts]
+        chosen = [best & mask for best in minima if best != sentinel]
+        for eid in chosen:
+            uf.union(*g.endpoints(eid))
+        yield parts, result, trace, chosen
+        if not chosen:
+            return
+
+
+def boruvka_mst(g: Graph, cfg: SimConfig, max_delta: int | None = None) -> MstResult:
     """Distributed-style Boruvka on the simulator; exact unique MST."""
     g.require_distinct_weights()
     tree = bfs_tree(g, 0)  # also the connectivity check
-    eb = max(1, (max(g.m - 1, 1)).bit_length())
-    sentinel = 1 << (31 + eb)
-    mask = (1 << eb) - 1
+    eb = _edge_bits(g)
     rng = random.Random(f"{cfg.seed}:mst")
-    uf = UnionFind(g.n)
     mst_edges: set[int] = set()
     per_phase: list[PhaseStats] = []
-    rounds_total = 0
-    phases = 0
-    max_phases = math.ceil(math.log2(max(g.n, 2))) + 2
-    while uf.count > 1:
-        phases += 1
-        if phases > max_phases:
-            raise GraphError("fragment count failed to halve; merging is stuck")
-        values = _min_outgoing(g, uf, lambda e: (g.weights[e] << eb) | e, sentinel)
-        parts, result, results, trace = _phase(
-            g, tree, uf, values, cfg, f"mst-phase{phases}", sentinel, max_delta, rng
-        )
+    for parts, result, trace, chosen in _boruvka(
+        g, tree, UnionFind(g.n), lambda e: (g.weights[e] << eb) | e,
+        MAX_WEIGHT << eb, cfg, "mst-phase", max_delta, rng,
+    ):
         report = audit_shortcut(g, tree, parts, result.shortcut)
-        rounds_total += trace.rounds_used
         per_phase.append(
             PhaseStats(
                 fragments=parts.k,
@@ -189,27 +219,17 @@ def boruvka_mst(
                 tree_depth=tree.D,
             )
         )
-        for i in range(parts.k):
-            best = results[parts.parts[i][0]]
-            if best == sentinel:
-                raise GraphError(f"fragment {i} has no outgoing edge; graph disconnected")
-            eid = best & mask
-            u, v = g.endpoints(eid)
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
-            mst_edges.add(eid)
+        mst_edges.update(chosen)
     if len(mst_edges) != g.n - 1:
         raise GraphError("merging finished with a non-spanning edge set")
     return MstResult(
         tree_edges=frozenset(mst_edges),
         total_weight=sum(g.weights[e] for e in mst_edges),
-        phases=phases,
-        rounds_total=rounds_total,
         per_phase=tuple(per_phase),
     )
 
 
-def _induced(g: Graph, nodes: list[int]) -> tuple[Graph, list[int]]:
+def _induced(g: Graph, nodes: tuple[int, ...]) -> tuple[Graph, list[int]]:
     idx = {v: i for i, v in enumerate(nodes)}
     edges = []
     edge_back = []
@@ -218,23 +238,6 @@ def _induced(g: Graph, nodes: list[int]) -> tuple[Graph, list[int]]:
             edges.append((idx[u], idx[v]))
             edge_back.append(eid)
     return Graph(len(nodes), edges), edge_back
-
-
-def _connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        for v in comp:
-            for u, _ in g.adjacency(v):
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-        comps.append(sorted(comp))
-    return comps
 
 
 def label_components(
@@ -250,54 +253,27 @@ def label_components(
     for eid in active:
         if not (0 <= eid < g.m):
             raise GraphError(f"unknown edge id {eid}")
+    host = UnionFind(g.n)
+    for u, v in g.edges:
+        host.union(u, v)
     labels: dict[int, int] = {}
-    for comp in _connected_components(g):
+    for comp in _fragment_parts(g, host).parts:
         if len(comp) == 1:
             labels[comp[0]] = comp[0]
             continue
         sub, edge_back = _induced(g, comp)
-        sub_active = frozenset(
-            se for se, orig in enumerate(edge_back) if orig in active
+        tree = bfs_tree(sub, 0)
+        rng = random.Random(f"{cfg.seed}:labels")
+        uf = UnionFind(sub.n)
+        for _ in _boruvka(
+            sub, tree, uf, lambda e: e if edge_back[e] in active else None,
+            sub.m + 1, cfg, "label-phase", max_delta, rng,
+        ):
+            pass
+        ids = {v: v for v in range(sub.n)}
+        _, _, minima, _ = _phase(
+            sub, tree, uf, ids, cfg, "label-final", sub.m + 1, max_delta, rng
         )
-        sub_labels = _label_connected(sub, sub_active, cfg, max_delta)
-        for v_sub, lab_sub in sub_labels.items():
-            labels[comp[v_sub]] = comp[lab_sub]
+        for v_sub, v in enumerate(comp):
+            labels[v] = comp[minima[v_sub]]
     return labels
-
-
-def _label_connected(
-    g: Graph, active: frozenset[int], cfg: SimConfig, max_delta: int | None
-) -> dict[int, int]:
-    tree = bfs_tree(g, 0)
-    rng = random.Random(f"{cfg.seed}:labels")
-    uf = UnionFind(g.n)
-    sentinel = g.m + 1
-    phase = 0
-    max_phases = math.ceil(math.log2(max(g.n, 2))) + 2
-
-    def run_phase(values, tag):
-        parts, _, results, _ = _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng)
-        return parts, results
-
-    while True:
-        phase += 1
-        if phase > max_phases:
-            raise GraphError("fragment merging failed to make progress")
-        values = _min_outgoing(
-            g, uf, lambda e: e if e in active else None, sentinel
-        )
-        parts, results = run_phase(values, f"label-phase{phase}")
-        merged_any = False
-        for i in range(parts.k):
-            best = results[parts.parts[i][0]]
-            if best == sentinel:
-                continue
-            u, v = g.endpoints(best)
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
-            merged_any = True
-        if not merged_any:
-            break
-    ids = {v: v for v in range(g.n)}
-    parts, results = run_phase(ids, "label-final")
-    return {v: results[v] for v in range(g.n)}

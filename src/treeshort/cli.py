@@ -158,6 +158,13 @@ def _load_shortcut(path: str, g: Graph, p: Partition, tree: RootedTree) -> engin
     return shortcut
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, quotes doubled, only if it needs it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_audit(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
     tree = bfs_tree(g, 0)
@@ -167,7 +174,7 @@ def _cmd_audit(args) -> int:
         text = (
             "# schema=1\n"
             "instance,k,D,delta_final,congestion,dilation,blocks,quality\n"
-            f"{args.graph},{p.k},{tree.D},,"
+            f"{_csv_field(args.graph)},{p.k},{tree.D},,"
             f"{report.congestion},{report.dilation},{report.blocks},{report.quality}\n"
         )
     else:
@@ -271,8 +278,8 @@ def _check_bench_runs(runs: list) -> None:
                 raise GraphError(f"{family} needs 'params' as {arity} integers")
             if not is_int(run.get("seed")):
                 raise GraphError("'seed' must be an integer")
-            name = run.get("name") or ""  # null or "": the row is named from the run
-            if not isinstance(name, str) or "," in name or "\n" in name:
+            name = run.get("name")  # absent, null or "": the row is named from the run
+            if name is not None and (not isinstance(name, str) or "," in name or "\n" in name):
                 raise GraphError("'name' must be a string without commas or newlines")
             spec.check(*params)
             if spec.n is None:

@@ -66,8 +66,11 @@ class CongestionMarking:
 
 @dataclass(frozen=True)
 class PartialShortcut:
-    covered: frozenset[int]
-    edge_sets: Mapping[int, frozenset[int]]
+    edge_sets: Mapping[int, frozenset[int]]  # keyed by the covered parts
+
+    @property
+    def covered(self) -> frozenset[int]:
+        return frozenset(self.edge_sets)
 
 
 @dataclass(frozen=True)
@@ -221,10 +224,7 @@ def case_one_partial(
             if eid not in blocked:
                 for i in acc:
                     edge_sets[i].add(eid)
-    return PartialShortcut(
-        covered=keep,
-        edge_sets={i: frozenset(edge_sets[i]) for i in eligible},
-    )
+    return PartialShortcut(edge_sets={i: frozenset(edge_sets[i]) for i in eligible})
 
 
 def sample_dense_minor(
@@ -386,7 +386,7 @@ def construct_full(
                 edge_sets[orig] = edges
                 covering[orig] = iteration
             remaining = [
-                remaining[j] for j in range(len(remaining)) if j not in partial.covered
+                remaining[j] for j in range(len(remaining)) if j not in partial.edge_sets
             ]
         iterations_log.append((delta, iteration))
         if not failed:

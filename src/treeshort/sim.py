@@ -45,6 +45,12 @@ def int_bits(x: int) -> int:
     return max(1, abs(x).bit_length()) + 1
 
 
+def aggregate_header_bits(k: int) -> int:
+    """Bits of an aggregation message ahead of its value: the part index
+    (one of k) and the up/down kind."""
+    return int_bits(max(k - 1, 0)) + int_bits(1)
+
+
 def payload_bits(payload) -> int:
     """Canonical size accounting: ints directly, tuples element-wise."""
     if isinstance(payload, int):
@@ -92,6 +98,10 @@ class SimConfig:
     max_rounds: int = 1_000_000
     seed: int | str = 0  # str for derived streams, e.g. per MST phase
     log_messages: bool = False
+
+    def msg_bits_for(self, n: int) -> int:
+        """The per-message bit budget on an n-node graph."""
+        return self.msg_bits if self.msg_bits is not None else default_msg_bits(n)
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ class NodeProgram:
 class _SimCore:
     def __init__(self, g: Graph, cfg: SimConfig):
         self.g = g
-        self.msg_bits = cfg.msg_bits if cfg.msg_bits is not None else default_msg_bits(g.n)
+        self.msg_bits = cfg.msg_bits_for(g.n)
         if self.msg_bits < math.ceil(math.log2(g.n + 1)):
             raise SimError(
                 f"msg_bits={self.msg_bits} cannot even carry a node id for n={g.n}"
@@ -468,8 +478,8 @@ def partwise_aggregate(
         raise AggregationError(f"unsupported op {task.op!r}")
     if task.parts.parts != parts.parts:
         raise AggregationError("task partition does not match the supplied partition")
-    msg_bits = cfg.msg_bits if cfg.msg_bits is not None else default_msg_bits(g.n)
-    header = int_bits(max(parts.k - 1, 0)) + int_bits(1)
+    msg_bits = cfg.msg_bits_for(g.n)
+    header = aggregate_header_bits(parts.k)
     for v in range(g.n):
         if parts.part_of[v] is None:
             continue

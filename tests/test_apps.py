@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -138,3 +140,46 @@ class TestLabelComponents:
         labels = label_components(g, sub, SimConfig(seed=3))
         expected = oracles.component_labels(g.n, [g.endpoints(e) for e in sub])
         assert labels == expected
+
+
+def json_digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestGolden:
+    """MST results and labels pinned by hash, so a change to `apps` that moves
+    an MST edge, a per-phase round count or a label fails here, not only a
+    comparison of two runs of the same code."""
+
+    def test_ktree_mst(self):
+        g = assign_weights(gen_ktree(150, 3, 4), 6)
+        result = boruvka_mst(g, SimConfig(seed=2))
+        assert json_digest(result.to_json_dict()) == (
+            "de7794ecab797c10d134682c6238238e0afd9318e56b06d7508f73a517b6d123"
+        )
+
+    def test_grid_mst(self):
+        g = assign_weights(gen_grid(9, 9), 8)
+        result = boruvka_mst(g, SimConfig(seed=3))
+        assert json_digest(result.to_json_dict()) == (
+            "86285794ac9b5e73332f5129025f6a0fe126542b426752f82a2e1679aa1b2f6b"
+        )
+
+    def test_labels_of_random_grid_subset(self):
+        g = gen_grid(7, 7)
+        rng = random.Random(5)
+        sub = frozenset(e for e in range(g.m) if rng.random() < 0.45)
+        labels = label_components(g, sub, SimConfig(seed=5))
+        assert json_digest([labels[v] for v in range(g.n)]) == (
+            "2324c14d71d995dec68293344d2595133a566f869b0dc1af524c57c480aea744"
+        )
+
+    def test_labels_on_disconnected_host(self):
+        # two 3x3 islands and an isolated node 18
+        island = gen_grid(3, 3)
+        edges = list(island.edges) + [(u + 9, v + 9) for u, v in island.edges]
+        g = Graph(19, edges)
+        labels = label_components(g, frozenset(range(0, g.m, 2)), SimConfig(seed=3))
+        assert json_digest([labels[v] for v in range(g.n)]) == (
+            "6db6d74174f823c5c7cf03b52c1e8dc5cae6c0daeaf3c6452889e99ec465f3ed"
+        )

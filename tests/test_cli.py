@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -119,6 +120,17 @@ class TestAuditCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# schema=1"
         assert lines[1].startswith("instance,k,D,")
+
+    def test_csv_quotes_an_instance_path_with_a_comma(self, tmp_path, capsys):
+        folder = tmp_path / "a,b"
+        folder.mkdir()
+        graph = write(folder / "graph.txt", "6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
+        parts = write(folder / "parts.txt", "1\n2\n3\n4\n")
+        shortcut = write(folder / "sc.txt", "0 : 0\n1 :\n2 :\n3 :\n")
+        assert main(["audit", graph, parts, shortcut, "--format", "csv"]) == 0
+        header, row = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert len(row) == len(header) == 8
+        assert row[0] == graph
 
 
 class TestLoaderErrors:
@@ -361,6 +373,14 @@ class TestBench:
             (
                 [{"family": "wheel", "params": [6], "seed": 1, "parts": 7}],
                 "bench run 0: part count must be in [1, 6], got 7",
+            ),
+            # only null and "" mean unnamed; other falsy values are not names
+            *(
+                (
+                    [{"family": "wheel", "params": [6], "parts": 2, "seed": 1, "name": bad}],
+                    "bench run 0: 'name' must be a string",
+                )
+                for bad in (0, False, [], {})
             ),
         ],
     )
