@@ -7,7 +7,8 @@ fragments on that tree, finds each fragment's minimum-key outgoing edge by
 partwise aggregation (charged rounds), and merges along the chosen edges in
 part order (centralized bookkeeping, uncharged, mirroring the simulator's
 control-plane rule).  The loop stops when one fragment is left or when a
-phase chooses no edge.
+phase chooses no edge.  The bookkeeping is linear per phase: every node's
+fragment label is found once, and the edge keys are one list built per run.
 
 MST keys an edge by its weight, then its id.  Distinct weights make the MST
 unique and the per-phase choice cycle-free.
@@ -59,6 +60,10 @@ class UnionFind:
         self.parent[rv] = ru
         self.count -= 1
         return True
+
+    def labels(self) -> list[int]:
+        """Each node's root, in node order."""
+        return [self.find(v) for v in range(len(self.parent))]
 
 
 @dataclass(frozen=True)
@@ -117,26 +122,28 @@ def kruskal_oracle(g: Graph) -> tuple[frozenset[int], int]:
     return frozenset(chosen), sum(g.weights[e] for e in chosen)
 
 
-def _fragment_parts(g: Graph, uf: UnionFind) -> Partition:
+def _fragment_parts(labels: list[int]) -> Partition:
+    """The fragments of a labelling (node -> its fragment's root)."""
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return Partition(g.n, groups.values())  # first seen is the minimum: min-id order
+    for v, root in enumerate(labels):
+        groups.setdefault(root, []).append(v)
+    return Partition(len(labels), groups.values())  # first seen is the minimum: min-id order
 
 
 def _min_outgoing(
     g: Graph,
-    uf: UnionFind,
-    key_of,
+    labels: list[int],
+    keys: list[int | None],
     sentinel: int,
 ) -> dict[int, int]:
     """Per-node value: minimum key among incident edges leaving the fragment."""
     values = {}
     for v in range(g.n):
+        own = labels[v]
         best = sentinel
         for u, eid in g.adjacency(v):
-            if uf.find(u) != uf.find(v):
-                k = key_of(eid)
+            if labels[u] != own:
+                k = keys[eid]
                 if k is not None and k < best:
                     best = k
         values[v] = best
@@ -148,13 +155,12 @@ def _edge_bits(g: Graph) -> int:
     return max(1, (g.m - 1).bit_length())
 
 
-def _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng):
-    """Shortcut the current fragments on `tree`, then aggregate the minimum of
+def _phase(g, tree, parts, values, cfg, tag, sentinel, max_delta, rng):
+    """Shortcut the fragments `parts` on `tree`, then aggregate the minimum of
     `values` per fragment, with messages wide enough for the sentinel.
 
-    Returns (fragment partition, construction result, per-node minima, trace).
+    Returns (construction result, per-node minima, trace).
     """
-    parts = _fragment_parts(g, uf)
     result = construct_full(g, tree, parts, EngineConfig(max_delta=max_delta), rng)
     phase_cfg = replace(
         cfg,
@@ -165,14 +171,16 @@ def _phase(g, tree, uf, values, cfg, tag, sentinel, max_delta, rng):
     )
     task = AggregationTask(values=values, op="min", parts=parts)
     results, trace = partwise_aggregate(g, parts, result.shortcut, task, phase_cfg)
-    return parts, result, results, trace
+    return result, results, trace
 
 
-def _boruvka(g, tree, uf, key_of, sentinel, cfg, tag, max_delta, rng):
+def _boruvka(g, tree, uf, keys, sentinel, cfg, tag, max_delta, rng):
     """Merge the fragments of `uf` along their minimum-key outgoing edges.
 
-    `key_of(eid)` is None for an edge that may not be chosen, else an int
-    below `sentinel` whose low `_edge_bits(g)` bits are `eid`.  Phase N is
+    `keys[eid]` is None for an edge that may not be chosen, else an int
+    below `sentinel` whose low `_edge_bits(g)` bits are `eid`.  Each phase
+    labels every node with its fragment's root once; the outgoing minima and
+    the fragment partition both read those labels.  Phase N is
     tagged f"{tag}{N}".  Yields (fragment partition, construction result,
     trace, chosen edge ids) per phase, after merging; stops when one
     fragment is left or a phase chooses no edge.
@@ -184,9 +192,11 @@ def _boruvka(g, tree, uf, key_of, sentinel, cfg, tag, max_delta, rng):
         phase += 1
         if phase > max_phases:
             raise GraphError("fragment count failed to halve; merging is stuck")
-        values = _min_outgoing(g, uf, key_of, sentinel)
-        parts, result, results, trace = _phase(
-            g, tree, uf, values, cfg, f"{tag}{phase}", sentinel, max_delta, rng
+        labels = uf.labels()
+        values = _min_outgoing(g, labels, keys, sentinel)
+        parts = _fragment_parts(labels)
+        result, results, trace = _phase(
+            g, tree, parts, values, cfg, f"{tag}{phase}", sentinel, max_delta, rng
         )
         minima = [results[nodes[0]] for nodes in parts.parts]
         chosen = [best & mask for best in minima if best != sentinel]
@@ -206,7 +216,7 @@ def boruvka_mst(g: Graph, cfg: SimConfig, max_delta: int | None = None) -> MstRe
     mst_edges: set[int] = set()
     per_phase: list[PhaseStats] = []
     for parts, result, trace, chosen in _boruvka(
-        g, tree, UnionFind(g.n), lambda e: (g.weights[e] << eb) | e,
+        g, tree, UnionFind(g.n), [(w << eb) | e for e, w in enumerate(g.weights)],
         MAX_WEIGHT << eb, cfg, "mst-phase", max_delta, rng,
     ):
         report = audit_shortcut(g, tree, parts, result.shortcut)
@@ -257,7 +267,7 @@ def label_components(
     for u, v in g.edges:
         host.union(u, v)
     labels: dict[int, int] = {}
-    for comp in _fragment_parts(g, host).parts:
+    for comp in _fragment_parts(host.labels()).parts:
         if len(comp) == 1:
             labels[comp[0]] = comp[0]
             continue
@@ -266,13 +276,14 @@ def label_components(
         rng = random.Random(f"{cfg.seed}:labels")
         uf = UnionFind(sub.n)
         for _ in _boruvka(
-            sub, tree, uf, lambda e: e if edge_back[e] in active else None,
+            sub, tree, uf, [e if eid in active else None for e, eid in enumerate(edge_back)],
             sub.m + 1, cfg, "label-phase", max_delta, rng,
         ):
             pass
         ids = {v: v for v in range(sub.n)}
-        _, _, minima, _ = _phase(
-            sub, tree, uf, ids, cfg, "label-final", sub.m + 1, max_delta, rng
+        parts = _fragment_parts(uf.labels())
+        _, minima, _ = _phase(
+            sub, tree, parts, ids, cfg, "label-final", sub.m + 1, max_delta, rng
         )
         for v_sub, v in enumerate(comp):
             labels[v] = comp[minima[v_sub]]

@@ -25,7 +25,6 @@ from .graph import (
     RootedTree,
     Violation,
     _diameter_of,
-    bfs_distances,
 )
 
 
@@ -74,9 +73,10 @@ def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
 def measure_congestion(g: Graph, shortcut) -> int:
     """Maximum over edges of the number of parts whose H_i contains the edge."""
     counts: dict[int, int] = {}
+    m = g.m
     for edges in as_edge_map(shortcut).values():
         for eid in edges:
-            if not (0 <= eid < g.m):
+            if not (0 <= eid < m):
                 raise GraphError(f"unknown edge id {eid}")
             counts[eid] = counts.get(eid, 0) + 1
     return max(counts.values(), default=0)
@@ -180,10 +180,15 @@ def validate_minor(g: Graph, cert) -> Violation | None:
                 )
             owner[v] = idx
     for idx, mnode in enumerate(cert.nodes):
-        allowed = frozenset(mnode.vertices)
-        start = mnode.vertices[0]
-        dist = bfs_distances(g, start, allowed)
-        if any(dist[v] < 0 for v in allowed):
+        # BFS inside the set through `owner`: linear in the certificate's size
+        reached = {mnode.vertices[0]}
+        order = [mnode.vertices[0]]
+        for v in order:
+            for u, _ in g.adjacency(v):
+                if u not in reached and owner.get(u) == idx:
+                    reached.add(u)
+                    order.append(u)
+        if len(order) != len(mnode.vertices):
             return Violation("connectivity", f"minor node {idx} induces a disconnected set")
     seen_pairs: set[tuple[int, int]] = set()
     for medge in cert.edges:

@@ -41,6 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`, so that a cap that
+    can never be met is a usage error rather than a runtime failure."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -373,7 +389,7 @@ def _build_parser() -> _Parser:
     sc.add_argument("parts")
     sc.add_argument("--seed", type=int, required=True)
     sc.add_argument("--out")
-    sc.add_argument("--max-delta", type=int)
+    sc.add_argument("--max-delta", type=_int_at_least(1))
     sc.set_defaults(func=_cmd_shortcut)
 
     au = sub.add_parser("audit", help="re-audit a shortcut file")
@@ -392,22 +408,22 @@ def _build_parser() -> _Parser:
     ag.add_argument("--shortcut", help="existing shortcut file (default: construct)")
     ag.add_argument("--out")
     ag.add_argument("--trace-csv")
-    ag.add_argument("--max-delta", type=int)
-    ag.add_argument("--max-rounds", type=int, default=1_000_000)
+    ag.add_argument("--max-delta", type=_int_at_least(1))
+    ag.add_argument("--max-rounds", type=_int_at_least(0), default=1_000_000)
     ag.set_defaults(func=_cmd_aggregate)
 
     mst = sub.add_parser("mst", help="Boruvka MST on the simulator, oracle-checked")
     mst.add_argument("graph")
     mst.add_argument("--seed", type=int, required=True)
     mst.add_argument("--out")
-    mst.add_argument("--max-delta", type=int)
-    mst.add_argument("--max-rounds", type=int, default=1_000_000)
+    mst.add_argument("--max-delta", type=_int_at_least(1))
+    mst.add_argument("--max-rounds", type=_int_at_least(0), default=1_000_000)
     mst.set_defaults(func=_cmd_mst)
 
     bench = sub.add_parser("bench", help="sweep a spec file into a CSV report")
     bench.add_argument("spec")
     bench.add_argument("--out")
-    bench.add_argument("--max-delta", type=int)
+    bench.add_argument("--max-delta", type=_int_at_least(1))
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -20,8 +20,12 @@ graph edges are counted in the trace.
 Cost model: the control plane is linear in the merged subgraphs (one BFS of
 each, kept to the paths from the part's nodes up to its root).  A run builds
 no per-node neighbour tables: sends are checked against the graph's edge
-index, and `ctx.neighbors` is computed when read.  An aggregation step costs
-its inbox plus its sends, not the number of roles its node holds.
+index, and `ctx.neighbors` is computed when read.  An aggregation step is
+one `on_round` call (the init step too) and costs its inbox plus its sends,
+not the number of roles its node holds; a flat int payload is sized in one
+pass.  Part-tree congestion is counted through the graph's edge index, and
+the value checks and the results walk the parts' nodes rather than all n
+nodes.
 """
 
 from __future__ import annotations
@@ -51,20 +55,24 @@ def aggregate_header_bits(k: int) -> int:
     return int_bits(max(k - 1, 0)) + int_bits(1)
 
 
+_bit_length = int.bit_length  # raises TypeError on anything but an int
+
+
 def payload_bits(payload) -> int:
     """Canonical size accounting: ints directly, tuples element-wise."""
+    if isinstance(payload, tuple):
+        try:
+            # a flat tuple of ints, the shape of every aggregation message, in
+            # one pass: int_bits(x) is x.bit_length() + 1, with 0 taking 1 bit
+            bits = len(payload)
+            for x in payload:
+                bits += _bit_length(x) or 1
+            return bits
+        except TypeError:  # a nested or non-int member
+            pass
+        return sum(map(payload_bits, payload))
     if isinstance(payload, int):
         return int_bits(payload)
-    if isinstance(payload, tuple):
-        # one loop over the members, recursing only into nested tuples: this
-        # runs once per message
-        bits = 0
-        for x in payload:
-            if isinstance(x, int):
-                bits += (x.bit_length() or 1) + 1  # int_bits(x); bit_length ignores the sign
-            else:
-                bits += payload_bits(x)
-        return bits
     raise SimError(f"unsupported payload type {type(payload).__name__}")
 
 
@@ -322,6 +330,8 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
 _OPS = {"min": min, "max": max, "sum": lambda a, b: a + b}
 
 _UP, _DOWN = 0, 1
+_TAGS = ("up", "down")  # message tag by kind
+_NO_MAIL: Mapping[int, object] = {}
 
 
 class _Role:
@@ -369,63 +379,54 @@ class _AggregateProgram(NodeProgram):
         for ch in role.children:
             self._queue(role, ch, _DOWN, value)
 
-    def _advance(self, ctx: NodeContext) -> None:
-        """Send up (or, at a root, resolve) every ready role whose delay gate
-        is open, in part order, which fixes the order of the sends."""
-        ready, due = self.ready, []
-        while ready and ready[0][0] <= ctx.round:
-            due.append(heapq.heappop(ready)[1])
-        due.sort()
-        for part in due:
-            role = self.roles[part]
-            if role.parent is None:
-                self._deliver_result(ctx, role, role.acc)
-            else:
-                self._queue(role, role.parent, _UP, role.acc)
-
-    def _flush(self, ctx: NodeContext) -> None:
-        if not self.backlog:
-            return
-        for dst, queue in self.pending.items():
-            if not queue:
-                continue
-            if len(queue) == 1:
-                entry = queue.pop()
-            else:
-                entry = min(queue)
-                queue.remove(entry)
-            _, part, kind, value = entry
-            self.backlog -= 1
-            ctx.send(dst, (part, kind, value), tag="up" if kind == _UP else "down")
-
-    def _settle(self, ctx: NodeContext) -> None:
-        """With nothing queued, halt once every role has its result, else
-        sleep until mail or the next delay gate opens."""
-        if self.backlog:
-            return
-        if not self.unresolved:
-            ctx.halt()
-        else:
-            ctx.sleep(self.ready[0][0] if self.ready else None)
-
-    def on_init(self, ctx: NodeContext) -> None:
-        self._advance(ctx)
-        self._flush(ctx)
-        self._settle(ctx)
-
-    def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
+    def on_round(self, ctx: NodeContext, inbox: Mapping[int, object] = _NO_MAIL) -> None:
+        """One step: take the mail in; send up (or, at a root, resolve) every
+        ready role whose delay gate is open, in part order; send the
+        highest-priority queued message to each destination; then, with
+        nothing queued, halt once every role has its result, else sleep until
+        mail or the next delay gate opens."""
+        roles, ready = self.roles, self.ready
         for part, kind, value in inbox.values():
-            role = self.roles[part]
+            role = roles[part]
             if kind == _UP:
                 role.acc = value if role.acc is None else self.op(role.acc, value)
                 role.pending_children -= 1
                 if not role.pending_children:
-                    heapq.heappush(self.ready, (role.delay, part))
+                    heapq.heappush(ready, (role.delay, part))
             else:
                 self._deliver_result(ctx, role, value)
-        self._advance(ctx)
-        self._flush(ctx)
-        self._settle(ctx)
+        rnd = ctx.round
+        if ready and ready[0][0] <= rnd:
+            due = []
+            while ready and ready[0][0] <= rnd:
+                due.append(heapq.heappop(ready)[1])
+            due.sort()  # part order fixes the order of the sends
+            for part in due:
+                role = roles[part]
+                if role.parent is None:
+                    self._deliver_result(ctx, role, role.acc)
+                else:
+                    self._queue(role, role.parent, _UP, role.acc)
+        if self.backlog:
+            for dst, queue in self.pending.items():
+                if not queue:
+                    continue  # an emptied queue stays: first-use order fixes the send order
+                if len(queue) == 1:
+                    entry = queue.pop()
+                else:
+                    entry = min(queue)
+                    queue.remove(entry)
+                _, part, kind, value = entry
+                self.backlog -= 1
+                ctx.send(dst, (part, kind, value), tag=_TAGS[kind])
+            if self.backlog:
+                return
+        if not self.unresolved:
+            ctx.halt()
+        else:
+            ctx.sleep(ready[0][0] if ready else None)
+
+    on_init = on_round  # the round-0 step: one with no mail
 
 
 def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):
@@ -478,48 +479,47 @@ def partwise_aggregate(
         raise AggregationError(f"unsupported op {task.op!r}")
     if task.parts.parts != parts.parts:
         raise AggregationError("task partition does not match the supplied partition")
-    msg_bits = cfg.msg_bits_for(g.n)
-    header = aggregate_header_bits(parts.k)
-    for v in range(g.n):
-        if parts.part_of[v] is None:
-            continue
-        if v not in task.values:
+    values = task.values
+    budget = cfg.msg_bits_for(g.n) - aggregate_header_bits(parts.k)
+    bad = [
+        v
+        for part in parts.parts
+        for v in part
+        if v not in values or int_bits(values[v]) > budget
+    ]
+    if bad:
+        v = min(bad)  # the first in id order
+        if v not in values:
             raise AggregationError(f"node {v} belongs to a part but has no value")
-        if int_bits(task.values[v]) > msg_bits - header:
-            raise AggregationError(
-                f"value of node {v} needs {int_bits(task.values[v])} bits; "
-                f"only {msg_bits - header} available after the header"
-            )
+        raise AggregationError(
+            f"value of node {v} needs {int_bits(values[v])} bits; "
+            f"only {budget} available after the header"
+        )
     edge_map = as_edge_map(shortcut)
     trees = []
     edge_use: dict[int, int] = {}
+    edge_index = g._edge_index  # (u, v) with u < v -> edge id
     for i in range(parts.k):
         parent, children, live = _part_tree(
             g, parts.parts[i], edge_map.get(i, frozenset()), i
         )
         trees.append((parent, children, live))
-        for v in live:
-            pv = parent[v]
-            if pv is not None:
-                eid = g.edge_id(pv, v)
+        for v, cs in children.items():
+            for c in cs:
+                eid = edge_index[(v, c) if v < c else (c, v)]
                 edge_use[eid] = edge_use.get(eid, 0) + 1
     congestion = max(edge_use.values(), default=0)
     delay_range = max(congestion, 1)
     control_rng = random.Random(f"{cfg.seed}:delays")
     delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
     programs = [_AggregateProgram(task.op) for _ in range(g.n)]
+    part_of = parts.part_of
     for i, (parent, children, live) in enumerate(trees):
+        delay = delays[i]
         for v in live:
-            in_part = parts.part_of[v] == i
+            in_part = part_of[v] == i
             programs[v].add_role(
-                _Role(
-                    part=i,
-                    parent=parent[v],
-                    children=children[v],
-                    in_part=in_part,
-                    delay=delays[i],
-                    value=task.values[v] if in_part else None,
-                )
+                _Role(i, parent[v], children[v], in_part, delay, values[v] if in_part else None)
             )
     trace = run(g, programs, cfg)
     trace.meta.update(
@@ -529,11 +529,10 @@ def partwise_aggregate(
         op=task.op,
         parts=parts.k,
     )
-    results: dict[int, int] = {}
-    for v in range(g.n):
-        if parts.part_of[v] is not None:
-            if v not in trace.outputs:
-                raise AggregationError(f"node {v} finished without a result")
-            results[v] = trace.outputs[v]
+    outputs = trace.outputs
+    try:
+        results = {v: outputs[v] for part in parts.parts for v in part}
+    except KeyError:
+        v = min(v for part in parts.parts for v in part if v not in outputs)
+        raise AggregationError(f"node {v} finished without a result") from None
     return results, trace
-

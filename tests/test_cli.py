@@ -392,6 +392,59 @@ class TestBench:
         assert not out.exists()
 
 
+class TestCaps:
+    """A cap that can never be met is a usage error, not a runtime failure."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        main(["gen", "grid", "5", "5", "--out", str(tmp_path), "--parts", "3", "--seed", "4"])
+        main(["gen", "ktree", "30", "2", "--out", str(tmp_path / "w"), "--seed", "4", "--weights"])
+        capsys.readouterr()
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"runs": [{"family": "grid", "params": [4, 4], "parts": 2, "seed": 1}]}
+        ))
+        return {
+            "graph": str(tmp_path / "graph.txt"),
+            "parts": str(tmp_path / "parts.txt"),
+            "weighted": str(tmp_path / "w" / "graph.txt"),
+            "spec": spec,
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag, value, low",
+        [
+            ("shortcut", "--max-delta", "-1", 1),
+            ("shortcut", "--max-delta", "0", 1),
+            ("aggregate", "--max-delta", "0", 1),
+            ("aggregate", "--max-rounds", "-3", 0),
+            ("mst", "--max-delta", "0", 1),
+            ("mst", "--max-rounds", "-1", 0),
+            ("bench", "--max-delta", "-2", 1),
+        ],
+    )
+    def test_unmeetable_cap_is_usage_error(self, files, capsys, command, flag, value, low):
+        inputs = {
+            "shortcut": [files["graph"], files["parts"], "--seed", "1"],
+            "aggregate": [files["graph"], files["parts"], "--seed", "1"],
+            "mst": [files["weighted"], "--seed", "1"],
+            "bench": [files["spec"]],
+        }[command]
+        assert main([command, *inputs, flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: must be at least {low}, got {value}\n"
+        )
+
+    def test_zero_rounds_stays_legal(self, files, capsys):
+        args = ["aggregate", files["graph"], files["parts"], "--seed", "1", "--max-rounds", "0"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "runtime error: exceeded max_rounds=0\n"
+
+    def test_non_integer_cap_keeps_argparse_wording(self, files, capsys):
+        args = ["shortcut", files["graph"], files["parts"], "--seed", "1", "--max-delta", "x"]
+        assert main(args) == 1
+        assert "argument --max-delta: invalid int value: 'x'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "gen_args, run",
     [

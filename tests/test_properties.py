@@ -1,6 +1,7 @@
 """Randomised checks of the shared diameter routine, the merged-subgraph
 builder, the aggregation part tree and the audit's block count against the
-brute-force oracles.
+brute-force oracles, and of the simulator's message-size accounting against
+its element-wise definition.
 
 Examples are derandomised so that every run of the suite tries the same
 inputs.  The diameter routine peels pendant trees and contracts degree-2
@@ -28,7 +29,7 @@ from treeshort.generators import (
     gen_wheel,
 )
 from treeshort.graph import INFINITE, Graph, GraphError, bfs_tree, diameter
-from treeshort.sim import AggregationError, _part_tree
+from treeshort.sim import AggregationError, SimError, _part_tree, int_bits, payload_bits
 
 import oracles
 from conftest import merged_diameter
@@ -437,3 +438,39 @@ def test_blocks_match_forest_component_oracle(inst):
         message = f"^edge {non_tree[0]} is not a tree edge; shortcut is not tree-restricted$"
         with pytest.raises(GraphError, match=message):
             audit_shortcut(g, tree, p, bad)
+
+
+# payload members: ints of every size and sign, with 0, -1 and bools drawn often
+PAYLOAD_INTS = st.one_of(
+    st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 1]), st.booleans()
+)
+PAYLOADS = st.recursive(
+    PAYLOAD_INTS, lambda inner: st.lists(inner, max_size=5).map(tuple), max_leaves=20
+)
+
+
+def element_wise_bits(payload) -> int:
+    """`int_bits` of each int, summed through nested tuples."""
+    if isinstance(payload, tuple):
+        return sum(element_wise_bits(x) for x in payload)
+    return int_bits(payload)
+
+
+@SETTINGS
+@given(PAYLOADS)
+def test_payload_bits_matches_element_wise_definition(payload):
+    assert payload_bits(payload) == element_wise_bits(payload)
+
+
+@SETTINGS
+@given(
+    st.lists(PAYLOAD_INTS, max_size=4),
+    st.sampled_from([1.5, 0.0, "x", ""]),
+    st.data(),
+)
+def test_payload_bits_rejects_float_and_str_members(members, bad, data):
+    pos = data.draw(st.integers(0, len(members)))
+    flat = tuple(members[:pos]) + (bad,) + tuple(members[pos:])
+    payload = data.draw(st.sampled_from([flat, (flat,), (tuple(members), flat)]))
+    with pytest.raises(SimError, match=f"^unsupported payload type {type(bad).__name__}$"):
+        payload_bits(payload)
