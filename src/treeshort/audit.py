@@ -25,6 +25,7 @@ from .graph import (
     RootedTree,
     Violation,
     _diameter_of,
+    _first_disconnected,
 )
 
 
@@ -162,8 +163,9 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
 def validate_minor(g: Graph, cert) -> Violation | None:
     """Check a minor certificate against its host graph; first violation or None.
 
-    Verifies set disjointness, per-set connectivity, witness-edge realization
-    of every minor edge, simplicity, and the exact rational density.
+    Verifies set disjointness, per-set connectivity (the check that
+    `validate_partition` also runs), witness-edge realization of every minor
+    edge, simplicity, and the exact rational density.
     """
     owner: dict[int, int] = {}
     for idx, mnode in enumerate(cert.nodes):
@@ -179,17 +181,9 @@ def validate_minor(g: Graph, cert) -> Violation | None:
                     f"node {v} appears in minor nodes {owner[v]} and {idx}",
                 )
             owner[v] = idx
-    for idx, mnode in enumerate(cert.nodes):
-        # BFS inside the set through `owner`: linear in the certificate's size
-        reached = {mnode.vertices[0]}
-        order = [mnode.vertices[0]]
-        for v in order:
-            for u, _ in g.adjacency(v):
-                if u not in reached and owner.get(u) == idx:
-                    reached.add(u)
-                    order.append(u)
-        if len(order) != len(mnode.vertices):
-            return Violation("connectivity", f"minor node {idx} induces a disconnected set")
+    idx = _first_disconnected(g, [mnode.vertices for mnode in cert.nodes], owner.get)
+    if idx is not None:
+        return Violation("connectivity", f"minor node {idx} induces a disconnected set")
     seen_pairs: set[tuple[int, int]] = set()
     for medge in cert.edges:
         a, b = medge.a, medge.b

@@ -125,10 +125,8 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _audit_json(report: audit.QualityReport, delta_final, k: int, D: int) -> dict:
-    data = report.to_json_dict()
-    data.update(delta_final=delta_final, k=k, D=D)
-    return data
+def _audit_json(report: audit.QualityReport, k: int, D: int) -> dict:
+    return dict(report.to_json_dict(), k=k, D=D)
 
 
 def _cmd_shortcut(args) -> int:
@@ -150,7 +148,10 @@ def _cmd_shortcut(args) -> int:
             out / "certificates.json",
             [engine.certificate_to_json_dict(c) for c in result.certificates],
         )
-        _write_json(out / "audit.json", _audit_json(report, result.delta_final, p.k, tree.D))
+        _write_json(
+            out / "audit.json",
+            dict(_audit_json(report, p.k, tree.D), delta_final=result.delta_final),
+        )
     print(
         f"delta_final={result.delta_final} congestion={report.congestion} "
         f"dilation={report.dilation} blocks={report.blocks} quality={report.quality}"
@@ -188,13 +189,13 @@ def _cmd_audit(args) -> int:
     report = audit.audit_shortcut(g, tree, p, shortcut)
     if args.format == "csv":
         text = (
-            "# schema=1\n"
-            "instance,k,D,delta_final,congestion,dilation,blocks,quality\n"
-            f"{_csv_field(args.graph)},{p.k},{tree.D},,"
+            "# schema=2\n"
+            "instance,k,D,congestion,dilation,blocks,quality\n"
+            f"{_csv_field(args.graph)},{p.k},{tree.D},"
             f"{report.congestion},{report.dilation},{report.blocks},{report.quality}\n"
         )
     else:
-        text = json.dumps(_audit_json(report, None, p.k, tree.D), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_audit_json(report, p.k, tree.D), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -7,7 +7,8 @@ edges and parts, and then either
 
   * covers at least half of the parts with a partial shortcut whose edges are
     their ancestor tree edges in the forest obtained by cutting the marked
-    edges (case I), or
+    edges, found by walking up from each covered part's nodes in
+    O(sum |P_i| + |H_i|) steps (case I), or
   * samples a bipartite minor of the host graph whose exact rational density
     exceeds delta, certifying that no such shortcut family exists at this
     delta (case II).
@@ -191,40 +192,30 @@ def case_one_partial(
 
     A covered part receives all of its ancestor edges in the forest obtained
     by deleting the marked edges; those edges all have fewer than threshold
-    parts below them, which is what bounds the congestion.
+    parts below them, which is what bounds the congestion.  Each covered
+    part's set is one upward walk from each of its nodes, stopping at the
+    root, at a marked edge or at an edge the part already holds (an earlier
+    walk added everything above it), so the cost is O(sum |P_i| + |H_i|).
     """
     k = p.k
     deg = _part_degrees(marking, k)
     eligible = [i for i in range(k) if deg[i] <= 8 * delta]
     if len(eligible) < -(-k // 2):  # ceil(k/2)
         return None
-    keep = frozenset(eligible)
-    edge_sets: dict[int, set[int]] = {i: set() for i in eligible}
     blocked = marking.overcongested
-    # accumulate, per live subtree, the eligible parts it intersects
-    below: list[set[int] | None] = [None] * t.graph.n
-    for v in t.order:
-        acc: set[int] = set()
-        own = p.part_of[v]
-        if own is not None and own in keep:
-            acc.add(own)
-        for ch in t.children[v]:
-            eid = t.parent_edge[ch]
-            if eid in blocked:
-                below[ch] = None
-                continue
-            chset = below[ch]
-            if len(chset) > len(acc):
-                acc, chset = chset, acc
-            acc |= chset
-            below[ch] = None
-        below[v] = acc
-        if v != t.root:
-            eid = t.parent_edge[v]
-            if eid not in blocked:
-                for i in acc:
-                    edge_sets[i].add(eid)
-    return PartialShortcut(edge_sets={i: frozenset(edge_sets[i]) for i in eligible})
+    parent, parent_edge, root = t.parent, t.parent_edge, t.root
+    edge_sets: dict[int, frozenset[int]] = {}
+    for i in eligible:
+        edges: set[int] = set()
+        for v in p.parts[i]:
+            while v != root:
+                eid = parent_edge[v]
+                if eid in blocked or eid in edges:
+                    break
+                edges.add(eid)
+                v = parent[v]
+        edge_sets[i] = frozenset(edges)
+    return PartialShortcut(edge_sets=edge_sets)
 
 
 def sample_dense_minor(

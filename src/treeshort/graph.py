@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 INFINITE = math.inf
 
@@ -175,20 +175,6 @@ class RootedTree:
         """The endpoint of a tree edge further from the root."""
         u, v = self.graph.endpoints(eid)
         return v if self.depth[v] > self.depth[u] else u
-
-
-def bfs_distances(g: Graph, source: int, allowed: frozenset[int] | None = None) -> list[int]:
-    """Distances from source (-1 where unreachable); optionally restricted to a node set."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u, _ in g.adjacency(v):
-            if dist[u] < 0 and (allowed is None or u in allowed):
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def bfs_tree(g: Graph, root: int) -> RootedTree:
@@ -381,8 +367,7 @@ def diameter(g: Graph) -> int:
     """Exact diameter; error on disconnected input."""
     d = _diameter_of([g.neighbors(v) for v in range(g.n)], range(g.n))
     if d == INFINITE:
-        unreached = bfs_distances(g, 0).index(-1)
-        raise GraphError(f"graph disconnected: node {unreached} unreachable from 0")
+        bfs_tree(g, 0)  # raises, naming the smallest node unreachable from 0
     return d
 
 
@@ -420,23 +405,41 @@ class Partition:
         return Partition(self.n, [self.parts[i] for i in indices])
 
 
+def _first_disconnected(
+    g: Graph, sets: Sequence[Sequence[int]], owner: Callable[[int], int | None]
+) -> int | None:
+    """Index of the first of the disjoint node sets that is not connected, or
+    None; `owner(v)` is the index of the set holding v (None for no set).  One
+    BFS per set through its own nodes, so the cost does not grow with n; it
+    serves `validate_partition` and `audit.validate_minor` alike."""
+    for idx, nodes in enumerate(sets):
+        reached = {nodes[0]}
+        order = [nodes[0]]
+        for v in order:
+            for u, _ in g.adjacency(v):
+                if u not in reached and owner(u) == idx:
+                    reached.add(u)
+                    order.append(u)
+        if len(order) != len(nodes):
+            return idx
+    return None
+
+
 def validate_partition(g: Graph, p: Partition) -> Violation | None:
-    """Check disjointness and per-part connectivity; first violation or None."""
+    """Check disjointness and per-part connectivity; first violation or None.
+
+    `p.part_of` holds each node's first part, so a node of part i whose
+    `part_of` is not i lies in that earlier part too."""
     if p.n != g.n:
         return Violation("size-mismatch", f"partition built for n={p.n}, graph has n={g.n}")
-    seen: dict[int, int] = {}
+    part_of = p.part_of
     for i, nodes in enumerate(p.parts):
         for v in nodes:
-            if v in seen:
-                return Violation(
-                    "overlap", f"node {v} in part {seen[v]} and part {i}"
-                )
-            seen[v] = i
-    for i, nodes in enumerate(p.parts):
-        allowed = frozenset(nodes)
-        dist = bfs_distances(g, nodes[0], allowed)
-        if any(dist[v] < 0 for v in nodes):
-            return Violation("disconnected-part", f"part {i} induces a disconnected subgraph")
+            if part_of[v] != i:
+                return Violation("overlap", f"node {v} in part {part_of[v]} and part {i}")
+    i = _first_disconnected(g, p.parts, part_of.__getitem__)
+    if i is not None:
+        return Violation("disconnected-part", f"part {i} induces a disconnected subgraph")
     return None
 
 

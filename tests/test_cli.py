@@ -118,7 +118,7 @@ class TestAuditCommand:
         capsys.readouterr()
         assert main(["audit", graph, parts, str(out / "shortcut.txt"), "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# schema=1"
+        assert lines[0] == "# schema=2"
         assert lines[1].startswith("instance,k,D,")
 
     def test_csv_quotes_an_instance_path_with_a_comma(self, tmp_path, capsys):
@@ -129,7 +129,7 @@ class TestAuditCommand:
         shortcut = write(folder / "sc.txt", "0 : 0\n1 :\n2 :\n3 :\n")
         assert main(["audit", graph, parts, shortcut, "--format", "csv"]) == 0
         header, row = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
-        assert len(row) == len(header) == 8
+        assert len(row) == len(header) == 7
         assert row[0] == graph
 
 
@@ -478,3 +478,12 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     for line in gen_lines:
         assert main(shlex.split(line)[1:]) == 0
     assert main(["bench", write(tmp_path / "spec.json", spec), "--out", "r.csv"]) == 0
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" snippet runs and prints four integers."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(code, {})
+    assert re.fullmatch(r"\d+ \d+ \d+ \d+\n", capsys.readouterr().out)

@@ -1,7 +1,8 @@
 """Randomised checks of the shared diameter routine, the merged-subgraph
-builder, the aggregation part tree and the audit's block count against the
-brute-force oracles, and of the simulator's message-size accounting against
-its element-wise definition.
+builder, the aggregation part tree, the audit's block count, the case-I edge
+sets and the connectivity check of both validators against the brute-force
+oracles, and of the simulator's message-size accounting against its
+element-wise definition.
 
 Examples are derandomised so that every run of the suite tries the same
 inputs.  The diameter routine peels pendant trees and contracts degree-2
@@ -13,14 +14,17 @@ pruning to engage.  BFS-count guards catch a return to one BFS per node and
 audits that stop taking the kernel route.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeshort.graph
-from treeshort.audit import _merged_subgraph, audit_shortcut
+from treeshort.audit import _merged_subgraph, audit_shortcut, validate_minor
+from treeshort.engine import MinorCertificate, MinorNode, case_one_partial, mark_overcongested
 from treeshort.generators import (
     gen_grid,
     gen_ktree,
@@ -28,11 +32,20 @@ from treeshort.generators import (
     gen_parts_random,
     gen_wheel,
 )
-from treeshort.graph import INFINITE, Graph, GraphError, bfs_tree, diameter
+from treeshort.graph import (
+    INFINITE,
+    Graph,
+    GraphError,
+    Partition,
+    Violation,
+    bfs_tree,
+    diameter,
+    validate_partition,
+)
 from treeshort.sim import AggregationError, SimError, _part_tree, int_bits, payload_bits
 
 import oracles
-from conftest import merged_diameter
+from conftest import build_fan, merged_diameter
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -474,3 +487,116 @@ def test_payload_bits_rejects_float_and_str_members(members, bad, data):
     payload = data.draw(st.sampled_from([flat, (flat,), (tuple(members), flat)]))
     with pytest.raises(SimError, match=f"^unsupported payload type {type(bad).__name__}$"):
         payload_bits(payload)
+
+
+@st.composite
+def marked_instances(draw):
+    """A grid, k-tree, wheel or fan with a random subset of its parts, a BFS
+    tree from a random root, and the marking at a random threshold."""
+    family = draw(st.sampled_from(["grid", "ktree", "wheel", "fan"]))
+    seed = draw(st.integers(0, 2**32))
+    if family == "fan":
+        mids = draw(st.integers(1, 12))
+        g, p = build_fan(mids, draw(st.integers(1, 12)), mids)
+    else:
+        if family == "grid":
+            g = gen_grid(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        elif family == "ktree":
+            g = gen_ktree(draw(st.integers(4, 60)), draw(st.integers(1, 3)), seed)
+        else:
+            g = gen_wheel(draw(st.integers(4, 40)))
+        p = gen_parts_random(g, draw(st.integers(1, min(g.n, 12))), seed)
+    if draw(st.booleans()):
+        # construct_full runs case I on subsets of the parts, leaving nodes unassigned
+        rng = random.Random(seed)
+        p = p.subset(sorted(rng.sample(range(p.k), rng.randint(1, p.k))))
+    tree = bfs_tree(g, draw(st.integers(0, g.n - 1)))
+    marking = mark_overcongested(tree, p, draw(st.integers(1, 8)))
+    return g, tree, p, marking
+
+
+@settings(SETTINGS, max_examples=500)
+@given(marked_instances(), st.sampled_from([1, 2]))
+def test_case_one_matches_downward_traversal_oracle(inst, delta):
+    g, tree, p, marking = inst
+    marked = marking.overcongested
+    below = {
+        e: oracles.parts_below_tree_edge(tree, p, marked, e) for e in sorted(tree.tree_edges)
+    }
+    degree = [sum(i in below[e] for e in marked) for i in range(p.k)]
+    eligible = [i for i in range(p.k) if degree[i] <= 8 * delta]
+    partial = case_one_partial(marking, tree, p, delta)
+    if len(eligible) < math.ceil(p.k / 2):
+        assert partial is None
+        return
+    assert list(partial.edge_sets) == eligible
+    for i in eligible:
+        expected = {e for e, parts in below.items() if e not in marked and i in parts}
+        assert partial.edge_sets[i] == expected
+
+
+@st.composite
+def partitions_on_small_graphs(draw):
+    """A small graph and disjoint parts of random nodes, sometimes with an
+    extra part that may overlap them or built for another node count."""
+    g = draw(graphs())
+    n = g.n if draw(st.integers(0, 9)) else draw(st.integers(1, 10))
+    owner = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    parts = [[v for v in range(n) if owner[v] == i] for i in range(4)]
+    parts = [nodes for nodes in parts if nodes]
+    if not parts or draw(st.integers(0, 2)) == 0:
+        extra = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
+        parts.insert(draw(st.integers(0, len(parts))), draw(extra))
+    return g, Partition(n, parts)
+
+
+def connected_in(adj, nodes):
+    return set(oracles.bfs_dist(adj, nodes[0], allowed=set(nodes))) == set(nodes)
+
+
+@SETTINGS
+@given(partitions_on_small_graphs())
+def test_validate_partition_matches_brute_force(inst):
+    g, p = inst
+    violation = validate_partition(g, p)
+    if p.n != g.n:
+        assert violation == Violation(
+            "size-mismatch", f"partition built for n={p.n}, graph has n={g.n}"
+        )
+        return
+    for i, nodes in enumerate(p.parts):
+        for v in nodes:
+            first = min(j for j, other in enumerate(p.parts) if v in other)
+            if first < i:
+                assert violation == Violation("overlap", f"node {v} in part {first} and part {i}")
+                return
+    adj = oracles.adjacency(g.n, g.edges)
+    for i, nodes in enumerate(p.parts):
+        if not connected_in(adj, nodes):
+            assert violation == Violation(
+                "disconnected-part", f"part {i} induces a disconnected subgraph"
+            )
+            return
+    assert violation is None
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_validate_minor_connectivity_matches_brute_force(g, data):
+    # each node goes to one of s sets or to none, so the sets are disjoint
+    s = data.draw(st.integers(1, 4))
+    owner = data.draw(st.lists(st.integers(-1, s - 1), min_size=g.n, max_size=g.n))
+    sets = [[v for v in range(g.n) if owner[v] == idx] for idx in range(s)]
+    sets = [data.draw(st.permutations(vs)) for vs in sets if vs]
+    if not sets:
+        return
+    nodes = tuple(MinorNode("part", idx, tuple(vs)) for idx, vs in enumerate(sets))
+    violation = validate_minor(g, MinorCertificate(nodes, (), Fraction(0)))
+    adj = oracles.adjacency(g.n, g.edges)
+    for idx, vs in enumerate(sets):
+        if not connected_in(adj, vs):
+            assert violation == Violation(
+                "connectivity", f"minor node {idx} induces a disconnected set"
+            )
+            return
+    assert violation is None
