@@ -12,7 +12,7 @@ from treeshort.audit import (
     validate_minor,
 )
 from treeshort.engine import MinorCertificate, MinorEdge, MinorNode
-from treeshort.graph import INFINITE, Graph, GraphError, Partition, bfs_tree
+from treeshort.graph import INFINITE, Graph, GraphError, Partition, Violation, bfs_tree
 from treeshort.generators import gen_wheel
 
 from conftest import merged_diameter
@@ -177,6 +177,25 @@ class TestValidateMinor:
         g = k4()
         cert = singleton_cert(g, density=Fraction(2, 1))
         assert validate_minor(g, cert).code == "density"
+
+    @pytest.mark.parametrize(
+        "vertices, edges, code, message",
+        [
+            (((0,), ()), (), "empty-set", "minor node 1 maps to an empty vertex set"),
+            (((0,), (1, 4)), (), "bad-vertex", "minor node 1 contains invalid node 4"),
+            (((0,), (1,)), ((1, 1, 0),), "self-edge", "minor edge joins node 1 to itself"),
+            (((0,), (1,)), ((0, 2, 0),), "bad-endpoint", "minor edge (0, 2) out of range"),
+            (((0,), (1,)), ((0, 1, 6),), "bad-witness", "witness edge id 6 unknown"),
+        ],
+        ids=["empty-set", "bad-vertex", "self-edge", "bad-endpoint", "bad-witness"],
+    )
+    def test_malformed_certificate(self, vertices, edges, code, message):
+        g = k4()
+        nodes = tuple(MinorNode("part", i, vs) for i, vs in enumerate(vertices))
+        cert = MinorCertificate(
+            nodes, tuple(MinorEdge(*e) for e in edges), Fraction(len(edges), len(nodes))
+        )
+        assert validate_minor(g, cert) == Violation(code, message)
 
 
 class TestAuditReport:

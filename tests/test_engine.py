@@ -245,6 +245,63 @@ class TestSampleDenseMinor:
         assert "/" in data["density"]
         assert certificate_from_json_dict(data) == cert
 
+    def test_links_match_path_oracle_on_two_layer_fan(self):
+        # each spoke is middle - x - leaf, so a representative sits two steps
+        # below the marked middle edge and a sampled x part can block its walk
+        g, parts = build_two_layer_fan(33, 12)
+        tree = bfs_tree(g, 0)
+        assert tree.D == 3
+        marking = mark_overcongested(tree, parts, 8 * tree.D)
+        assert len(marking.overcongested) == 33
+        multi_step = rejected = 0
+        for seed in range(40):
+            cert = sample_dense_minor(g, tree, parts, marking, 1, random.Random(seed))
+            assert cert is not None
+            sampled = {n.ref for n in cert.nodes if n.kind == "part"}
+            in_sampled = {v for i in sampled for v in parts.parts[i]}
+            edge_nodes = {n.ref for n in cert.nodes if n.kind == "edge"}
+            assert edge_nodes == {
+                e for e in marking.overcongested if tree.deeper_endpoint(e) not in in_sampled
+            }
+            want = set()
+            for e in edge_nodes:
+                ve = tree.deeper_endpoint(e)
+                live = oracles_component_nodes(tree, marking.overcongested, ve)
+                for i in sampled:
+                    members = [v for v in parts.parts[i] if v in live]
+                    if not members:
+                        continue
+                    cur = tree.parent[min(members)]
+                    path = [cur]
+                    while cur != ve:
+                        cur = tree.parent[cur]
+                        path.append(cur)
+                    multi_step += len(path) > 1
+                    if in_sampled.isdisjoint(path):
+                        want.add((e, i))
+                    else:
+                        rejected += 1
+            got = {(cert.nodes[m.a].ref, cert.nodes[m.b].ref) for m in cert.edges}
+            assert got == want
+        assert multi_step and rejected
+
+
+def build_two_layer_fan(mids: int, rows: int):
+    """Root 0 and `mids` middles; each spoke is middle - x - leaf.  Per row,
+    the x nodes form one chained part and the leaves another."""
+    edges = [(0, 1 + b) for b in range(mids)]
+    parts = []
+    for r in range(rows):
+        xs = [1 + mids + 2 * r * mids + b for b in range(mids)]
+        leaves = [x + mids for x in xs]
+        for b in range(mids):
+            edges += [(1 + b, xs[b]), (xs[b], leaves[b])]
+        for row in (xs, leaves):
+            edges += list(zip(row, row[1:]))
+            parts.append(row)
+    g = Graph(1 + mids + 2 * rows * mids, edges)
+    return g, Partition(g.n, parts)
+
 
 def _cert_data():
     return {

@@ -274,10 +274,11 @@ def test_diameter_of_subdivided_multigraphs_matches_oracle(g):
         Graph(9, path_edges([0, 1, 2, 0, 3, 4, 0]) + path_edges([5, 6, 7, 5, 8])),
         Graph(5, path_edges([1, 2, 3, 4, 1])),
         Graph(2, []),
+        Graph(8, [(a + o, b + o) for o in (0, 4) for a in range(4) for b in range(a + 1, 4)]),
     ],
     ids=[
         "tree-and-cycle", "two-trees", "two-cycles", "kernel-and-bare-cycle",
-        "two-kernels", "node-and-cycle", "two-nodes",
+        "two-kernels", "node-and-cycle", "two-nodes", "two-dense-kernels",
     ],
 )
 def test_disconnected_graphs_are_infinite(g):
