@@ -410,7 +410,7 @@ def _build_parser() -> _Parser:
     ag.add_argument("--out")
     ag.add_argument("--trace-csv")
     ag.add_argument("--max-delta", type=_int_at_least(1))
-    ag.add_argument("--max-rounds", type=_int_at_least(0), default=1_000_000)
+    ag.add_argument("--max-rounds", type=_int_at_least(0), default=sim.SimConfig.max_rounds)
     ag.set_defaults(func=_cmd_aggregate)
 
     mst = sub.add_parser("mst", help="Boruvka MST on the simulator, oracle-checked")
@@ -418,7 +418,7 @@ def _build_parser() -> _Parser:
     mst.add_argument("--seed", type=int, required=True)
     mst.add_argument("--out")
     mst.add_argument("--max-delta", type=_int_at_least(1))
-    mst.add_argument("--max-rounds", type=_int_at_least(0), default=1_000_000)
+    mst.add_argument("--max-rounds", type=_int_at_least(0), default=sim.SimConfig.max_rounds)
     mst.set_defaults(func=_cmd_mst)
 
     bench = sub.add_parser("bench", help="sweep a spec file into a CSV report")

@@ -22,9 +22,10 @@ identical outputs, including certificates.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Container, KeysView, Mapping
 
 from .audit import validate_minor
 from .graph import Graph, GraphError, Partition, RootedTree, _line_ints
@@ -51,18 +52,20 @@ class MaxDeltaExceeded(EngineError):
 
 @dataclass(frozen=True)
 class CongestionMarking:
-    """Overcongested tree edges and the parts that pushed them over threshold.
+    """The bipartite congestion structure: overcongested tree edges, the parts
+    below each, and a representative node per (edge, part) link.
 
-    `parts_below` and `reps` are recorded only for marked edges; part sets
-    below unmarked edges are recomputable (and strictly below threshold).
-    `reps[(e, i)]` is the minimum-id node of part i that is a descendant of
-    the deeper endpoint of e and reachable from it without crossing a marked
-    edge.
+    `parts_below[e][i]` exists exactly when e is marked and part i meets the
+    live subtree below e, the subtree of e's deeper endpoint cut at marked
+    edges; its value is the minimum-id node of part i in that subtree.
+    Unmarked edges have no entry (their part sets are below threshold).
     """
 
-    overcongested: frozenset[int]
-    parts_below: Mapping[int, frozenset[int]]
-    reps: Mapping[tuple[int, int], int]
+    parts_below: Mapping[int, Mapping[int, int]]
+
+    @property
+    def overcongested(self) -> KeysView[int]:
+        return self.parts_below.keys()
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,12 @@ class Shortcut:
 
 @dataclass(frozen=True)
 class ConstructOutcome:
-    case: str  # "I" or "II"
-    partial: PartialShortcut | None = None
+    partial: PartialShortcut | None = None  # set exactly in case I
     certificate: MinorCertificate | None = None
+
+    @property
+    def case(self) -> str:
+        return "II" if self.partial is None else "I"
 
 
 @dataclass(frozen=True)
@@ -136,15 +142,14 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
     Edges are processed children-before-parents.  Each node accumulates the
     parts intersecting its subtree, where subtrees hanging below an
     already-marked edge no longer propagate upward; the edge above a node is
-    marked exactly when the accumulated part count reaches c.
+    marked exactly when the accumulated part count reaches c, and that
+    node's accumulated map becomes the edge's entry.
     """
     if c < 1:
         raise ValueError(f"threshold must be >= 1, got {c}")
     if t.graph.n != p.n:
         raise GraphError("tree and partition disagree on node count")
-    overcongested: set[int] = set()
-    parts_below: dict[int, frozenset[int]] = {}
-    reps: dict[tuple[int, int], int] = {}
+    parts_below: dict[int, dict[int, int]] = {}
     below: list[dict[int, int] | None] = [None] * t.graph.n
     for v in t.order:  # non-increasing depth
         acc: dict[int, int] = {}
@@ -152,7 +157,7 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
         if own is not None:
             acc[own] = v
         for ch in t.children[v]:
-            if t.parent_edge[ch] in overcongested:
+            if t.parent_edge[ch] in parts_below:
                 continue
             chmap = below[ch]
             if len(chmap) > len(acc):
@@ -164,24 +169,9 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
             below[ch] = None
         below[v] = acc
         if v != t.root and len(acc) >= c:
-            eid = t.parent_edge[v]
-            overcongested.add(eid)
-            parts_below[eid] = frozenset(acc)
-            for part, node in acc.items():
-                reps[(eid, part)] = node
-    return CongestionMarking(
-        overcongested=frozenset(overcongested),
-        parts_below=parts_below,
-        reps=reps,
-    )
-
-
-def _part_degrees(marking: CongestionMarking, k: int) -> list[int]:
-    deg = [0] * k
-    for parts in marking.parts_below.values():
-        for i in parts:
-            deg[i] += 1
-    return deg
+            # the parent skips this marked child, so acc is never merged again
+            parts_below[t.parent_edge[v]] = acc
+    return CongestionMarking(parts_below)
 
 
 def case_one_partial(
@@ -198,7 +188,7 @@ def case_one_partial(
     walk added everything above it), so the cost is O(sum |P_i| + |H_i|).
     """
     k = p.k
-    deg = _part_degrees(marking, k)
+    deg = Counter(i for parts in marking.parts_below.values() for i in parts)
     eligible = [i for i in range(k) if deg[i] <= 8 * delta]
     if len(eligible) < -(-k // 2):  # ceil(k/2)
         return None
@@ -243,8 +233,6 @@ def sample_dense_minor(
     k = p.k
     for _ in range(MINOR_ATTEMPTS_PER_DEPTH * depth_scale):
         sampled = [i for i in range(k) if rng.random() < prob]
-        if not sampled and not o_edges:
-            continue
         in_sampled = bytearray(g.n)
         for i in sampled:
             for v in p.parts[i]:
@@ -256,24 +244,17 @@ def sample_dense_minor(
         links: list[tuple[int, int, int]] = []  # (edge id, part, witness)
         for e in edge_nodes:
             ve = t.deeper_endpoint(e)
-            candidates = marking.parts_below[e]
+            reps = marking.parts_below[e]
             for i in sampled:
-                if i not in candidates:
+                rep = reps.get(i)
+                if rep is None:
                     continue
-                rep = marking.reps[(e, i)]
-                if rep == ve:
-                    continue  # deeper endpoint inside the part; cannot happen here
                 cur = t.parent[rep]
-                ok = True
-                while True:
-                    if in_sampled[cur]:
-                        ok = False
-                        break
+                while not in_sampled[cur]:
                     if cur == ve:
+                        links.append((e, i, t.parent_edge[rep]))
                         break
                     cur = t.parent[cur]
-                if ok:
-                    links.append((e, i, t.parent_edge[rep]))
         density = Fraction(len(links), node_count)
         if density <= delta:
             continue
@@ -282,7 +263,7 @@ def sample_dense_minor(
         edge_index = {e: len(sampled) + pos for pos, e in enumerate(edge_nodes)}
         nodes = [MinorNode("part", i, p.parts[i]) for i in sampled]
         for e in edge_nodes:
-            comp = _live_component(g, t, marking.overcongested, in_sampled, e)
+            comp = _live_component(t, marking.overcongested, in_sampled, e)
             nodes.append(MinorNode("edge", e, comp))
         edges = tuple(
             MinorEdge(edge_index[e], part_index[i], witness) for e, i, witness in links
@@ -296,7 +277,7 @@ def sample_dense_minor(
 
 
 def _live_component(
-    g: Graph, t: RootedTree, blocked: frozenset[int], removed: bytearray, eid: int
+    t: RootedTree, blocked: Container[int], removed: bytearray, eid: int
 ) -> tuple[int, ...]:
     """Vertices reachable downward from the deeper endpoint of `eid` through
     unmarked tree edges and non-removed nodes."""
@@ -323,9 +304,8 @@ def construct_partial(
     marking = mark_overcongested(t, p, c)
     partial = case_one_partial(marking, t, p, delta)
     if partial is not None:
-        return ConstructOutcome(case="I", partial=partial)
-    cert = sample_dense_minor(g, t, p, marking, delta, rng)
-    return ConstructOutcome(case="II", certificate=cert)
+        return ConstructOutcome(partial=partial)
+    return ConstructOutcome(certificate=sample_dense_minor(g, t, p, marking, delta, rng))
 
 
 def construct_full(
@@ -359,19 +339,17 @@ def construct_full(
         covering: list[int | None] = [None] * p.k
         remaining = list(range(p.k))
         iteration = 0
-        failed = False
         while remaining:
             iteration += 1
             outcome = construct_partial(g, t, p.subset(remaining), delta, rng)
-            if outcome.case == "II":
+            partial = outcome.partial
+            if partial is None:
                 if outcome.certificate is not None:
                     certificates.append(outcome.certificate)
                     certificate_deltas.append(delta)
                 else:
                     uncertified += 1
-                failed = True
                 break
-            partial = outcome.partial
             for sub_i, edges in partial.edge_sets.items():
                 orig = remaining[sub_i]
                 edge_sets[orig] = edges
@@ -380,7 +358,7 @@ def construct_full(
                 remaining[j] for j in range(len(remaining)) if j not in partial.edge_sets
             ]
         iterations_log.append((delta, iteration))
-        if not failed:
+        if not remaining:
             # every part is covered here, so no entry is still None
             shortcut = Shortcut(edge_sets=tuple(edge_sets))
             stats = ConstructStats(

@@ -434,9 +434,9 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
 
     The tree is the BFS tree from min(P_i), over neighbours in ascending
     order, cut down to the union of the paths from the part's nodes up to
-    the root.  Returns (parent, children, live): the BFS parent of every
-    merged node, the children of every live node as a tuple in BFS order,
-    and the live node set; raises if the merged subgraph is disconnected.
+    the root.  Returns (parent, children): the BFS parent of every merged
+    node, and the children of every live node as a tuple in BFS order, keyed
+    by exactly the live nodes; raises if the merged subgraph is disconnected.
     """
     nodes, adj = _merged_subgraph(g, part, edges)
     for nbrs in adj.values():
@@ -451,16 +451,15 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
                 order.append(u)
     if len(order) != len(nodes):
         raise AggregationError(f"merged subgraph of part {index} is disconnected")
-    live = {root}
+    children: dict[int, list[int]] = {root: []}
     for v in part:
-        while v not in live:
-            live.add(v)
+        while v not in children:
+            children[v] = []
             v = parent[v]
-    children: dict[int, list[int]] = {v: [] for v in live}
     for v in order[1:]:
-        if v in live:
+        if v in children:
             children[parent[v]].append(v)
-    return parent, {v: tuple(cs) for v, cs in children.items()}, live
+    return parent, {v: tuple(cs) for v, cs in children.items()}
 
 
 def partwise_aggregate(
@@ -500,10 +499,8 @@ def partwise_aggregate(
     edge_use: dict[int, int] = {}
     edge_index = g._edge_index  # (u, v) with u < v -> edge id
     for i in range(parts.k):
-        parent, children, live = _part_tree(
-            g, parts.parts[i], edge_map.get(i, frozenset()), i
-        )
-        trees.append((parent, children, live))
+        parent, children = _part_tree(g, parts.parts[i], edge_map.get(i, frozenset()), i)
+        trees.append((parent, children))
         for v, cs in children.items():
             for c in cs:
                 eid = edge_index[(v, c) if v < c else (c, v)]
@@ -514,12 +511,12 @@ def partwise_aggregate(
     delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
     programs = [_AggregateProgram(task.op) for _ in range(g.n)]
     part_of = parts.part_of
-    for i, (parent, children, live) in enumerate(trees):
+    for i, (parent, children) in enumerate(trees):
         delay = delays[i]
-        for v in live:
+        for v, cs in children.items():
             in_part = part_of[v] == i
             programs[v].add_role(
-                _Role(i, parent[v], children[v], in_part, delay, values[v] if in_part else None)
+                _Role(i, parent[v], cs, in_part, delay, values[v] if in_part else None)
             )
     trace = run(g, programs, cfg)
     trace.meta.update(

@@ -46,8 +46,7 @@ class TestMarking:
         marking = mark_overcongested(tree, parts, 3)
         spine = g.edge_id(0, 5)
         assert marking.overcongested == {spine}
-        assert marking.parts_below[spine] == frozenset(range(4))
-        assert marking.reps == {(spine, i): i + 1 for i in range(4)}
+        assert marking.parts_below[spine] == {i: i + 1 for i in range(4)}
         assert part_degrees(marking, parts.k) == [1, 1, 1, 1]
         assert len(marking.parts_below[spine]) == 4
 
@@ -77,7 +76,7 @@ class TestMarking:
                 )
                 if eid in marking.overcongested:
                     assert len(expected) >= c
-                    assert marking.parts_below[eid] == expected
+                    assert marking.parts_below[eid].keys() == expected
                 else:
                     assert len(expected) < c
 
@@ -89,24 +88,25 @@ class TestMarking:
             tree = bfs_tree(g, 0)
             parts = gen_parts_random(g, rng.randrange(2, 10), seed)
             marking = mark_overcongested(tree, parts, rng.randrange(1, 6))
-            for (eid, i), rep in marking.reps.items():
-                assert parts.part_of[rep] == i
-                # walk up from rep: must reach the deeper endpoint without
-                # crossing a marked edge
-                ve = tree.deeper_endpoint(eid)
-                cur = rep
-                while cur != ve:
-                    assert tree.parent_edge[cur] not in marking.overcongested
-                    cur = tree.parent[cur]
-                # minimality among the part's nodes in the live component
-                live = [
-                    v
-                    for v in range(g.n)
-                    if parts.part_of[v] == i
-                    and v
-                    in oracles_component_nodes(tree, marking.overcongested, ve)
-                ]
-                assert rep == min(live)
+            for eid, reps in marking.parts_below.items():
+                for i, rep in reps.items():
+                    assert parts.part_of[rep] == i
+                    # walk up from rep: must reach the deeper endpoint without
+                    # crossing a marked edge
+                    ve = tree.deeper_endpoint(eid)
+                    cur = rep
+                    while cur != ve:
+                        assert tree.parent_edge[cur] not in marking.overcongested
+                        cur = tree.parent[cur]
+                    # minimality among the part's nodes in the live component
+                    live = [
+                        v
+                        for v in range(g.n)
+                        if parts.part_of[v] == i
+                        and v
+                        in oracles_component_nodes(tree, marking.overcongested, ve)
+                    ]
+                    assert rep == min(live)
 
 
 def oracles_component_nodes(tree, blocked, start):
@@ -200,10 +200,6 @@ class TestCaseOne:
         marking = mark_overcongested(tree, parts, 16)
         assert set(marking.parts_below) == marking.overcongested
         assert all(len(s) >= 16 for s in marking.parts_below.values())
-        # every (marked edge, part below it) link has a recorded representative
-        assert set(marking.reps) == {
-            (e, i) for e, s in marking.parts_below.items() for i in s
-        }
 
 
 class TestSampleDenseMinor:
