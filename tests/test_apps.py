@@ -135,11 +135,18 @@ class TestLabelComponents:
         # two grid islands; machinery runs per host component
         island = gen_grid(3, 3)
         edges = list(island.edges) + [(u + 9, v + 9) for u, v in island.edges]
-        g = Graph(18, edges)
-        sub = frozenset(range(0, g.m, 2))
-        labels = label_components(g, sub, SimConfig(seed=3))
-        expected = oracles.component_labels(g.n, [g.endpoints(e) for e in sub])
-        assert labels == expected
+        # and 300 three-node paths on shuffled ids with shuffled edges, so
+        # components interleave in node and in edge order
+        rng = random.Random(5)
+        ids = list(range(900))
+        rng.shuffle(ids)
+        paths = [(ids[3 * c], ids[3 * c + b]) for c in range(300) for b in (1, 2)]
+        rng.shuffle(paths)
+        for g in (Graph(18, edges), Graph(900, paths)):
+            sub = frozenset(range(0, g.m, 2))
+            labels = label_components(g, sub, SimConfig(seed=3))
+            expected = oracles.component_labels(g.n, [g.endpoints(e) for e in sub])
+            assert labels == expected
 
 
 def json_digest(obj):

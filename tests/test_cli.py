@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -8,7 +9,9 @@ import pytest
 
 from treeshort import engine
 from treeshort.cli import main
-from treeshort.graph import bfs_tree, load_graph, load_partition
+from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, load_graph, load_partition
+
+from conftest import build_fan
 
 
 def write(path, text):
@@ -169,6 +172,41 @@ class TestLoaderErrors:
         shortcut = write(tmp_path / "sc.txt", text)
         assert main(["audit", graph, parts, shortcut]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shortcut", "{missing}", "{parts}", "--seed", "1"],
+            ["audit", "{graph}", "{missing}", "{shortcut}"],
+            ["mst", "{missing}", "--seed", "1"],
+            ["aggregate", "{graph}", "{parts}", "--seed", "1", "--shortcut", "{missing}"],
+            ["bench", "{missing}"],
+        ],
+        ids=["graph", "partition", "mst-graph", "shortcut", "bench-spec"],
+    )
+    def test_missing_file(self, caterpillar_files, tmp_path, capsys, argv):
+        graph, parts = caterpillar_files
+        shortcut = write(tmp_path / "sc.txt", "0 : 0\n1 :\n2 :\n3 :\n")
+        missing = str(tmp_path / "missing.txt")
+        names = dict(graph=graph, parts=parts, shortcut=shortcut, missing=missing)
+        assert main([a.format(**names) for a in argv]) == 2
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty graph file"), ("4 1\n0 9\n", "edge (0, 9) out of range for n=4")],
+        ids=["empty", "edge-out-of-range"],
+    )
+    def test_bad_graph(self, caterpillar_files, tmp_path, capsys, text, message):
+        _, parts = caterpillar_files
+        graph = write(tmp_path / "g.txt", text)
+        assert main(["shortcut", graph, parts, "--seed", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_parts_for_a_family_with_its_own(self, tmp_path, capsys):
+        argv = ["gen", "lowerbound", "6", "16", "--parts", "3", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "lowerbound carries its own parts" in capsys.readouterr().err
 
 
 class TestAggregate:
@@ -443,6 +481,56 @@ class TestCaps:
         args = ["shortcut", files["graph"], files["parts"], "--seed", "1", "--max-delta", "x"]
         assert main(args) == 1
         assert "argument --max-delta: invalid int value: 'x'" in capsys.readouterr().err
+
+
+class TestGoldenSession:
+    """One CLI session pinned by hash: every argv, exit code, stdout and
+    stderr, then every file written, in sorted relative-path order.  Paths are
+    relative because `gen` and the audit CSV print them."""
+
+    SPEC = {
+        "runs": [
+            {"family": "grid", "params": [5, 5], "parts": 4, "seed": 1},
+            {"family": "lowerbound", "params": [5, 12], "seed": 3},
+        ]
+    }
+    SESSION = [
+        "gen grid 6 6 --out grid --parts 4 --seed 5",
+        "gen wheel 12 --out wheel --parts 3 --seed 2",
+        "gen ktree 40 2 --out ktree --parts 5 --seed 4 --weights",
+        "gen lowerbound 5 12 --out lb",
+        "shortcut grid/graph.txt grid/parts.txt --seed 6 --out sc",
+        "shortcut fan-graph.txt fan-parts.txt --seed 1 --out fansc",
+        "audit grid/graph.txt grid/parts.txt sc/shortcut.txt",
+        "audit grid/graph.txt grid/parts.txt sc/shortcut.txt --format csv --out audit.csv",
+        "aggregate wheel/graph.txt wheel/parts.txt --op sum --seed 7 --out agg.json"
+        " --trace-csv trace.csv",
+        "aggregate grid/graph.txt grid/parts.txt --op max --seed 8 --shortcut sc/shortcut.txt",
+        "mst ktree/graph.txt --seed 9 --out mst.json",
+        "bench spec.json",
+        "shortcut missing.txt grid/parts.txt --seed 1",
+        "mst grid/graph.txt --seed 1",
+        "gen lowerbound 6 16 --parts 3 --out lb2",
+    ]
+
+    def test_session_hash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "spec.json", json.dumps(self.SPEC))
+        fan, fan_parts = build_fan(9, 18, 9)  # case II: writes certificates
+        write(tmp_path / "fan-graph.txt", dumps_graph(fan))
+        write(tmp_path / "fan-parts.txt", dumps_partition(fan_parts))
+        digest = hashlib.sha256()
+        for line in self.SESSION:
+            code = main(shlex.split(line))
+            captured = capsys.readouterr()
+            for chunk in (line, str(code), captured.out, captured.err):
+                digest.update(chunk.encode() + b"\0")
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        assert digest.hexdigest() == (
+            "164c7bab3938841009fac6f8a7ec0ba8cbab96b16d7b4e875cc956e6b2e67f80"
+        )
 
 
 @pytest.mark.parametrize(

@@ -244,12 +244,27 @@ class TestSampleDenseMinor:
     def test_links_match_path_oracle_on_two_layer_fan(self):
         # each spoke is middle - x - leaf, so a representative sits two steps
         # below the marked middle edge and a sampled x part can block its walk
-        g, parts = build_two_layer_fan(33, 12)
+        multi_step, rejected, _ = self.links_against_path_oracle(*build_two_layer_fan(33, 12))
+        assert multi_step and rejected
+
+    def test_links_skip_parts_without_a_representative(self):
+        # a singleton part hangs below one middle only, so a sampled singleton
+        # has no representative below any other marked edge
+        _, _, unrepresented = self.links_against_path_oracle(
+            *build_two_layer_fan(33, 12, singletons=12)
+        )
+        assert unrepresented
+
+    @staticmethod
+    def links_against_path_oracle(g, parts):
+        """Checks 40 seeds' links against tree paths; returns the counts of
+        multi-step paths, blocked paths and (edge, sampled part) pairs with
+        no representative."""
         tree = bfs_tree(g, 0)
         assert tree.D == 3
         marking = mark_overcongested(tree, parts, 8 * tree.D)
         assert len(marking.overcongested) == 33
-        multi_step = rejected = 0
+        multi_step = rejected = unrepresented = 0
         for seed in range(40):
             cert = sample_dense_minor(g, tree, parts, marking, 1, random.Random(seed))
             assert cert is not None
@@ -261,6 +276,7 @@ class TestSampleDenseMinor:
             }
             want = set()
             for e in edge_nodes:
+                unrepresented += len(sampled - marking.parts_below[e].keys())
                 ve = tree.deeper_endpoint(e)
                 live = oracles_component_nodes(tree, marking.overcongested, ve)
                 for i in sampled:
@@ -279,12 +295,13 @@ class TestSampleDenseMinor:
                         rejected += 1
             got = {(cert.nodes[m.a].ref, cert.nodes[m.b].ref) for m in cert.edges}
             assert got == want
-        assert multi_step and rejected
+        return multi_step, rejected, unrepresented
 
 
-def build_two_layer_fan(mids: int, rows: int):
+def build_two_layer_fan(mids: int, rows: int, singletons: int = 0):
     """Root 0 and `mids` middles; each spoke is middle - x - leaf.  Per row,
-    the x nodes form one chained part and the leaves another."""
+    the x nodes form one chained part and the leaves another.  The first
+    `singletons` middles each get one more leaf child, a part of its own."""
     edges = [(0, 1 + b) for b in range(mids)]
     parts = []
     for r in range(rows):
@@ -295,7 +312,11 @@ def build_two_layer_fan(mids: int, rows: int):
         for row in (xs, leaves):
             edges += list(zip(row, row[1:]))
             parts.append(row)
-    g = Graph(1 + mids + 2 * rows * mids, edges)
+    first = 1 + mids + 2 * rows * mids
+    for b in range(singletons):
+        edges.append((1 + b, first + b))
+        parts.append([first + b])
+    g = Graph(first + singletons, edges)
     return g, Partition(g.n, parts)
 
 
