@@ -239,17 +239,6 @@ def boruvka_mst(g: Graph, cfg: SimConfig, max_delta: int | None = None) -> MstRe
     )
 
 
-def _induced(g: Graph, nodes: tuple[int, ...]) -> tuple[Graph, list[int]]:
-    idx = {v: i for i, v in enumerate(nodes)}
-    edges = []
-    edge_back = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u in idx and v in idx:
-            edges.append((idx[u], idx[v]))
-            edge_back.append(eid)
-    return Graph(len(nodes), edges), edge_back
-
-
 def label_components(
     g: Graph, subgraph_edges, cfg: SimConfig, max_delta: int | None = None
 ) -> dict[int, int]:
@@ -266,12 +255,17 @@ def label_components(
     host = UnionFind(g.n)
     for u, v in g.edges:
         host.union(u, v)
+    comps = _fragment_parts(host.labels())
+    comp_edges: list[list[int]] = [[] for _ in range(comps.k)]  # ascending host ids
+    for eid, (u, _) in enumerate(g.edges):
+        comp_edges[comps.part_of[u]].append(eid)
     labels: dict[int, int] = {}
-    for comp in _fragment_parts(host.labels()).parts:
+    for comp, edge_back in zip(comps.parts, comp_edges):
         if len(comp) == 1:
             labels[comp[0]] = comp[0]
             continue
-        sub, edge_back = _induced(g, comp)
+        idx = {v: i for i, v in enumerate(comp)}
+        sub = Graph(len(comp), [(idx[u], idx[v]) for u, v in map(g.endpoints, edge_back)])
         tree = bfs_tree(sub, 0)
         rng = random.Random(f"{cfg.seed}:labels")
         uf = UnionFind(sub.n)

@@ -22,10 +22,10 @@ from .graph import (
     RootedTree,
     bfs_tree,
     diameter,
-    load_graph,
-    load_partition,
-    save_graph,
-    save_partition,
+    dumps_graph,
+    dumps_partition,
+    loads_graph,
+    loads_partition,
     validate_partition,
 )
 
@@ -57,13 +57,21 @@ def _int_at_least(low: int):
     return parse
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, or to stdout when `out` is not given."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_instance(graph_path: str, parts_path: str) -> tuple[Graph, Partition]:
-    g = load_graph(graph_path)
-    p = load_partition(parts_path, g.n)
+    g = loads_graph(Path(graph_path).read_text())
+    p = loads_partition(Path(parts_path).read_text(), g.n)
     violation = validate_partition(g, p)
     if violation is not None:
         raise GraphError(f"invalid partition: {violation}")
@@ -111,11 +119,11 @@ def _cmd_gen(args) -> int:
     meta.update(n=g.n, m=g.m, diameter=diameter(g))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_graph(g, out / "graph.txt")
+    (out / "graph.txt").write_text(dumps_graph(g))
     if parts is not None:
         meta["k"] = parts.k
-        save_partition(parts, out / "parts.txt")
-    _write_json(out / "meta.json", meta)
+        (out / "parts.txt").write_text(dumps_partition(parts))
+    (out / "meta.json").write_text(_json_text(meta))
     print(f"wrote {family} instance: n={g.n} m={g.m} -> {out}")
     return 0
 
@@ -129,29 +137,27 @@ def _audit_json(report: audit.QualityReport, k: int, D: int) -> dict:
     return dict(report.to_json_dict(), k=k, D=D)
 
 
+def _construct(
+    g: Graph, p: Partition, seed: int, max_delta: int | None
+) -> tuple[RootedTree, engine.FullShortcutResult]:
+    """The BFS tree at root 0 and the full shortcut built on it."""
+    tree = bfs_tree(g, 0)
+    config = engine.EngineConfig(max_delta=max_delta)
+    return tree, engine.construct_full(g, tree, p, config, random.Random(seed))
+
+
 def _cmd_shortcut(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
-    tree = bfs_tree(g, 0)
-    result = engine.construct_full(
-        g,
-        tree,
-        p,
-        engine.EngineConfig(max_delta=args.max_delta),
-        random.Random(args.seed),
-    )
+    tree, result = _construct(g, p, args.seed, args.max_delta)
     report = audit.audit_shortcut(g, tree, p, result.shortcut)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "shortcut.txt").write_text(engine.dumps_shortcut(result.shortcut))
-        _write_json(
-            out / "certificates.json",
-            [engine.certificate_to_json_dict(c) for c in result.certificates],
-        )
-        _write_json(
-            out / "audit.json",
-            dict(_audit_json(report, p.k, tree.D), delta_final=result.delta_final),
-        )
+        certificates = [engine.certificate_to_json_dict(c) for c in result.certificates]
+        (out / "certificates.json").write_text(_json_text(certificates))
+        audit_json = dict(_audit_json(report, p.k, tree.D), delta_final=result.delta_final)
+        (out / "audit.json").write_text(_json_text(audit_json))
     print(
         f"delta_final={result.delta_final} congestion={report.congestion} "
         f"dilation={report.dilation} blocks={report.blocks} quality={report.quality}"
@@ -195,11 +201,8 @@ def _cmd_audit(args) -> int:
             f"{report.congestion},{report.dilation},{report.blocks},{report.quality}\n"
         )
     else:
-        text = json.dumps(_audit_json(report, p.k, tree.D), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        text = _json_text(_audit_json(report, p.k, tree.D))
+    _emit(text, args.out)
     return 0
 
 
@@ -210,14 +213,10 @@ def _cmd_audit(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
-    tree = bfs_tree(g, 0)
     if args.shortcut:
-        shortcut = _load_shortcut(args.shortcut, g, p, tree)
+        shortcut = _load_shortcut(args.shortcut, g, p, bfs_tree(g, 0))
     else:
-        shortcut = engine.construct_full(
-            g, tree, p, engine.EngineConfig(max_delta=args.max_delta),
-            random.Random(args.seed),
-        ).shortcut
+        shortcut = _construct(g, p, args.seed, args.max_delta)[1].shortcut
     cfg = sim.SimConfig(
         max_rounds=args.max_rounds,
         seed=args.seed,
@@ -234,10 +233,7 @@ def _cmd_aggregate(args) -> int:
         "per_part": per_part,
         "trace": trace.to_json_dict(),
     }
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(_json_text(payload), args.out)
     if args.trace_csv:
         lines = ["round,src,dst,bits,tag"]
         lines += [
@@ -248,7 +244,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_mst(args) -> int:
-    g = load_graph(args.graph)
+    g = loads_graph(Path(args.graph).read_text())
     cfg = sim.SimConfig(max_rounds=args.max_rounds, seed=args.seed)
     result = apps.boruvka_mst(g, cfg, max_delta=args.max_delta)
     oracle_edges, oracle_weight = apps.kruskal_oracle(g)
@@ -257,7 +253,7 @@ def _cmd_mst(args) -> int:
             "boruvka result disagrees with the kruskal oracle; refusing to write"
         )
     if args.out:
-        _write_json(Path(args.out), result.to_json_dict())
+        Path(args.out).write_text(_json_text(result.to_json_dict()))
     print(f"mst weight={result.total_weight} phases={result.phases} rounds={result.rounds_total}")
     print("phase fragments quality rounds delta_final")
     for idx, ph in enumerate(result.per_phase, start=1):
@@ -321,11 +317,7 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
     fields = [name, run["family"]]
     try:
         g, parts, inst = _instance(run["family"], run["params"], run["seed"], run.get("parts"))
-        tree = bfs_tree(g, 0)
-        result = engine.construct_full(
-            g, tree, parts, engine.EngineConfig(max_delta=max_delta),
-            random.Random(run["seed"]),
-        )
+        tree, result = _construct(g, parts, run["seed"], max_delta)
         report = audit.audit_shortcut(g, tree, parts, result.shortcut)
         task = sim.AggregationTask(values={v: 1 for v in range(g.n)}, op="sum", parts=parts)
         cfg = sim.SimConfig(seed=f"{run['seed']}:agg")
@@ -360,10 +352,7 @@ def _cmd_bench(args) -> int:
     _check_bench_runs(runs)
     results = [_bench_row(run, args.max_delta) for run in runs]
     text = "# schema=1\n" + _BENCH_HEADER + "\n" + "\n".join(r for r, _ in results) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return 0 if all(ok for _, ok in results) else RUNTIME_EXIT
 
 

@@ -449,7 +449,8 @@ def validate_partition(g: Graph, p: Partition) -> Violation | None:
 # Graph:      "n m" or "n m weighted", then one line per edge: "u v [w]".
 # Partition:  one part per line, node ids separated by blanks.
 #
-# Files written by save_* round-trip byte-identically through load_*.
+# Text written by dumps_* round-trips byte-identically through loads_*; the
+# CLI reads and writes the files.
 # ---------------------------------------------------------------------------
 
 
@@ -499,16 +500,6 @@ def loads_graph(text: str) -> Graph:
     return Graph(n, edges, weights if weighted else None)
 
 
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_graph(g))
-
-
-def load_graph(path) -> Graph:
-    with open(path) as fh:
-        return loads_graph(fh.read())
-
-
 def dumps_partition(p: Partition) -> str:
     return "\n".join(" ".join(str(v) for v in part) for part in p.parts) + "\n"
 
@@ -520,13 +511,3 @@ def loads_partition(text: str, n: int) -> Partition:
         if ln.strip()
     ]
     return Partition(n, parts)
-
-
-def save_partition(p: Partition, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_partition(p))
-
-
-def load_partition(path, n: int) -> Partition:
-    with open(path) as fh:
-        return loads_partition(fh.read(), n)

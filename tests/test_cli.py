@@ -9,7 +9,7 @@ import pytest
 
 from treeshort import engine
 from treeshort.cli import main
-from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, load_graph, load_partition
+from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, loads_graph, loads_partition
 
 from conftest import build_fan
 
@@ -30,9 +30,9 @@ def caterpillar_files(tmp_path):
 class TestGen:
     def test_lowerbound_files_and_meta(self, tmp_path):
         assert main(["gen", "lowerbound", "6", "16", "--out", str(tmp_path)]) == 0
-        g = load_graph(tmp_path / "graph.txt")
+        g = loads_graph((tmp_path / "graph.txt").read_text())
         assert g.n == 632
-        p = load_partition(tmp_path / "parts.txt", g.n)
+        p = loads_partition((tmp_path / "parts.txt").read_text(), g.n)
         assert p.k == 25
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["quality_floor"] == "8/1"
@@ -45,7 +45,7 @@ class TestGen:
 
     def test_wheel(self, tmp_path):
         assert main(["gen", "wheel", "10", "--out", str(tmp_path)]) == 0
-        assert load_graph(tmp_path / "graph.txt").n == 10
+        assert loads_graph((tmp_path / "graph.txt").read_text()).n == 10
 
     def test_ktree_requires_seed(self, tmp_path, capsys):
         assert main(["gen", "ktree", "20", "2", "--out", str(tmp_path)]) == 1
@@ -220,7 +220,7 @@ class TestAggregate:
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        parts = load_partition(tmp_path / "parts.txt", 25)
+        parts = loads_partition((tmp_path / "parts.txt").read_text(), 25)
         for i in range(parts.k):
             assert payload["per_part"][str(i)] == sum(parts.parts[i])
         assert trace.read_text().splitlines()[0] == "round,src,dst,bits,tag"
@@ -248,7 +248,7 @@ class TestAggregateShortcutFile:
         assert "unknown edge id 99999" in capsys.readouterr().err
 
     def test_non_tree_edge_rejected(self, grid_files, tmp_path, capsys):
-        g = load_graph(grid_files[0])
+        g = loads_graph(Path(grid_files[0]).read_text())
         non_tree = min(set(range(g.m)) - bfs_tree(g, 0).tree_edges)
         assert self.aggregate(grid_files, tmp_path, [str(non_tree)] + [""] * 9) == 2
         assert "non-tree edges" in capsys.readouterr().err
