@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from treeshort.graph import (
@@ -48,6 +51,46 @@ class TestGraph:
     def test_neighbors_sorted(self):
         g = Graph(4, [(2, 0), (0, 3), (0, 1)])
         assert g.neighbors(0) == (1, 2, 3)
+
+    def test_edge_lookups_match_oracle(self):
+        """`edge_id`, `adjacency` and `neighbors` on random small graphs with
+        random edge order and orientation, for every pair in [-2, n+2)."""
+        rng = random.Random(15)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+            g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen])
+            for u in range(-2, n + 2):
+                for v in range(-2, n + 2):
+                    a, b = min(u, v), max(u, v)
+                    if (a, b) in g.edges:
+                        assert g.edge_id(u, v) == g.edges.index((a, b))
+                    else:
+                        with pytest.raises(GraphError) as err:
+                            g.edge_id(u, v)
+                        assert str(err.value) == f"no edge ({a}, {b})"
+            for v in range(n):
+                expected = sorted(
+                    (b if a == v else a, eid) for eid, (a, b) in enumerate(g.edges) if v in (a, b)
+                )
+                assert list(g.adjacency(v)) == expected
+                assert g.neighbors(v) == tuple(u for u, _ in expected)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 0), (0, 9)], "parallel edge (0, 1)"),
+            ([(0, 9), (0, 1), (1, 0)], "edge (0, 9) out of range for n=4"),
+            ([(0, 1), (0, 1), (2, 2)], "parallel edge (0, 1)"),
+            ([(2, 2), (0, 1), (0, 1)], "self-loop at node 2"),
+        ],
+        ids=["parallel-then-range", "range-then-parallel", "parallel-then-loop", "loop-then-parallel"],
+    )
+    def test_construction_error_precedence(self, edges, message):
+        """The first malformed edge in input order names the error."""
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Graph(4, edges)
 
 
 class TestBfsTree:

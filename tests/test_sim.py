@@ -93,13 +93,21 @@ class TestRun:
             run(g, [Stutter(), HaltAtInit()], SimConfig())
 
     def test_non_neighbor_send_rejected(self):
+        """A node out of range, a non-adjacent node and a destination that is
+        not a node id all raise the same SimError."""
+
         class Teleport(NodeProgram):
+            def __init__(self, dst):
+                self.dst = dst
+
             def on_init(self, ctx):
-                ctx.send(2, 1)
+                ctx.send(self.dst, 1)
 
         g = path_graph(3)
-        with pytest.raises(SimError, match="non-neighbor"):
-            run(g, [Teleport(), HaltAtInit(), HaltAtInit()], SimConfig())
+        for dst in (2, -1, 3, "x"):
+            with pytest.raises(SimError) as err:
+                run(g, [Teleport(dst), HaltAtInit(), HaltAtInit()], SimConfig())
+            assert str(err.value) == f"node 0 tried to message non-neighbor {dst}"
 
     def test_timeout_carries_partial_trace(self):
         class Stubborn(NodeProgram):
