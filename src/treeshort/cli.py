@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import apps, audit, engine, generators, sim
@@ -61,12 +62,30 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write `text` to the file `out`, or to stdout when `out` is not given."""
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) pair to the file `path`, or to stdout when no
+    path is given.  Every file is opened, in the order given, before any is
+    written, and an OSError removes the files this call created, so a failed
+    command leaves none of its outputs behind."""
+    created = []
+    try:
+        with ExitStack() as stack:
+            targets = []
+            for _, path in outputs:
+                if not path:
+                    targets.append(sys.stdout)
+                    continue
+                try:
+                    targets.append(stack.enter_context(open(path, "x")))
+                    created.append(path)
+                except FileExistsError:
+                    targets.append(stack.enter_context(open(path, "w")))
+            for (text, _), target in zip(outputs, targets):
+                target.write(text)
+    except OSError:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _load_instance(graph_path: str, parts_path: str) -> tuple[Graph, Partition]:
@@ -202,7 +221,7 @@ def _cmd_audit(args) -> int:
         )
     else:
         text = _json_text(_audit_json(report, p.k, tree.D))
-    _emit(text, args.out)
+    _emit((text, args.out))
     return 0
 
 
@@ -233,13 +252,14 @@ def _cmd_aggregate(args) -> int:
         "per_part": per_part,
         "trace": trace.to_json_dict(),
     }
-    _emit(_json_text(payload), args.out)
+    outputs = [(_json_text(payload), args.out)]
     if args.trace_csv:
         lines = ["round,src,dst,bits,tag"]
         lines += [
             f"{r.round},{r.src},{r.dst},{r.bits},{r.tag}" for r in trace.log
         ]
-        Path(args.trace_csv).write_text("\n".join(lines) + "\n")
+        outputs.append(("\n".join(lines) + "\n", args.trace_csv))
+    _emit(*outputs)
     return 0
 
 
@@ -352,7 +372,7 @@ def _cmd_bench(args) -> int:
     _check_bench_runs(runs)
     results = [_bench_row(run, args.max_delta) for run in runs]
     text = "# schema=1\n" + _BENCH_HEADER + "\n" + "\n".join(r for r, _ in results) + "\n"
-    _emit(text, args.out)
+    _emit((text, args.out))
     return 0 if all(ok for _, ok in results) else RUNTIME_EXIT
 
 

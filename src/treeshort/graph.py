@@ -10,11 +10,12 @@ reproducible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 INFINITE = math.inf
 
@@ -36,10 +37,24 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-class Graph:
-    """Simple undirected graph with optional distinct positive edge weights."""
+def _check_no_parallel(pairs: Sequence[tuple[int, int]]) -> None:
+    """Raise on the first pair in `pairs` that repeats an earlier one."""
+    seen = set()
+    for u, v in pairs:
+        if (u, v) in seen:
+            raise GraphError(f"parallel edge ({u}, {v})")
+        seen.add((u, v))
 
-    __slots__ = ("n", "edges", "weights", "_adj", "_edge_index")
+
+class Graph:
+    """Simple undirected graph with optional distinct positive edge weights.
+
+    The adjacency is two tuples of per-node tuples: `_nbrs[v]` holds v's
+    neighbours in ascending order and `_eids[v]` the matching edge ids, so
+    the graph keeps no object per arc and no endpoint-pair index; `edge_id`
+    bisects the neighbour tuple of the smaller endpoint."""
+
+    __slots__ = ("n", "edges", "weights", "_nbrs", "_eids")
 
     def __init__(
         self,
@@ -51,20 +66,18 @@ class Graph:
             raise GraphError(f"node count must be positive, got {n}")
         self.n = n
         normalized: list[tuple[int, int]] = []
-        edge_index: dict[tuple[int, int], int] = {}
         for u, v in edges:
+            # a malformed edge after a repeated pair reports the repeat, as it came first
             if not (0 <= u < n and 0 <= v < n):
+                _check_no_parallel(normalized)
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
+                _check_no_parallel(normalized)
                 raise GraphError(f"self-loop at node {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in edge_index:
-                raise GraphError(f"parallel edge ({u}, {v})")
-            edge_index[(u, v)] = len(normalized)
-            normalized.append((u, v))
+            normalized.append((u, v) if u < v else (v, u))
+        if len(set(normalized)) != len(normalized):
+            _check_no_parallel(normalized)
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
-        self._edge_index = edge_index
         if weights is not None:
             weights = tuple(weights)
             if len(weights) != len(normalized):
@@ -74,25 +87,30 @@ class Graph:
                     raise GraphError(f"weight {w} outside [1, 2^31)")
         self.weights: tuple[int, ...] | None = weights
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, (u, v) in enumerate(normalized):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
+        nbrs, eids = [], []
         for lst in adj:
             lst.sort()
-        self._adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(lst) for lst in adj
-        )
+            ns, es = zip(*lst) if lst else ((), ())
+            nbrs.append(ns)
+            eids.append(es)
+        self._nbrs: tuple[tuple[int, ...], ...] = tuple(nbrs)
+        self._eids: tuple[tuple[int, ...], ...] = tuple(eids)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (neighbor, edge id) in ascending neighbor order."""
-        return self._adj[v]
+    def adjacency(self, v: int) -> Iterator[tuple[int, int]]:
+        """An iterator over the pairs (neighbor, edge id) in ascending
+        neighbor order."""
+        return zip(self._nbrs[v], self._eids[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u, _ in self._adj[v])
+        """The neighbours of v in ascending order (the stored tuple)."""
+        return self._nbrs[v]
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         if not (0 <= eid < self.m):
@@ -102,10 +120,12 @@ class Graph:
     def edge_id(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
-        try:
-            return self._edge_index[(u, v)]
-        except KeyError:
-            raise GraphError(f"no edge ({u}, {v})") from None
+        if 0 <= u < self.n:  # a negative u would wrap the tuple index
+            nbrs = self._nbrs[u]
+            i = bisect_left(nbrs, v)
+            if i < len(nbrs) and nbrs[i] == v:
+                return self._eids[u][i]
+        raise GraphError(f"no edge ({u}, {v})")
 
     def with_weights(self, weights: Sequence[int]) -> "Graph":
         return Graph(self.n, self.edges, weights)
@@ -184,9 +204,10 @@ def bfs_tree(g: Graph, root: int) -> RootedTree:
     parent = [-1] * g.n
     parent[root] = root
     queue = deque([root])
+    nbrs = g._nbrs
     while queue:
         v = queue.popleft()
-        for u, _ in g.adjacency(v):
+        for u in nbrs[v]:
             if parent[u] < 0:
                 parent[u] = v
                 queue.append(u)
@@ -365,7 +386,7 @@ def _diameter_of(adj, nodes) -> int | float:
 
 def diameter(g: Graph) -> int:
     """Exact diameter; error on disconnected input."""
-    d = _diameter_of([g.neighbors(v) for v in range(g.n)], range(g.n))
+    d = _diameter_of(g._nbrs, range(g.n))
     if d == INFINITE:
         bfs_tree(g, 0)  # raises, naming the smallest node unreachable from 0
     return d
@@ -412,11 +433,12 @@ def _first_disconnected(
     None; `owner(v)` is the index of the set holding v (None for no set).  One
     BFS per set through its own nodes, so the cost does not grow with n; it
     serves `validate_partition` and `audit.validate_minor` alike."""
+    nbrs = g._nbrs
     for idx, nodes in enumerate(sets):
         reached = {nodes[0]}
         order = [nodes[0]]
         for v in order:
-            for u, _ in g.adjacency(v):
+            for u in nbrs[v]:
                 if u not in reached and owner(u) == idx:
                     reached.add(u)
                     order.append(u)

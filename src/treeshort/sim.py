@@ -19,12 +19,12 @@ graph edges are counted in the trace.
 
 Cost model: the control plane is linear in the merged subgraphs (one BFS of
 each, kept to the paths from the part's nodes up to its root).  A run builds
-no per-node neighbour tables: sends are checked against the graph's edge
-index, and `ctx.neighbors` is computed when read.  An aggregation step is
-one `on_round` call (the init step too) and costs its inbox plus its sends,
-not the number of roles its node holds; a flat int payload is sized in one
-pass.  Part-tree congestion is counted through the graph's edge index, and
-the value checks and the results walk the parts' nodes rather than all n
+no per-node neighbour tables: a send is checked with `Graph.edge_id`, and
+`ctx.neighbors` is the graph's stored neighbour tuple.  An aggregation step
+is one `on_round` call (the init step too) and costs its inbox plus its
+sends, not the number of roles its node holds; a flat int payload is sized
+in one pass.  Part-tree congestion is counted by `Graph.edge_id`, and the
+value checks and the results walk the parts' nodes rather than all n
 nodes.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .audit import _merged_subgraph, as_edge_map
-from .graph import Graph, Partition
+from .graph import Graph, GraphError, Partition
 
 
 def default_msg_bits(n: int) -> int:
@@ -158,7 +158,7 @@ class NodeContext:
 
     @property
     def neighbors(self) -> tuple[int, ...]:
-        """The node's neighbours in ascending order, computed on each read."""
+        """The node's neighbours in ascending order."""
         return self._sim.g.neighbors(self.node)
 
     @property
@@ -217,16 +217,17 @@ class _SimCore:
         # heap of (round, node); an entry that no longer matches wake_at is stale
         self.wakes: list[tuple[int, int]] = []
         self.outputs: dict[int, object] = {}
-        self.edge_index = g._edge_index  # (u, v) with u < v -> edge id
         self.outbox: list[tuple[int, int, object, str]] = []
         self.sent_edges: set[tuple[int, int]] = set()
         self.messages_sent = 0
         self.log: list[MessageRecord] | None = [] if cfg.log_messages else None
 
     def submit(self, src: int, dst: int, payload, tag: str) -> None:
+        try:
+            self.g.edge_id(src, dst)
+        except (GraphError, TypeError):  # TypeError: dst is not a node id
+            raise SimError(f"node {src} tried to message non-neighbor {dst}") from None
         key = (src, dst)
-        if key not in self.edge_index and (dst, src) not in self.edge_index:
-            raise SimError(f"node {src} tried to message non-neighbor {dst}")
         if key in self.sent_edges:
             raise DuplicateSendError(
                 f"node {src} sent twice on edge ({src}, {dst}) in round {self.round_no + 1}"
@@ -497,13 +498,12 @@ def partwise_aggregate(
     edge_map = as_edge_map(shortcut)
     trees = []
     edge_use: dict[int, int] = {}
-    edge_index = g._edge_index  # (u, v) with u < v -> edge id
     for i in range(parts.k):
         parent, children = _part_tree(g, parts.parts[i], edge_map.get(i, frozenset()), i)
         trees.append((parent, children))
         for v, cs in children.items():
             for c in cs:
-                eid = edge_index[(v, c) if v < c else (c, v)]
+                eid = g.edge_id(v, c)
                 edge_use[eid] = edge_use.get(eid, 0) + 1
     congestion = max(edge_use.values(), default=0)
     delay_range = max(congestion, 1)

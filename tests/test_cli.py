@@ -203,6 +203,15 @@ class TestLoaderErrors:
         assert main(["shortcut", graph, parts, "--seed", "1"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_unwritable_trace_leaves_no_output(self, caterpillar_files, tmp_path, monkeypatch, capsys):
+        """`aggregate` opens `--out` and `--trace-csv` before writing either,
+        so an unwritable trace path leaves no aggregate JSON behind."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["aggregate", *caterpillar_files, "--seed", "7", "--out", "agg.json"]
+        assert main([*argv, "--trace-csv", "nodir/t.csv"]) == 2
+        assert "[Errno 2] No such file or directory: 'nodir/t.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "agg.json").exists()
+
     def test_parts_for_a_family_with_its_own(self, tmp_path, capsys):
         argv = ["gen", "lowerbound", "6", "16", "--parts", "3", "--out", str(tmp_path)]
         assert main(argv) == 1

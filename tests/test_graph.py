@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -91,6 +93,29 @@ class TestGraph:
         """The first malformed edge in input order names the error."""
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             Graph(4, edges)
+
+
+    @pytest.mark.parametrize(
+        "build", [lambda: gen_grid(32, 32), lambda: gen_ktree(1000, 3, 1)], ids=["grid", "ktree"]
+    )
+    def test_retains_at_most_250_bytes_per_edge(self, build):
+        """A graph keeps its edge tuples, one int per edge id and two per-node
+        tuples of neighbours and edge ids: no object per arc and no
+        endpoint-pair index (an index and per-arc pairs take about 360 B per
+        edge on these graphs, the layout about 170)."""
+        source = build()
+        n, edges = source.n, list(source.edges)
+        del source
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = Graph(n, edges)
+            gc.collect()  # a full collection empties the free lists, which hold freed tuples
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 250 * g.m
 
 
 class TestBfsTree:

@@ -251,8 +251,8 @@ class TestScheduler:
         assert trace.rounds_used == 3
 
     def test_run_builds_no_neighbor_tuples(self, monkeypatch):
-        """Neighbour checks go through the edge index; `ctx.neighbors` is
-        computed only for programs that read it."""
+        """Neighbour checks go through `Graph.edge_id`; `Graph.neighbors` is
+        called only for programs that read `ctx.neighbors`."""
         calls = 0
         neighbors = Graph.neighbors
 
