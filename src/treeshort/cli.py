@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 
 from . import apps, audit, engine, generators, sim
@@ -66,22 +65,21 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) pair to the file `path`, or to stdout when no
     path is given.  Every file is opened, in the order given, before any is
     written, and an OSError removes the files this call created, so a failed
-    command leaves none of its outputs behind."""
+    command leaves none of its outputs behind and no existing file changed."""
     created = []
     try:
-        with ExitStack() as stack:
-            targets = []
-            for _, path in outputs:
-                if not path:
-                    targets.append(sys.stdout)
-                    continue
+        for _, path in outputs:
+            if path:
                 try:
-                    targets.append(stack.enter_context(open(path, "x")))
+                    open(path, "x").close()
                     created.append(path)
                 except FileExistsError:
-                    targets.append(stack.enter_context(open(path, "w")))
-            for (text, _), target in zip(outputs, targets):
-                target.write(text)
+                    open(path, "a").close()  # writable, and left as it is for now
+        for text, path in outputs:
+            if path:
+                Path(path).write_text(text)
+            else:
+                sys.stdout.write(text)
     except OSError:
         for path in created:
             Path(path).unlink(missing_ok=True)

@@ -217,6 +217,7 @@ class _SimCore:
         # heap of (round, node); an entry that no longer matches wake_at is stale
         self.wakes: list[tuple[int, int]] = []
         self.outputs: dict[int, object] = {}
+        self.edge_id = g.edge_id
         self.outbox: list[tuple[int, int, object, str]] = []
         self.sent_edges: set[tuple[int, int]] = set()
         self.messages_sent = 0
@@ -224,7 +225,7 @@ class _SimCore:
 
     def submit(self, src: int, dst: int, payload, tag: str) -> None:
         try:
-            self.g.edge_id(src, dst)
+            self.edge_id(src, dst)
         except (GraphError, TypeError):  # TypeError: dst is not a node id
             raise SimError(f"node {src} tried to message non-neighbor {dst}") from None
         key = (src, dst)
