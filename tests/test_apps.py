@@ -5,18 +5,22 @@ import random
 
 import pytest
 
+from treeshort import apps
 from treeshort.apps import boruvka_mst, kruskal_oracle, label_components
+from treeshort.engine import EngineConfig, construct_full
 from treeshort.generators import (
     assign_weights,
     gen_grid,
     gen_ktree,
     gen_lower_bound,
+    gen_parts_random,
     gen_wheel,
 )
-from treeshort.graph import Graph, GraphError
-from treeshort.sim import SimConfig
+from treeshort.graph import Graph, GraphError, Partition, bfs_tree
+from treeshort.sim import AggregationTask, SimConfig, partwise_aggregate
 
 import oracles
+from conftest import build_fan
 
 
 class TestKruskalOracle:
@@ -170,6 +174,41 @@ class TestGolden:
         result = boruvka_mst(g, SimConfig(seed=3))
         assert json_digest(result.to_json_dict()) == (
             "86285794ac9b5e73332f5129025f6a0fe126542b426752f82a2e1679aa1b2f6b"
+        )
+
+    def test_edges_and_costs_do_not_depend_on_shortcut_shape(self, monkeypatch):
+        """What a shortcut that keeps every part's paths may not move: MST
+        edges, weight and per-phase rounds and messages on the two MST
+        inputs above, and the rounds and messages of `TestGoldenLogs`."""
+        traces = []
+
+        def recording(*args):
+            results, trace = partwise_aggregate(*args)
+            traces.append((trace.rounds_used, trace.messages_sent))
+            return results, trace
+
+        monkeypatch.setattr(apps, "partwise_aggregate", recording)
+        pinned = []
+        for g, seed in (
+            (assign_weights(gen_ktree(150, 3, 4), 6), 2),
+            (assign_weights(gen_grid(9, 9), 8), 3),
+        ):
+            traces.clear()
+            result = boruvka_mst(g, SimConfig(seed=seed))
+            pinned.append([sorted(result.tree_edges), result.total_weight, list(traces)])
+        grid, wheel = gen_grid(12, 12), gen_wheel(41)
+        wheel_parts = Partition(wheel.n, [list(range(1 + 10 * a, 11 + 10 * a)) for a in range(4)])
+        for g, p, seed in (
+            (grid, gen_parts_random(grid, 15, 3), 3),
+            (*build_fan(9, 18, 9), 1),
+            (wheel, wheel_parts, 1),
+        ):
+            result = construct_full(g, bfs_tree(g, 0), p, EngineConfig(), random.Random(seed))
+            task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+            _, trace = partwise_aggregate(g, p, result.shortcut, task, SimConfig(seed=seed))
+            pinned.append([trace.rounds_used, trace.messages_sent])
+        assert json_digest(pinned) == (
+            "09b60cc7a900b8d30221ba1d3a05bc26d979b709951274f0b11254f7d2cae231"
         )
 
     def test_labels_of_random_grid_subset(self):
