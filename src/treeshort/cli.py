@@ -61,7 +61,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(*outputs: tuple[str, str | None]) -> None:
+def _emit(*outputs: tuple[str, str | Path | None]) -> None:
     """Write each (text, path) pair to the file `path`, or to stdout when no
     path is given.  Every file is opened, in the order given, before any is
     written, and an OSError removes the files this call created, so a failed
@@ -135,12 +135,12 @@ def _cmd_gen(args) -> int:
         g = generators.assign_weights(g, args.seed)
     meta.update(n=g.n, m=g.m, diameter=diameter(g))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.txt").write_text(dumps_graph(g))
+    outputs = [(dumps_graph(g), out / "graph.txt")]
     if parts is not None:
         meta["k"] = parts.k
-        (out / "parts.txt").write_text(dumps_partition(parts))
-    (out / "meta.json").write_text(_json_text(meta))
+        outputs.append((dumps_partition(parts), out / "parts.txt"))
+    out.mkdir(parents=True, exist_ok=True)
+    _emit(*outputs, (_json_text(meta), out / "meta.json"))
     print(f"wrote {family} instance: n={g.n} m={g.m} -> {out}")
     return 0
 
@@ -169,12 +169,14 @@ def _cmd_shortcut(args) -> int:
     report = audit.audit_shortcut(g, tree, p, result.shortcut)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "shortcut.txt").write_text(engine.dumps_shortcut(result.shortcut))
         certificates = [engine.certificate_to_json_dict(c) for c in result.certificates]
-        (out / "certificates.json").write_text(_json_text(certificates))
         audit_json = dict(_audit_json(report, p.k, tree.D), delta_final=result.delta_final)
-        (out / "audit.json").write_text(_json_text(audit_json))
+        out.mkdir(parents=True, exist_ok=True)
+        _emit(
+            (engine.dumps_shortcut(result.shortcut), out / "shortcut.txt"),
+            (_json_text(certificates), out / "certificates.json"),
+            (_json_text(audit_json), out / "audit.json"),
+        )
     print(
         f"delta_final={result.delta_final} congestion={report.congestion} "
         f"dilation={report.dilation} blocks={report.blocks} quality={report.quality}"
@@ -271,7 +273,7 @@ def _cmd_mst(args) -> int:
             "boruvka result disagrees with the kruskal oracle; refusing to write"
         )
     if args.out:
-        Path(args.out).write_text(_json_text(result.to_json_dict()))
+        _emit((_json_text(result.to_json_dict()), args.out))
     print(f"mst weight={result.total_weight} phases={result.phases} rounds={result.rounds_total}")
     print("phase fragments quality rounds delta_final")
     for idx, ph in enumerate(result.per_phase, start=1):

@@ -212,6 +212,32 @@ class TestLoaderErrors:
         assert "[Errno 2] No such file or directory: 'nodir/t.csv'" in capsys.readouterr().err
         assert not (tmp_path / "agg.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, blocked, kept, created",
+        [
+            (["shortcut", "g.txt", "p.txt", "--seed", "1"], "audit.json", "certificates.json",
+             "shortcut.txt"),
+            (["gen", "grid", "3", "3", "--parts", "2", "--seed", "1"], "meta.json", "parts.txt",
+             "graph.txt"),
+        ],
+        ids=["shortcut", "gen"],
+    )
+    def test_unwritable_out_file_leaves_no_output(
+        self, caterpillar_files, tmp_path, monkeypatch, capsys, argv, blocked, kept, created
+    ):
+        """A directory in the way of the last file of `--out` exits 2 before
+        any file is written: the files the command would create are not left
+        behind and an existing one is unchanged."""
+        monkeypatch.chdir(tmp_path)
+        for name, path in zip(("g.txt", "p.txt"), caterpillar_files):
+            write(tmp_path / name, Path(path).read_text())
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        write(tmp_path / "o" / kept, "keep\n")
+        assert main([*argv, "--out", "o"]) == 2
+        assert f"[Errno 21] Is a directory: 'o/{blocked}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / created).exists()
+        assert (tmp_path / "o" / kept).read_text() == "keep\n"
+
     def test_parts_for_a_family_with_its_own(self, tmp_path, capsys):
         argv = ["gen", "lowerbound", "6", "16", "--parts", "3", "--out", str(tmp_path)]
         assert main(argv) == 1
