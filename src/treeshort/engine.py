@@ -7,8 +7,8 @@ edges and parts, and then either
 
   * covers at least half of the parts with a partial shortcut whose edges are
     their ancestor tree edges in the forest obtained by cutting the marked
-    edges, found by walking up from each covered part's nodes in
-    O(sum |P_i| + |H_i|) steps (case I), or
+    edges, trimmed to each part's Steiner forest, found by walking up from
+    each covered part's nodes in O(sum |P_i| + |H_i|) steps (case I), or
   * samples a bipartite minor of the host graph whose exact rational density
     exceeds delta, certifying that no such shortcut family exists at this
     delta (case II).
@@ -180,12 +180,17 @@ def case_one_partial(
     """Cover every part with at most 8*delta marked edges above it, if that is
     at least half of the parts.
 
-    A covered part receives all of its ancestor edges in the forest obtained
-    by deleting the marked edges; those edges all have fewer than threshold
-    parts below them, which is what bounds the congestion.  Each covered
-    part's set is one upward walk from each of its nodes, stopping at the
-    root, at a marked edge or at an edge the part already holds (an earlier
-    walk added everything above it), so the cost is O(sum |P_i| + |H_i|).
+    A covered part receives its ancestor edges in the forest obtained by
+    deleting the marked edges, trimmed to its Steiner forest: the edges that
+    separate two of its nodes within their forest component.  Those edges
+    all have fewer than threshold parts below them, which is what bounds the
+    congestion.  The trim drops, per component, the pendant path above the
+    part's branch point, so dilation is no larger and the block count the
+    same as with all ancestor edges.  Each covered part's set is one upward
+    walk from each of its nodes, stopping at the root, at a marked edge (the
+    component's top) or at a node whose parent edge the part already holds
+    (a join).  A top reached by one walk only loses that walk's edges down
+    to its first part node or join, so the cost stays O(sum |P_i| + |H_i|).
     """
     k = p.k
     deg = Counter(i for parts in marking.parts_below.values() for i in parts)
@@ -193,17 +198,28 @@ def case_one_partial(
     if len(eligible) < -(-k // 2):  # ceil(k/2)
         return None
     blocked = marking.overcongested
-    parent, parent_edge, root = t.parent, t.parent_edge, t.root
+    parent, parent_edge, root, part_of = t.parent, t.parent_edge, t.root, p.part_of
     edge_sets: dict[int, frozenset[int]] = {}
     for i in eligible:
         edges: set[int] = set()
+        walked: list[int] = []  # every walk's nodes, bottom-up, walks in order
+        tops: dict[int, int | None] = {}  # top -> its index in walked, None if reached twice
+        joins: set[int] = set()  # nodes where a walk met an earlier one
         for v in p.parts[i]:
-            while v != root:
-                eid = parent_edge[v]
-                if eid in blocked or eid in edges:
+            walked.append(v)
+            while v != root and (eid := parent_edge[v]) not in blocked:
+                if eid in edges:
+                    joins.add(v)
                     break
                 edges.add(eid)
                 v = parent[v]
+                walked.append(v)
+            else:
+                tops[v] = None if v in tops else len(walked) - 1
+        for j in tops.values():  # drop each pendant path above the part's branch point
+            while j is not None and part_of[walked[j]] != i and walked[j] not in joins:
+                j -= 1
+                edges.remove(parent_edge[walked[j]])
         edge_sets[i] = frozenset(edges)
     return PartialShortcut(edge_sets=edge_sets)
 

@@ -113,6 +113,20 @@ def parts_below_tree_edge(tree, partition, blocked, eid):
     return found
 
 
+def steiner_trim(tree, part, edges):
+    """The edges of the forest `edges` (tree edge ids) that separate two
+    nodes of `part` within their forest component: an edge is kept iff
+    deleting it leaves part nodes on both of its sides."""
+    part = set(part)
+    ends = {e: tree.graph.endpoints(e) for e in edges}
+    kept = set()
+    for e, (u, v) in ends.items():
+        adj = adjacency(tree.graph.n, [ends[f] for f in ends if f != e])
+        if all(part & set(bfs_dist(adj, x)) for x in (u, v)):
+            kept.add(e)
+    return kept
+
+
 def min_spanning_weight_brute(n, edges, weights):
     """Minimum spanning tree by exhaustive enumeration (tiny graphs only)."""
     m = len(edges)

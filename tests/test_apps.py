@@ -166,14 +166,14 @@ class TestGolden:
         g = assign_weights(gen_ktree(150, 3, 4), 6)
         result = boruvka_mst(g, SimConfig(seed=2))
         assert json_digest(result.to_json_dict()) == (
-            "de7794ecab797c10d134682c6238238e0afd9318e56b06d7508f73a517b6d123"
+            "fcd7b4abd21813902313edee158698eab0188696aaba796fa50ed9d98e176dc5"
         )
 
     def test_grid_mst(self):
         g = assign_weights(gen_grid(9, 9), 8)
         result = boruvka_mst(g, SimConfig(seed=3))
         assert json_digest(result.to_json_dict()) == (
-            "86285794ac9b5e73332f5129025f6a0fe126542b426752f82a2e1679aa1b2f6b"
+            "81a81359f3850885d2185ea212645ee39ab89bc58748c7a85b31dfac366d962e"
         )
 
     def test_edges_and_costs_do_not_depend_on_shortcut_shape(self, monkeypatch):

@@ -57,14 +57,15 @@ class TestGen:
 
 
 class TestShortcut:
-    def test_caterpillar_congestion_one(self, caterpillar_files, tmp_path, capsys):
+    def test_caterpillar_congestion_zero(self, caterpillar_files, tmp_path, capsys):
+        # singleton parts: every shortcut edge set is empty
         graph, parts = caterpillar_files
         out = tmp_path / "sc"
         assert main(["shortcut", graph, parts, "--seed", "1", "--out", str(out)]) == 0
         line = capsys.readouterr().out.strip()
-        assert "congestion=1" in line
+        assert "congestion=0" in line
         assert "blocks=1" in line
-        assert (out / "shortcut.txt").exists()
+        assert (out / "shortcut.txt").read_text() == "0 :\n1 :\n2 :\n3 :\n"
         assert json.loads((out / "certificates.json").read_text()) == []
 
     def test_single_part_delta_one(self, tmp_path, capsys):
@@ -564,7 +565,7 @@ class TestGoldenSession:
             digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
         assert digest.hexdigest() == (
-            "164c7bab3938841009fac6f8a7ec0ba8cbab96b16d7b4e875cc956e6b2e67f80"
+            "23be4db7ed0e12be781ceb2cb232494977d6aa03a2d0f961e591025a9f4cbbab"
         )
 
 

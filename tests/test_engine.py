@@ -122,28 +122,25 @@ def oracles_component_nodes(tree, blocked, start):
 
 
 class TestCaseOne:
-    def test_empty_marking_covers_everything_with_ancestors(self):
+    def test_empty_marking_keeps_each_parts_steiner_forest(self):
+        # the path above a part's highest node leads only to the root: dropped
         g, tree = path_instance(5)
-        parts = Partition(5, [[1], [3, 4]])
+        parts = Partition(5, [[1], [3, 4], [0, 2]])
         marking = mark_overcongested(tree, parts, 99)
         partial = case_one_partial(marking, tree, parts, 1)
-        assert partial.covered == {0, 1}
-        assert partial.edge_sets[0] == {g.edge_id(0, 1)}
-        assert partial.edge_sets[1] == {
-            g.edge_id(0, 1),
-            g.edge_id(1, 2),
-            g.edge_id(2, 3),
-            g.edge_id(3, 4),
-        }
+        assert partial.covered == {0, 1, 2}
+        assert partial.edge_sets[0] == frozenset()
+        assert partial.edge_sets[1] == {g.edge_id(3, 4)}
+        assert partial.edge_sets[2] == {g.edge_id(0, 1), g.edge_id(1, 2)}
 
-    def test_caterpillar_keeps_only_leaf_edges(self, caterpillar):
+    def test_caterpillar_singletons_get_empty_sets(self, caterpillar):
         g, tree, parts = caterpillar
         marking = mark_overcongested(tree, parts, 3)
         partial = case_one_partial(marking, tree, parts, 1)
         assert partial.covered == frozenset(range(4))
         for i in range(4):
-            assert partial.edge_sets[i] == {g.edge_id(0, i + 1)}
-        assert measure_congestion(g, partial) == 1
+            assert partial.edge_sets[i] == frozenset()
+        assert measure_congestion(g, partial) == 0
         assert audit_shortcut(g, tree, parts, partial).blocks == 1
 
     def test_every_part_degree_nine_returns_none(self, fan_instance):
@@ -504,12 +501,14 @@ class TestConstructFull:
         for i, it in enumerate(result.stats.covering_iterations):
             expected = 2 if len(parts.parts[i]) == 9 else 1
             assert (result.delta_final, it) == (1, expected)
-        # chained parts were covered against an empty marking: whole ancestry
+        # chained parts were covered against an empty marking, and the root
+        # joins their nine middle subtrees, so their root edges are kept;
+        # a singleton part needs no edge
         root_edges = {g.edge_id(0, 1 + b) for b in range(9)}
         for i in range(15):
             assert root_edges <= result.shortcut.edge_sets[i]
         for i in range(15, 33):
-            assert len(result.shortcut.edge_sets[i]) == 1
+            assert result.shortcut.edge_sets[i] == frozenset()
 
     def test_deterministic_given_seed(self, fan_instance):
         g, parts = fan_instance

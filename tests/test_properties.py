@@ -42,7 +42,16 @@ from treeshort.graph import (
     diameter,
     validate_partition,
 )
-from treeshort.sim import AggregationError, SimError, _part_tree, int_bits, payload_bits
+from treeshort.sim import (
+    AggregationError,
+    AggregationTask,
+    SimConfig,
+    SimError,
+    _part_tree,
+    int_bits,
+    partwise_aggregate,
+    payload_bits,
+)
 
 import oracles
 from conftest import build_fan, merged_diameter
@@ -532,9 +541,45 @@ def test_case_one_matches_downward_traversal_oracle(inst, delta):
         assert partial is None
         return
     assert list(partial.edge_sets) == eligible
-    for i in eligible:
-        expected = {e for e, parts in below.items() if e not in marked and i in parts}
-        assert partial.edge_sets[i] == expected
+    for i, edges in ancestor_sets(below, marked, eligible).items():
+        assert partial.edge_sets[i] == oracles.steiner_trim(tree, p.parts[i], edges)
+
+
+def ancestor_sets(below, marked, parts):
+    """Per part, the untrimmed case-I set: every unmarked tree edge with the
+    part below it in the forest cut at the marked edges."""
+    return {i: {e for e, found in below.items() if e not in marked and i in found} for i in parts}
+
+
+@SETTINGS
+@given(marked_instances(), st.sampled_from([1, 2]))
+def test_trimmed_case_one_sets_cost_no_more_and_aggregate_alike(inst, delta):
+    """Against the untrimmed ancestor sets, per part: dilation no larger,
+    blocks equal, congestion no larger, and the same aggregation, message
+    for message."""
+    g, tree, p, marking = inst
+    partial = case_one_partial(marking, tree, p, delta)
+    if partial is None:
+        return
+    marked = marking.overcongested
+    below = {e: oracles.parts_below_tree_edge(tree, p, marked, e) for e in tree.tree_edges}
+    untrimmed = ancestor_sets(below, marked, partial.edge_sets)
+    shortcuts = [
+        {i: sets.get(i, frozenset()) for i in range(p.k)} for sets in (partial.edge_sets, untrimmed)
+    ]
+    trimmed_report, untrimmed_report = (audit_shortcut(g, tree, p, s) for s in shortcuts)
+    assert trimmed_report.congestion <= untrimmed_report.congestion
+    for i, (trimmed, full) in enumerate(zip(trimmed_report.per_part, untrimmed_report.per_part)):
+        assert shortcuts[0][i] <= shortcuts[1][i]
+        assert trimmed.dilation <= full.dilation
+        assert trimmed.blocks == full.blocks
+    task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+    cfg = SimConfig(msg_bits=64, seed=delta, log_messages=True)
+    (results, trace), (full_results, full_trace) = (
+        partwise_aggregate(g, p, s, task, cfg) for s in shortcuts
+    )
+    assert results == full_results
+    assert trace.log == full_trace.log
 
 
 @st.composite
