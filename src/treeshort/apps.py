@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .engine import EngineConfig, construct_full
 from .graph import MAX_WEIGHT, Graph, GraphError, Partition, bfs_tree
@@ -95,16 +95,7 @@ class MstResult:
             "total_weight": self.total_weight,
             "phases": self.phases,
             "rounds_total": self.rounds_total,
-            "per_phase": [
-                {
-                    "fragments": ph.fragments,
-                    "quality": ph.quality,
-                    "rounds": ph.rounds,
-                    "delta_final": ph.delta_final,
-                    "tree_depth": ph.tree_depth,
-                }
-                for ph in self.per_phase
-            ],
+            "per_phase": [asdict(ph) for ph in self.per_phase],
         }
 
 
@@ -239,14 +230,13 @@ def boruvka_mst(g: Graph, cfg: SimConfig, max_delta: int | None = None) -> MstRe
     )
 
 
-def label_components(
-    g: Graph, subgraph_edges, cfg: SimConfig, max_delta: int | None = None
-) -> dict[int, int]:
+def label_components(g: Graph, subgraph_edges, cfg: SimConfig) -> dict[int, int]:
     """Minimum-member-id label of each component of (V, subgraph_edges).
 
     Runs weightless Boruvka per connected component of the host graph:
     fragments merge along minimum-id outgoing subset edges, then every node
-    learns its fragment's minimum id by one final aggregation.
+    learns its fragment's minimum id by one final aggregation.  Every
+    shortcut is built with no cap on delta.
     """
     active = frozenset(subgraph_edges)
     for eid in active:
@@ -271,14 +261,12 @@ def label_components(
         uf = UnionFind(sub.n)
         for _ in _boruvka(
             sub, tree, uf, [e if eid in active else None for e, eid in enumerate(edge_back)],
-            sub.m + 1, cfg, "label-phase", max_delta, rng,
+            sub.m + 1, cfg, "label-phase", None, rng,
         ):
             pass
         ids = {v: v for v in range(sub.n)}
         parts = _fragment_parts(uf.labels())
-        _, minima, _ = _phase(
-            sub, tree, parts, ids, cfg, "label-final", sub.m + 1, max_delta, rng
-        )
+        _, minima, _ = _phase(sub, tree, parts, ids, cfg, "label-final", sub.m + 1, None, rng)
         for v_sub, v in enumerate(comp):
             labels[v] = comp[minima[v_sub]]
     return labels

@@ -58,16 +58,16 @@ class QualityReport:
 
 
 def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
-    """Normalize a shortcut-like object to a mapping part index -> edge id set.
+    """A shortcut as a mapping part index -> edge id set.
 
-    Accepts the engine's full and partial shortcut types (via their
-    `edge_sets` attribute), plain mappings, and plain sequences of sets.
+    A shortcut is a mapping from part index to edge ids (parts without an
+    entry get no edges) or a sequence of edge-id sets indexed by part, such
+    as the engine's full shortcut tuple; anything else raises TypeError.
     """
-    obj = getattr(shortcut, "edge_sets", shortcut)
-    if isinstance(obj, Mapping):
-        return {i: frozenset(es) for i, es in obj.items()}
-    if isinstance(obj, Sequence):
-        return {i: frozenset(es) for i, es in enumerate(obj)}
+    if isinstance(shortcut, Mapping):
+        return {i: frozenset(es) for i, es in shortcut.items()}
+    if isinstance(shortcut, Sequence):
+        return {i: frozenset(es) for i, es in enumerate(shortcut)}
     raise TypeError(f"cannot interpret {type(shortcut).__name__} as a shortcut")
 
 

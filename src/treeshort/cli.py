@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import apps, audit, engine, generators, sim
@@ -61,29 +62,37 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(*outputs: tuple[str, str | Path | None]) -> None:
-    """Write each (text, path) pair to the file `path`, or to stdout when no
-    path is given.  Every file is opened, in the order given, before any is
-    written, and an OSError removes the files this call created, so a failed
+@contextmanager
+def _claimed(*paths: str | Path | None):
+    """Open each given path, in order, before the block runs: create the file,
+    or open an existing one for append without changing it.  An exception
+    from the opening or the block removes the files created here, so a failed
     command leaves none of its outputs behind and no existing file changed."""
     created = []
     try:
-        for _, path in outputs:
+        for path in paths:
             if path:
                 try:
                     open(path, "x").close()
                     created.append(path)
                 except FileExistsError:
                     open(path, "a").close()  # writable, and left as it is for now
+        yield
+    except BaseException:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _emit(*outputs: tuple[str, str | Path | None]) -> None:
+    """Write each (text, path) pair to the file `path`, or to stdout when no
+    path is given; every file is claimed before any is written."""
+    with _claimed(*(path for _, path in outputs)):
         for text, path in outputs:
             if path:
                 Path(path).write_text(text)
             else:
                 sys.stdout.write(text)
-    except OSError:
-        for path in created:
-            Path(path).unlink(missing_ok=True)
-        raise
 
 
 def _load_instance(graph_path: str, parts_path: str) -> tuple[Graph, Partition]:
@@ -188,11 +197,9 @@ def _load_shortcut(path: str, g: Graph, p: Partition, tree: RootedTree) -> engin
     """Read a shortcut file that covers exactly the parts of `p` with known
     edge ids, all of them edges of `tree`."""
     shortcut = engine.loads_shortcut(Path(path).read_text())
-    if len(shortcut.edge_sets) != p.k:
-        raise GraphError(
-            f"shortcut covers {len(shortcut.edge_sets)} parts, partition has {p.k}"
-        )
-    unknown = [e for es in shortcut.edge_sets for e in es if not 0 <= e < g.m]
+    if len(shortcut) != p.k:
+        raise GraphError(f"shortcut covers {len(shortcut)} parts, partition has {p.k}")
+    unknown = [e for es in shortcut for e in es if not 0 <= e < g.m]
     if unknown:
         raise GraphError(f"unknown edge id {min(unknown)}")
     if not audit.check_tree_restricted(shortcut, tree):
@@ -370,9 +377,10 @@ def _cmd_bench(args) -> int:
     if not isinstance(runs, list) or not runs:
         raise GraphError("bench spec must contain a non-empty 'runs' list")
     _check_bench_runs(runs)
-    results = [_bench_row(run, args.max_delta) for run in runs]
-    text = "# schema=1\n" + _BENCH_HEADER + "\n" + "\n".join(r for r, _ in results) + "\n"
-    _emit((text, args.out))
+    with _claimed(args.out):  # an unwritable --out fails before the first run
+        results = [_bench_row(run, args.max_delta) for run in runs]
+        text = "# schema=1\n" + _BENCH_HEADER + "\n" + "\n".join(r for r, _ in results) + "\n"
+        _emit((text, args.out))
     return 0 if all(ok for _, ok in results) else RUNTIME_EXIT
 
 

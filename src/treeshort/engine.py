@@ -72,10 +72,6 @@ class CongestionMarking:
 class PartialShortcut:
     edge_sets: Mapping[int, frozenset[int]]  # keyed by the covered parts
 
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(self.edge_sets)
-
 
 @dataclass(frozen=True)
 class MinorNode:
@@ -98,11 +94,8 @@ class MinorCertificate:
     density: Fraction
 
 
-@dataclass(frozen=True)
-class Shortcut:
-    """Edge sets for every part."""
-
-    edge_sets: tuple[frozenset[int], ...]
+# A full shortcut: the edge ids of H_i at index i, for every part i.
+Shortcut = tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -325,11 +318,7 @@ def construct_partial(
 
 
 def construct_full(
-    g: Graph,
-    t: RootedTree,
-    p: Partition,
-    config: EngineConfig | None = None,
-    rng: random.Random | None = None,
+    g: Graph, t: RootedTree, p: Partition, config: EngineConfig, rng: random.Random
 ) -> FullShortcutResult:
     """Doubling search over delta, iterating partial shortcuts to cover all parts.
 
@@ -338,12 +327,10 @@ def construct_full(
     abandons the delta entirely (frozen assignments are discarded), records
     the certificate if one was found, and doubles.  Case I cannot fail once
     delta reaches the true minor density, so the search terminates with
-    delta_final below twice that value.
+    delta_final below twice that value.  The shortcut holds part i's edge
+    set at index i.  `config.max_delta` caps delta (None: the node count),
+    and every random draw comes from `rng`.
     """
-    if config is None:
-        config = EngineConfig()
-    if rng is None:
-        rng = random.Random(0)
     max_delta = config.max_delta if config.max_delta is not None else g.n
     certificates: list[MinorCertificate] = []
     certificate_deltas: list[int] = []
@@ -375,8 +362,6 @@ def construct_full(
             ]
         iterations_log.append((delta, iteration))
         if not remaining:
-            # every part is covered here, so no entry is still None
-            shortcut = Shortcut(edge_sets=tuple(edge_sets))
             stats = ConstructStats(
                 iterations_by_delta=tuple(iterations_log),
                 covering_iterations=tuple(covering),
@@ -384,7 +369,7 @@ def construct_full(
                 certificate_deltas=tuple(certificate_deltas),
             )
             return FullShortcutResult(
-                shortcut=shortcut,
+                shortcut=tuple(edge_sets),  # every part is covered, so no entry is None
                 delta_final=delta,
                 certificates=tuple(certificates),
                 stats=stats,
@@ -400,7 +385,7 @@ def construct_full(
 
 def dumps_shortcut(shortcut: Shortcut) -> str:
     lines = []
-    for i, edges in enumerate(shortcut.edge_sets):
+    for i, edges in enumerate(shortcut):
         ids = " ".join(str(e) for e in sorted(edges))
         lines.append(f"{i} : {ids}".rstrip())
     return "\n".join(lines) + "\n"
@@ -421,7 +406,7 @@ def loads_shortcut(text: str) -> Shortcut:
         rows[i] = frozenset(_line_ints(rest.split(), "shortcut", no))
     if sorted(rows) != list(range(len(rows))):
         raise GraphError("shortcut file part indices are not dense")
-    return Shortcut(edge_sets=tuple(rows[i] for i in range(len(rows))))
+    return tuple(rows[i] for i in range(len(rows)))
 
 
 def certificate_to_json_dict(cert: MinorCertificate) -> dict:

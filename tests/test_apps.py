@@ -135,6 +135,11 @@ class TestLabelComponents:
         expected = oracles.component_labels(g.n, [g.endpoints(e) for e in sub])
         assert labels == expected
 
+    @pytest.mark.parametrize("eid", [-1, 24])
+    def test_unknown_edge_id(self, eid):
+        with pytest.raises(GraphError, match=f"^unknown edge id {eid}$"):
+            label_components(gen_grid(4, 4), {0, eid}, SimConfig(seed=1))
+
     def test_disconnected_host_graph(self):
         # two grid islands; machinery runs per host component
         island = gen_grid(3, 3)

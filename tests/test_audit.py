@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from treeshort.audit import (
+    as_edge_map,
     audit_shortcut,
     block_dilation_bound,
     check_tree_restricted,
@@ -11,7 +12,7 @@ from treeshort.audit import (
     partial_to_full_congestion,
     validate_minor,
 )
-from treeshort.engine import MinorCertificate, MinorEdge, MinorNode
+from treeshort.engine import MinorCertificate, MinorEdge, MinorNode, PartialShortcut
 from treeshort.graph import INFINITE, Graph, GraphError, Partition, Violation, bfs_tree
 from treeshort.generators import gen_wheel
 
@@ -21,6 +22,29 @@ from oracles import thomason_bounds
 
 def k4():
     return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+class TestAsEdgeMap:
+    """A shortcut is a sequence of edge-id sets indexed by part or a mapping
+    from part index to edge ids; nothing else is read as one."""
+
+    @pytest.mark.parametrize(
+        "shortcut",
+        [[{0}, set(), {1, 2}], ({0}, frozenset(), {1, 2}), {0: {0}, 1: [], 2: (2, 1)}],
+        ids=["list", "tuple", "dict"],
+    )
+    def test_sequences_and_mappings_agree(self, shortcut):
+        assert as_edge_map(shortcut) == {0: frozenset({0}), 1: frozenset(), 2: frozenset({1, 2})}
+
+    @pytest.mark.parametrize(
+        "shortcut",
+        [PartialShortcut(edge_sets={0: frozenset({1})}), 3, None],
+        ids=["partial-shortcut", "int", "none"],
+    )
+    def test_other_types_raise_naming_the_type(self, shortcut):
+        name = type(shortcut).__name__
+        with pytest.raises(TypeError, match=f"^cannot interpret {name} as a shortcut$"):
+            as_edge_map(shortcut)
 
 
 class TestCongestion:

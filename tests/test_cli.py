@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treeshort import engine
+from treeshort import cli, engine
 from treeshort.cli import main
 from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, loads_graph, loads_partition
 
@@ -367,6 +367,38 @@ class TestBench:
         rows = out.read_text().splitlines()[2:]
         assert rows[0].endswith("ok")
         assert "error:" in rows[1]
+
+    def test_unwritable_out_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        """`bench` opens `--out` after checking the spec and before the first
+        run; a bad spec is still the error reported first."""
+        calls = []
+        bench_row = cli._bench_row
+        monkeypatch.setattr(cli, "_bench_row", lambda *args: calls.append(args) or bench_row(*args))
+        monkeypatch.chdir(tmp_path)
+        spec = write(tmp_path / "spec.json", json.dumps(self.SPEC))
+        assert main(["bench", spec, "--out", "nodir/b.csv"]) == 2
+        assert "[Errno 2] No such file or directory: 'nodir/b.csv'" in capsys.readouterr().err
+        bad = write(tmp_path / "bad.json", json.dumps({"runs": [1]}))
+        assert main(["bench", bad, "--out", "nodir/b.csv"]) == 2
+        assert "bench run 0: expected an object" in capsys.readouterr().err
+        assert calls == []
+
+    def test_failure_during_the_sweep_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        """A sweep that raises removes the `--out` file it created and leaves
+        an existing one unchanged."""
+
+        def broken_row(run, max_delta):
+            raise OSError("forced failure")
+
+        monkeypatch.setattr(cli, "_bench_row", broken_row)
+        spec = write(tmp_path / "spec.json", json.dumps(self.SPEC))
+        out = tmp_path / "r.csv"
+        assert main(["bench", spec, "--out", str(out)]) == 2
+        assert "forced failure" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("keep\n")
+        assert main(["bench", spec, "--out", str(out)]) == 2
+        assert out.read_text() == "keep\n"
 
     def test_malformed_spec_validation_error(self, tmp_path):
         spec = write(tmp_path / "spec.json", "{}")

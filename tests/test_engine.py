@@ -41,6 +41,19 @@ def part_degrees(marking, k):
 
 
 class TestMarking:
+    @pytest.mark.parametrize(
+        "n, c, error, message",
+        [
+            (4, 0, ValueError, "threshold must be >= 1, got 0"),
+            (5, 1, GraphError, "tree and partition disagree on node count"),
+        ],
+        ids=["threshold-below-one", "node-count-mismatch"],
+    )
+    def test_bad_input_rejected(self, n, c, error, message):
+        _, tree = path_instance(4)
+        with pytest.raises(error, match=f"^{message}$"):
+            mark_overcongested(tree, Partition(n, [[0, 1]]), c)
+
     def test_caterpillar_threshold_three(self, caterpillar):
         g, tree, parts = caterpillar
         marking = mark_overcongested(tree, parts, 3)
@@ -128,7 +141,7 @@ class TestCaseOne:
         parts = Partition(5, [[1], [3, 4], [0, 2]])
         marking = mark_overcongested(tree, parts, 99)
         partial = case_one_partial(marking, tree, parts, 1)
-        assert partial.covered == {0, 1, 2}
+        assert frozenset(partial.edge_sets) == {0, 1, 2}
         assert partial.edge_sets[0] == frozenset()
         assert partial.edge_sets[1] == {g.edge_id(3, 4)}
         assert partial.edge_sets[2] == {g.edge_id(0, 1), g.edge_id(1, 2)}
@@ -137,11 +150,11 @@ class TestCaseOne:
         g, tree, parts = caterpillar
         marking = mark_overcongested(tree, parts, 3)
         partial = case_one_partial(marking, tree, parts, 1)
-        assert partial.covered == frozenset(range(4))
+        assert frozenset(partial.edge_sets) == frozenset(range(4))
         for i in range(4):
             assert partial.edge_sets[i] == frozenset()
-        assert measure_congestion(g, partial) == 0
-        assert audit_shortcut(g, tree, parts, partial).blocks == 1
+        assert measure_congestion(g, partial.edge_sets) == 0
+        assert audit_shortcut(g, tree, parts, partial.edge_sets).blocks == 1
 
     def test_every_part_degree_nine_returns_none(self, fan_instance):
         g, parts = fan_instance
@@ -175,11 +188,11 @@ class TestCaseOne:
             partial = case_one_partial(marking, tree, parts, 1)
             if partial is None:
                 continue
-            assert len(partial.covered) >= -(-parts.k // 2)
+            assert len(frozenset(partial.edge_sets)) >= -(-parts.k // 2)
             counts = {}
             deg = part_degrees(marking, parts.k)
             for i, edges in partial.edge_sets.items():
-                assert i in partial.covered
+                assert i in frozenset(partial.edge_sets)
                 for eid in edges:
                     assert eid not in marking.overcongested
                     counts[eid] = counts.get(eid, 0) + 1
@@ -403,7 +416,7 @@ class TestConstructPartial:
         outcome = construct_partial(g, tree, parts, 1, random.Random(0))
         assert outcome.case == "I"
         # honest threshold 8*1*2=16 marks nothing, so ancestors go all the way up
-        assert outcome.partial.covered == frozenset(range(4))
+        assert frozenset(outcome.partial.edge_sets) == frozenset(range(4))
 
     def test_fan_is_case_two_at_delta_one(self, fan_instance):
         g, parts = fan_instance
@@ -412,6 +425,11 @@ class TestConstructPartial:
         assert outcome.case == "II"
         assert outcome.certificate is not None
         assert outcome.certificate.density > 1
+
+    def test_delta_below_one_rejected(self):
+        g, tree = path_instance(3)
+        with pytest.raises(ValueError, match="^delta must be >= 1, got 0$"):
+            construct_partial(g, tree, Partition(3, [[0, 1, 2]]), 0, random.Random(0))
 
     def test_single_node_graph(self):
         g = Graph(1, [])
@@ -428,7 +446,7 @@ class TestConstructFull:
         parts = Partition(7, [list(range(7))])
         result = construct_full(g, tree, parts, EngineConfig(), random.Random(0))
         assert result.delta_final == 1
-        assert result.shortcut.edge_sets[0] == tree.tree_edges
+        assert result.shortcut[0] == tree.tree_edges
         assert measure_congestion(g, result.shortcut) == 1
         assert audit_shortcut(g, tree, parts, result.shortcut).blocks == 1
 
@@ -459,7 +477,7 @@ class TestConstructFull:
         assert result.stats.uncertified_failures >= 1
         assert result.certificates == ()
         assert result.stats.certificate_deltas == ()
-        assert len(result.shortcut.edge_sets) == parts.k
+        assert len(result.shortcut) == parts.k
         assert None not in result.stats.covering_iterations
         assert check_tree_restricted(result.shortcut, tree)
         delta, D, k = result.delta_final, tree.D, parts.k
@@ -506,9 +524,9 @@ class TestConstructFull:
         # a singleton part needs no edge
         root_edges = {g.edge_id(0, 1 + b) for b in range(9)}
         for i in range(15):
-            assert root_edges <= result.shortcut.edge_sets[i]
+            assert root_edges <= result.shortcut[i]
         for i in range(15, 33):
-            assert result.shortcut.edge_sets[i] == frozenset()
+            assert result.shortcut[i] == frozenset()
 
     def test_deterministic_given_seed(self, fan_instance):
         g, parts = fan_instance

@@ -10,6 +10,7 @@ from treeshort.graph import (
     Graph,
     GraphError,
     Partition,
+    RootedTree,
     bfs_tree,
     diameter,
     dumps_graph,
@@ -49,6 +50,10 @@ class TestGraph:
             Graph(2, [(0, 1)], [2**31])
         g = Graph(2, [(0, 1)], [2**31 - 1])
         assert g.weights[0] == 2**31 - 1
+
+    def test_weight_count_must_match_edge_count(self):
+        with pytest.raises(GraphError, match="^weight count does not match edge count$"):
+            Graph(3, [(0, 1), (1, 2)], [5])
 
     def test_neighbors_sorted(self):
         g = Graph(4, [(2, 0), (0, 3), (0, 1)])
@@ -137,6 +142,24 @@ class TestBfsTree:
         g = Graph(3, [(0, 1)])
         with pytest.raises(GraphError, match="node 2"):
             bfs_tree(g, 0)
+
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_invalid_root(self, root):
+        with pytest.raises(GraphError, match=f"^invalid root {root}$"):
+            bfs_tree(path_graph(3), root)
+
+    @pytest.mark.parametrize(
+        "root, parent, message",
+        [
+            (3, [0, 0, 1], "invalid root 3"),
+            (0, [1, 0, 1], "root must be its own parent"),
+            (0, [0, 2, 1], "parent map does not span the graph (node 1)"),
+        ],
+        ids=["invalid-root", "root-not-own-parent", "cycle-off-the-root"],
+    )
+    def test_rooted_tree_rejects(self, root, parent, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            RootedTree(path_graph(3), root, parent)
 
     @pytest.mark.parametrize("g", [gen_grid(4, 6), gen_wheel(11), gen_ktree(30, 2, 7)])
     def test_depth_triangle_property(self, g):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,10 @@ class TestRun:
         with pytest.raises(SimTimeout) as err:
             run(g, [Stubborn(), Stubborn()], SimConfig(max_rounds=10))
         assert err.value.trace.rounds_used == 10
+
+    def test_program_count_must_match_node_count(self):
+        with pytest.raises(SimError, match="^need 3 programs, got 2$"):
+            run(path_graph(3), [HaltAtInit(), HaltAtInit()], SimConfig())
 
     def test_msg_bits_floor(self):
         g = path_graph(9)
@@ -427,6 +432,21 @@ class TestPartwiseAggregate:
         task = AggregationTask(values={v: big for v in range(3)}, op="sum", parts=p)
         with pytest.raises(OversizeMessageError):
             partwise_aggregate(g, p, {0: t.tree_edges}, task, SimConfig())
+
+    @pytest.mark.parametrize(
+        "values, op, message",
+        [
+            ({v: 1 for v in range(3)}, "avg", "unsupported op 'avg'"),
+            ({0: 1, 1: 1}, "sum", "node 2 belongs to a part but has no value"),
+        ],
+        ids=["unsupported-op", "missing-value"],
+    )
+    def test_bad_task_rejected(self, values, op, message):
+        g = path_graph(3)
+        p = Partition(3, [[0, 1, 2]])
+        task = AggregationTask(values=values, op=op, parts=p)
+        with pytest.raises(AggregationError, match=f"^{re.escape(message)}$"):
+            partwise_aggregate(g, p, {0: frozenset()}, task, SimConfig())
 
     def test_partition_mismatch_rejected(self):
         g = path_graph(4)
