@@ -121,13 +121,9 @@ def _fragment_parts(labels: list[int]) -> Partition:
     return Partition(len(labels), groups.values())  # first seen is the minimum: min-id order
 
 
-def _min_outgoing(
-    g: Graph,
-    labels: list[int],
-    keys: list[int | None],
-    sentinel: int,
-) -> dict[int, int]:
-    """Per-node value: minimum key among incident edges leaving the fragment."""
+def _min_outgoing(g: Graph, labels: list[int], keys: list[int], sentinel: int) -> dict[int, int]:
+    """Per-node value: minimum key below `sentinel` among incident edges
+    leaving the fragment, else `sentinel`."""
     values = {}
     for v in range(g.n):
         own = labels[v]
@@ -135,7 +131,7 @@ def _min_outgoing(
         for u, eid in g.adjacency(v):
             if labels[u] != own:
                 k = keys[eid]
-                if k is not None and k < best:
+                if k < best:
                     best = k
         values[v] = best
     return values
@@ -168,8 +164,8 @@ def _phase(g, tree, parts, values, cfg, tag, sentinel, max_delta, rng):
 def _boruvka(g, tree, uf, keys, sentinel, cfg, tag, max_delta, rng):
     """Merge the fragments of `uf` along their minimum-key outgoing edges.
 
-    `keys[eid]` is None for an edge that may not be chosen, else an int
-    below `sentinel` whose low `_edge_bits(g)` bits are `eid`.  Each phase
+    `keys[eid]` is `sentinel` for an edge that may not be chosen, else an
+    int below `sentinel` whose low `_edge_bits(g)` bits are `eid`.  Each phase
     labels every node with its fragment's root once; the outgoing minima and
     the fragment partition both read those labels.  Phase N is
     tagged f"{tag}{N}".  Yields (fragment partition, construction result,
@@ -259,14 +255,15 @@ def label_components(g: Graph, subgraph_edges, cfg: SimConfig) -> dict[int, int]
         tree = bfs_tree(sub, 0)
         rng = random.Random(f"{cfg.seed}:labels")
         uf = UnionFind(sub.n)
+        sentinel = sub.m + 1
         for _ in _boruvka(
-            sub, tree, uf, [e if eid in active else None for e, eid in enumerate(edge_back)],
-            sub.m + 1, cfg, "label-phase", None, rng,
+            sub, tree, uf, [e if eid in active else sentinel for e, eid in enumerate(edge_back)],
+            sentinel, cfg, "label-phase", None, rng,
         ):
             pass
         ids = {v: v for v in range(sub.n)}
         parts = _fragment_parts(uf.labels())
-        _, minima, _ = _phase(sub, tree, parts, ids, cfg, "label-final", sub.m + 1, None, rng)
+        _, minima, _ = _phase(sub, tree, parts, ids, cfg, "label-final", sentinel, None, rng)
         for v_sub, v in enumerate(comp):
             labels[v] = comp[minima[v_sub]]
     return labels

@@ -86,13 +86,13 @@ def _claimed(*paths: str | Path | None):
 
 def _emit(*outputs: tuple[str, str | Path | None]) -> None:
     """Write each (text, path) pair to the file `path`, or to stdout when no
-    path is given; every file is claimed before any is written."""
-    with _claimed(*(path for _, path in outputs)):
-        for text, path in outputs:
-            if path:
-                Path(path).write_text(text)
-            else:
-                sys.stdout.write(text)
+    path is given.  Every command claims its files (`_claimed`) before its
+    work and writes them through here after it."""
+    for text, path in outputs:
+        if path:
+            Path(path).write_text(text)
+        else:
+            sys.stdout.write(text)
 
 
 def _load_instance(graph_path: str, parts_path: str) -> tuple[Graph, Partition]:
@@ -128,28 +128,35 @@ def _cmd_gen(args) -> int:
         raise UsageError(f"{family} carries its own parts")
     if (spec.seeded or args.parts is not None or args.weights) and args.seed is None:
         raise UsageError("--seed is required when the command draws randomness")
-    g, parts, inst = _instance(family, args.params, args.seed, args.parts)
-    meta: dict = {"family": family, "params": args.params, "seed": args.seed}
-    if inst is not None:
-        meta.update(
-            delta_prime=inst.delta_prime,
-            D_prime=inst.D_prime,
-            delta=inst.delta,
-            D=inst.D,
-            top_path_nodes=inst.top_path_nodes,
-            grid_side=inst.grid_side,
-            quality_floor=f"{inst.quality_floor.numerator}/{inst.quality_floor.denominator}",
-        )
-    if args.weights:
-        g = generators.assign_weights(g, args.seed)
-    meta.update(n=g.n, m=g.m, diameter=diameter(g))
+    spec.check(*args.params)
+    if args.parts is not None:
+        generators.check_part_count(args.parts, spec.n(*args.params))
     out = Path(args.out)
-    outputs = [(dumps_graph(g), out / "graph.txt")]
-    if parts is not None:
-        meta["k"] = parts.k
-        outputs.append((dumps_partition(parts), out / "parts.txt"))
+    paths = [out / "graph.txt", out / "meta.json"]
+    if spec.n is None or args.parts is not None:
+        paths.insert(1, out / "parts.txt")
     out.mkdir(parents=True, exist_ok=True)
-    _emit(*outputs, (_json_text(meta), out / "meta.json"))
+    with _claimed(*paths):
+        g, parts, inst = _instance(family, args.params, args.seed, args.parts)
+        meta: dict = {"family": family, "params": args.params, "seed": args.seed}
+        if inst is not None:
+            meta.update(
+                delta_prime=inst.delta_prime,
+                D_prime=inst.D_prime,
+                delta=inst.delta,
+                D=inst.D,
+                top_path_nodes=inst.top_path_nodes,
+                grid_side=inst.grid_side,
+                quality_floor=f"{inst.quality_floor.numerator}/{inst.quality_floor.denominator}",
+            )
+        if args.weights:
+            g = generators.assign_weights(g, args.seed)
+        meta.update(n=g.n, m=g.m, diameter=diameter(g))
+        texts = [dumps_graph(g)]
+        if parts is not None:
+            meta["k"] = parts.k
+            texts.append(dumps_partition(parts))
+        _emit(*zip(texts + [_json_text(meta)], paths))
     print(f"wrote {family} instance: n={g.n} m={g.m} -> {out}")
     return 0
 
@@ -174,18 +181,19 @@ def _construct(
 
 def _cmd_shortcut(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
-    tree, result = _construct(g, p, args.seed, args.max_delta)
-    report = audit.audit_shortcut(g, tree, p, result.shortcut)
+    paths = []
     if args.out:
         out = Path(args.out)
-        certificates = [engine.certificate_to_json_dict(c) for c in result.certificates]
-        audit_json = dict(_audit_json(report, p.k, tree.D), delta_final=result.delta_final)
+        paths = [out / "shortcut.txt", out / "certificates.json", out / "audit.json"]
         out.mkdir(parents=True, exist_ok=True)
-        _emit(
-            (engine.dumps_shortcut(result.shortcut), out / "shortcut.txt"),
-            (_json_text(certificates), out / "certificates.json"),
-            (_json_text(audit_json), out / "audit.json"),
-        )
+    with _claimed(*paths):
+        tree, result = _construct(g, p, args.seed, args.max_delta)
+        report = audit.audit_shortcut(g, tree, p, result.shortcut)
+        if paths:
+            certificates = [engine.certificate_to_json_dict(c) for c in result.certificates]
+            audit_json = dict(_audit_json(report, p.k, tree.D), delta_final=result.delta_final)
+            texts = [engine.dumps_shortcut(result.shortcut), _json_text(certificates)]
+            _emit(*zip(texts + [_json_text(audit_json)], paths))
     print(
         f"delta_final={result.delta_final} congestion={report.congestion} "
         f"dilation={report.dilation} blocks={report.blocks} quality={report.quality}"
@@ -218,17 +226,18 @@ def _cmd_audit(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
     tree = bfs_tree(g, 0)
     shortcut = _load_shortcut(args.shortcut, g, p, tree)
-    report = audit.audit_shortcut(g, tree, p, shortcut)
-    if args.format == "csv":
-        text = (
-            "# schema=2\n"
-            "instance,k,D,congestion,dilation,blocks,quality\n"
-            f"{_csv_field(args.graph)},{p.k},{tree.D},"
-            f"{report.congestion},{report.dilation},{report.blocks},{report.quality}\n"
-        )
-    else:
-        text = _json_text(_audit_json(report, p.k, tree.D))
-    _emit((text, args.out))
+    with _claimed(args.out):
+        report = audit.audit_shortcut(g, tree, p, shortcut)
+        if args.format == "csv":
+            text = (
+                "# schema=2\n"
+                "instance,k,D,congestion,dilation,blocks,quality\n"
+                f"{_csv_field(args.graph)},{p.k},{tree.D},"
+                f"{report.congestion},{report.dilation},{report.blocks},{report.quality}\n"
+            )
+        else:
+            text = _json_text(_audit_json(report, p.k, tree.D))
+        _emit((text, args.out))
     return 0
 
 
@@ -239,10 +248,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     g, p = _load_instance(args.graph, args.parts)
-    if args.shortcut:
-        shortcut = _load_shortcut(args.shortcut, g, p, bfs_tree(g, 0))
-    else:
-        shortcut = _construct(g, p, args.seed, args.max_delta)[1].shortcut
+    shortcut = _load_shortcut(args.shortcut, g, p, bfs_tree(g, 0)) if args.shortcut else None
     cfg = sim.SimConfig(
         max_rounds=args.max_rounds,
         seed=args.seed,
@@ -252,35 +258,34 @@ def _cmd_aggregate(args) -> int:
     task = sim.AggregationTask(
         values={v: v for v in range(g.n)}, op=args.op, parts=p
     )
-    results, trace = sim.partwise_aggregate(g, p, shortcut, task, cfg)
-    per_part = {str(i): results[p.parts[i][0]] for i in range(p.k)}
-    payload = {
-        "op": args.op,
-        "per_part": per_part,
-        "trace": trace.to_json_dict(),
-    }
-    outputs = [(_json_text(payload), args.out)]
-    if args.trace_csv:
-        lines = ["round,src,dst,bits,tag"]
-        lines += [
-            f"{r.round},{r.src},{r.dst},{r.bits},{r.tag}" for r in trace.log
-        ]
-        outputs.append(("\n".join(lines) + "\n", args.trace_csv))
-    _emit(*outputs)
+    with _claimed(args.out, args.trace_csv):
+        if shortcut is None:
+            shortcut = _construct(g, p, args.seed, args.max_delta)[1].shortcut
+        results, trace = sim.partwise_aggregate(g, p, shortcut, task, cfg)
+        per_part = {str(i): results[p.parts[i][0]] for i in range(p.k)}
+        payload = {"op": args.op, "per_part": per_part, "trace": trace.to_json_dict()}
+        outputs = [(_json_text(payload), args.out)]
+        if args.trace_csv:
+            lines = ["round,src,dst,bits,tag"]
+            lines += [f"{r.round},{r.src},{r.dst},{r.bits},{r.tag}" for r in trace.log]
+            outputs.append(("\n".join(lines) + "\n", args.trace_csv))
+        _emit(*outputs)
     return 0
 
 
 def _cmd_mst(args) -> int:
     g = loads_graph(Path(args.graph).read_text())
+    g.require_distinct_weights()
     cfg = sim.SimConfig(max_rounds=args.max_rounds, seed=args.seed)
-    result = apps.boruvka_mst(g, cfg, max_delta=args.max_delta)
-    oracle_edges, oracle_weight = apps.kruskal_oracle(g)
-    if result.tree_edges != oracle_edges:
-        raise engine.EngineError(
-            "boruvka result disagrees with the kruskal oracle; refusing to write"
-        )
-    if args.out:
-        _emit((_json_text(result.to_json_dict()), args.out))
+    with _claimed(args.out):
+        result = apps.boruvka_mst(g, cfg, max_delta=args.max_delta)
+        oracle_edges, oracle_weight = apps.kruskal_oracle(g)
+        if result.tree_edges != oracle_edges:
+            raise engine.EngineError(
+                "boruvka result disagrees with the kruskal oracle; refusing to write"
+            )
+        if args.out:
+            _emit((_json_text(result.to_json_dict()), args.out))
     print(f"mst weight={result.total_weight} phases={result.phases} rounds={result.rounds_total}")
     print("phase fragments quality rounds delta_final")
     for idx, ph in enumerate(result.per_phase, start=1):

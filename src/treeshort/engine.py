@@ -46,7 +46,6 @@ class MaxDeltaExceeded(EngineError):
 
     def __init__(self, max_delta: int, certificates: tuple["MinorCertificate", ...]):
         super().__init__(f"no shortcut found for any delta <= {max_delta}")
-        self.max_delta = max_delta
         self.certificates = certificates
 
 

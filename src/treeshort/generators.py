@@ -180,7 +180,7 @@ def gen_parts_random(g: Graph, count: int, seed: int) -> Partition:
 def assign_weights(g: Graph, seed: int) -> Graph:
     """Copy of g with pairwise distinct pseudo-random weights in [1, 2^31)."""
     rng = random.Random(seed)
-    return g.with_weights(rng.sample(range(1, 2**31), g.m))
+    return Graph(g.n, g.edges, rng.sample(range(1, 2**31), g.m))
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,6 @@ class Graph:
                 return self._eids[u][i]
         raise GraphError(f"no edge ({u}, {v})")
 
-    def with_weights(self, weights: Sequence[int]) -> "Graph":
-        return Graph(self.n, self.edges, weights)
-
     def require_distinct_weights(self) -> None:
         if self.weights is None:
             raise GraphError("operation requires edge weights")
@@ -166,9 +163,9 @@ class RootedTree:
             if v == root:
                 continue
             parent_edge[v] = graph.edge_id(p, v)  # raises if not a host edge
-            children[p].append(v)
+            children[p].append(v)  # v ascends, so each list is sorted already
         self.parent_edge = tuple(parent_edge)
-        self.children = tuple(tuple(sorted(c)) for c in children)
+        self.children = tuple(map(tuple, children))
         # depth by BFS over tree edges; also proves the parent map is acyclic
         depth = [-1] * graph.n
         depth[root] = 0

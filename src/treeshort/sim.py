@@ -7,6 +7,8 @@ never silently dropped).  A non-halted node steps once per round unless it
 sleeps: a node that calls `ctx.sleep(until)` is next stepped when a message
 reaches it or in round `until`, whichever comes first.  Rounds in which no
 node steps and no message is in flight are skipped but still counted.
+A program step receives the run's one context: `ctx.node` is the node being
+stepped, and the context is valid only during that step.
 
 The partwise-aggregation protocol splits work into an uncharged control
 plane (per-part spanning trees of G[P_i]+H_i pruned to the part, start
@@ -19,13 +21,13 @@ graph edges are counted in the trace.
 
 Cost model: the control plane is linear in the merged subgraphs (one BFS of
 each, kept to the paths from the part's nodes up to its root).  A run builds
-no per-node neighbour tables: a send is checked with `Graph.edge_id`, and
-`ctx.neighbors` is the graph's stored neighbour tuple.  An aggregation step
-is one `on_round` call (the init step too) and costs its inbox plus its
-sends, not the number of roles its node holds; a flat int payload is sized
-in one pass.  Part-tree congestion is counted by `Graph.edge_id`, and the
-value checks and the results walk the parts' nodes rather than all n
-nodes.
+no per-node context objects and no per-node neighbour tables: a send is
+checked with `Graph.edge_id`, and `ctx.neighbors` is the graph's stored
+neighbour tuple.  An aggregation step is one `on_round` call (the init
+step too) and costs its inbox plus its sends, not the number of roles its
+node holds; a flat int payload is sized in one pass.  Part-tree congestion
+is counted by `Graph.edge_id`, and the value checks and the results walk
+the parts' nodes rather than all n nodes.
 """
 
 from __future__ import annotations
@@ -147,45 +149,122 @@ class AggregationTask:
 
 
 class NodeContext:
-    """Per-node handle the simulator passes to programs."""
+    """The state of one run, handed to every program step.
 
-    __slots__ = ("node", "_rng", "_sim")
+    `run` builds one context per run and sets `node` to the node it steps
+    before each `on_init` or `on_round` call; `send`, `sleep`, `halt` and
+    `set_output` act for that node.  A context is valid only during the step
+    it is passed to."""
 
-    def __init__(self, node: int, sim):
-        self.node = node
-        self._rng = None
-        self._sim = sim
+    __slots__ = ("node", "round", "_g", "_cfg", "_msg_bits", "_edge_id", "_rngs", "_halted",
+                 "_live", "_awake", "_wake_at", "_wakes", "_outputs", "_outbox", "_sent_edges",
+                 "_messages_sent", "_log")
+
+    def __init__(self, g: Graph, cfg: SimConfig):
+        self._msg_bits = cfg.msg_bits_for(g.n)
+        if self._msg_bits < math.ceil(math.log2(g.n + 1)):
+            raise SimError(
+                f"msg_bits={self._msg_bits} cannot even carry a node id for n={g.n}"
+            )
+        self.node = 0  # the node being stepped
+        self.round = 0
+        self._g = g
+        self._cfg = cfg
+        self._edge_id = g.edge_id
+        self._rngs: dict[int, random.Random] = {}
+        self._halted = [False] * g.n
+        self._live = g.n
+        self._awake = set(range(g.n))  # stepped every round
+        # round given to each node's latest sleep(); left over, harmlessly, once awake
+        self._wake_at: list[int | None] = [None] * g.n
+        # heap of (round, node); an entry that no longer matches _wake_at is stale
+        self._wakes: list[tuple[int, int]] = []
+        self._outputs: dict[int, object] = {}
+        self._outbox: list[tuple[int, int, object, str]] = []
+        self._sent_edges: set[tuple[int, int]] = set()
+        self._messages_sent = 0
+        self._log: list[MessageRecord] | None = [] if cfg.log_messages else None
 
     @property
     def neighbors(self) -> tuple[int, ...]:
         """The node's neighbours in ascending order."""
-        return self._sim.g.neighbors(self.node)
-
-    @property
-    def round(self) -> int:
-        return self._sim.round_no
+        return self._g.neighbors(self.node)
 
     @property
     def rng(self) -> random.Random:
         """The node's own stream, seeded `f"{seed}:{node}"` on first use."""
-        if self._rng is None:
-            self._rng = random.Random(f"{self._sim.cfg.seed}:{self.node}")
-        return self._rng
+        rng = self._rngs.get(self.node)
+        if rng is None:
+            rng = self._rngs[self.node] = random.Random(f"{self._cfg.seed}:{self.node}")
+        return rng
 
     def send(self, dst: int, payload, tag: str = "") -> None:
-        self._sim.submit(self.node, dst, payload, tag)
+        src = self.node
+        try:
+            self._edge_id(src, dst)
+        except (GraphError, TypeError):  # TypeError: dst is not a node id
+            raise SimError(f"node {src} tried to message non-neighbor {dst}") from None
+        key = (src, dst)
+        if key in self._sent_edges:
+            raise DuplicateSendError(
+                f"node {src} sent twice on edge ({src}, {dst}) in round {self.round + 1}"
+            )
+        bits = payload_bits(payload)
+        if bits > self._msg_bits:
+            raise OversizeMessageError(
+                f"node {src} sent {bits} bits (> {self._msg_bits}) in round {self.round + 1}"
+            )
+        self._sent_edges.add(key)
+        self._outbox.append((src, dst, payload, tag))
+        self._messages_sent += 1
+        if self._log is not None:
+            self._log.append(MessageRecord(self.round + 1, src, dst, bits, tag))
 
     def sleep(self, until: int | None = None) -> None:
         """Step this node next when a message reaches it or in round `until`
         (never, if None), whichever comes first.  An `until` that is not
         after the current round leaves the node awake."""
-        self._sim.sleep(self.node, until)
+        if until is not None and until <= self.round:
+            return
+        v = self.node
+        self._awake.discard(v)
+        self._wake_at[v] = until
+        if until is not None:
+            heapq.heappush(self._wakes, (until, v))
 
     def halt(self) -> None:
-        self._sim.halt(self.node)
+        v = self.node
+        if not self._halted[v]:
+            self._halted[v] = True
+            self._live -= 1
+            self._awake.discard(v)
 
     def set_output(self, value) -> None:
-        self._sim.outputs[self.node] = value
+        self._outputs[self.node] = value
+
+    def _pop_due(self) -> list[int]:
+        """Sleepers whose wake round is the current round."""
+        wakes, due = self._wakes, []
+        while wakes and wakes[0][0] <= self.round:
+            w, v = heapq.heappop(wakes)
+            if self._wake_at[v] == w:
+                due.append(v)
+        return due
+
+    def _trace(self) -> RoundTrace:
+        return RoundTrace(
+            rounds_used=self.round,
+            messages_sent=self._messages_sent,
+            log=tuple(self._log) if self._log is not None else None,
+            outputs=dict(self._outputs),
+            meta={
+                "config": {
+                    "msg_bits": self._msg_bits,
+                    "max_rounds": self._cfg.max_rounds,
+                    "seed": self._cfg.seed,
+                }
+            },
+        )
 
 
 class NodeProgram:
@@ -199,90 +278,6 @@ class NodeProgram:
         pass
 
 
-class _SimCore:
-    def __init__(self, g: Graph, cfg: SimConfig):
-        self.g = g
-        self.msg_bits = cfg.msg_bits_for(g.n)
-        if self.msg_bits < math.ceil(math.log2(g.n + 1)):
-            raise SimError(
-                f"msg_bits={self.msg_bits} cannot even carry a node id for n={g.n}"
-            )
-        self.cfg = cfg
-        self.round_no = 0
-        self.halted = [False] * g.n
-        self.live = g.n
-        self.awake = set(range(g.n))  # stepped every round
-        # round given to each node's latest sleep(); left over, harmlessly, once awake
-        self.wake_at: list[int | None] = [None] * g.n
-        # heap of (round, node); an entry that no longer matches wake_at is stale
-        self.wakes: list[tuple[int, int]] = []
-        self.outputs: dict[int, object] = {}
-        self.edge_id = g.edge_id
-        self.outbox: list[tuple[int, int, object, str]] = []
-        self.sent_edges: set[tuple[int, int]] = set()
-        self.messages_sent = 0
-        self.log: list[MessageRecord] | None = [] if cfg.log_messages else None
-
-    def submit(self, src: int, dst: int, payload, tag: str) -> None:
-        try:
-            self.edge_id(src, dst)
-        except (GraphError, TypeError):  # TypeError: dst is not a node id
-            raise SimError(f"node {src} tried to message non-neighbor {dst}") from None
-        key = (src, dst)
-        if key in self.sent_edges:
-            raise DuplicateSendError(
-                f"node {src} sent twice on edge ({src}, {dst}) in round {self.round_no + 1}"
-            )
-        bits = payload_bits(payload)
-        if bits > self.msg_bits:
-            raise OversizeMessageError(
-                f"node {src} sent {bits} bits (> {self.msg_bits}) in round {self.round_no + 1}"
-            )
-        self.sent_edges.add(key)
-        self.outbox.append((src, dst, payload, tag))
-        self.messages_sent += 1
-        if self.log is not None:
-            self.log.append(MessageRecord(self.round_no + 1, src, dst, bits, tag))
-
-    def halt(self, v: int) -> None:
-        if not self.halted[v]:
-            self.halted[v] = True
-            self.live -= 1
-            self.awake.discard(v)
-
-    def sleep(self, v: int, until: int | None) -> None:
-        if until is not None and until <= self.round_no:
-            return
-        self.awake.discard(v)
-        self.wake_at[v] = until
-        if until is not None:
-            heapq.heappush(self.wakes, (until, v))
-
-    def pop_due(self, rnd: int) -> list[int]:
-        """Sleepers whose wake round is `rnd`."""
-        wakes, due = self.wakes, []
-        while wakes and wakes[0][0] <= rnd:
-            w, v = heapq.heappop(wakes)
-            if self.wake_at[v] == w:
-                due.append(v)
-        return due
-
-    def trace(self) -> RoundTrace:
-        return RoundTrace(
-            rounds_used=self.round_no,
-            messages_sent=self.messages_sent,
-            log=tuple(self.log) if self.log is not None else None,
-            outputs=dict(self.outputs),
-            meta={
-                "config": {
-                    "msg_bits": self.msg_bits,
-                    "max_rounds": self.cfg.max_rounds,
-                    "seed": self.cfg.seed,
-                }
-            },
-        )
-
-
 def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace:
     """Execute one program per node until all halt or max_rounds is exceeded.
 
@@ -293,36 +288,36 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
     the sleepers whose wake round has come; a step wakes the node.  When no
     node is awake and no message is in flight, the clock jumps to the round
     before the next wake round, or to max_rounds if no sleeper has one; the
-    skipped rounds count in `rounds_used`.
+    skipped rounds count in `rounds_used`.  Every step gets the run's one
+    context, with `ctx.node` set to the node stepped.
     """
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
-    core = _SimCore(g, cfg)
-    contexts = [NodeContext(v, core) for v in range(g.n)]
+    ctx = NodeContext(g, cfg)
     for v in range(g.n):
-        programs[v].on_init(contexts[v])
-    halted, awake = core.halted, core.awake
+        ctx.node = v
+        programs[v].on_init(ctx)
+    halted, awake, max_rounds = ctx._halted, ctx._awake, cfg.max_rounds
     empty: dict[int, object] = {}
-    while core.live:
-        if not awake and not core.outbox:
+    while ctx._live:
+        if not awake and not ctx._outbox:
             # a stale heap top costs one empty round, never a missed wake
-            wake = core.wakes[0][0] if core.wakes else cfg.max_rounds + 1
-            core.round_no = min(wake - 1, cfg.max_rounds)
-        if core.round_no >= cfg.max_rounds:
-            raise SimTimeout(
-                f"exceeded max_rounds={cfg.max_rounds}", core.trace()
-            )
-        core.round_no += 1
+            wake = ctx._wakes[0][0] if ctx._wakes else max_rounds + 1
+            ctx.round = min(wake - 1, max_rounds)
+        if ctx.round >= max_rounds:
+            raise SimTimeout(f"exceeded max_rounds={max_rounds}", ctx._trace())
+        ctx.round += 1
         inboxes: dict[int, dict[int, object]] = {}
-        for src, dst, payload, _tag in core.outbox:
+        for src, dst, payload, _tag in ctx._outbox:
             inboxes.setdefault(dst, {})[src] = payload
-        core.outbox = []
-        core.sent_edges = set()
-        for v in sorted(awake.union(inboxes, core.pop_due(core.round_no))):
+        ctx._outbox = []
+        ctx._sent_edges = set()
+        for v in sorted(awake.union(inboxes, ctx._pop_due())):
             if not halted[v]:
                 awake.add(v)  # a later sleep() overwrites any pending wake
-                programs[v].on_round(contexts[v], inboxes.get(v, empty))
-    return core.trace()
+                ctx.node = v
+                programs[v].on_round(ctx, inboxes.get(v, empty))
+    return ctx._trace()
 
 
 # ---------------------------------------------------------------------------

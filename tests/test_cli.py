@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treeshort import cli, engine
+from treeshort import apps, cli, engine
 from treeshort.cli import main
 from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, loads_graph, loads_partition
 
@@ -239,6 +239,30 @@ class TestLoaderErrors:
         assert not (tmp_path / "o" / created).exists()
         assert (tmp_path / "o" / kept).read_text() == "keep\n"
 
+    def test_unwritable_out_fails_before_the_work(self, caterpillar_files, tmp_path, monkeypatch, capsys):
+        """`mst` and `shortcut` read their inputs, then claim their outputs,
+        then work: an unwritable output exits 2 before Boruvka or the
+        construction runs, and a malformed graph file is still the error
+        reported first."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "ktree", "30", "3", "--seed", "5", "--weights", "--out", "k"]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(apps, "boruvka_mst", lambda *args, **kw: calls.append("mst"))
+        monkeypatch.setattr(engine, "construct_full", lambda *args: calls.append("construct"))
+        assert main(["mst", "k/graph.txt", "--seed", "1", "--out", "nodir/m.json"]) == 2
+        assert "[Errno 2] No such file or directory: 'nodir/m.json'" in capsys.readouterr().err
+        (tmp_path / "o" / "audit.json").mkdir(parents=True)
+        assert main(["shortcut", *caterpillar_files, "--seed", "1", "--out", "o"]) == 2
+        assert "[Errno 21] Is a directory: 'o/audit.json'" in capsys.readouterr().err
+        bad = write(tmp_path / "bad.txt", "4 1\n0 9\n")
+        for argv in (["mst", bad], ["shortcut", bad, caterpillar_files[1]]):
+            assert main([*argv, "--seed", "1", "--out", "nodir/m.json"]) == 2
+            assert "edge (0, 9) out of range for n=4" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o" / "shortcut.txt").exists()
+        assert not (tmp_path / "nodir").exists()
+
     def test_parts_for_a_family_with_its_own(self, tmp_path, capsys):
         argv = ["gen", "lowerbound", "6", "16", "--parts", "3", "--out", str(tmp_path)]
         assert main(argv) == 1
@@ -303,9 +327,13 @@ class TestMst:
         assert data["tree_edges"] == [0, 1, 2]
         assert data["total_weight"] == 16
 
-    def test_duplicate_weights_validation_error(self, tmp_path):
+    def test_duplicate_weights_validation_error(self, tmp_path, capsys):
         graph = write(tmp_path / "t.txt", "3 2 weighted\n0 1 5\n1 2 5\n")
         assert main(["mst", graph, "--seed", "1"]) == 2
+        capsys.readouterr()
+        # the weights are checked before the output is claimed
+        assert main(["mst", graph, "--seed", "1", "--out", str(tmp_path / "no" / "m.json")]) == 2
+        assert "pairwise distinct weights" in capsys.readouterr().err
 
 
 class TestBench:
@@ -613,6 +641,7 @@ class TestGoldenSession:
 )
 def test_gen_and_bench_reject_bad_params_alike(tmp_path, capsys, gen_args, run):
     assert main(["gen", *gen_args, "--seed", "1", "--out", str(tmp_path / "g")]) == 2
+    assert not (tmp_path / "g").exists()
     gen_err = capsys.readouterr().err
     assert gen_err.startswith("validation error: ")
     spec = write(tmp_path / "spec.json", json.dumps({"runs": [dict(run, seed=1)]}))
@@ -634,12 +663,3 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     for line in gen_lines:
         assert main(shlex.split(line)[1:]) == 0
     assert main(["bench", write(tmp_path / "spec.json", spec), "--out", "r.csv"]) == 0
-
-
-def test_readme_library_use_runs(capsys):
-    """README's "Library use" snippet runs and prints four integers."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
-    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
-    exec(code, {})
-    assert re.fullmatch(r"\d+ \d+ \d+ \d+\n", capsys.readouterr().out)

@@ -16,10 +16,17 @@ def test_import_does_not_load_networkx():
 
 def test_readme_python_blocks_run(tmp_path):
     """Every ```python block of README.md runs in a fresh interpreter with
-    only src on the path, so an API change cannot leave an example broken."""
+    only src on the path, so an API change cannot leave an example broken;
+    the "Library use" block prints four integers."""
     readme = (SRC.parent / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
-    assert blocks
+    library = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    (library_code,) = re.findall(r"```python\n(.*?)```", library, re.S)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for code in blocks:
-        subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        if code == library_code:
+            assert re.fullmatch(r"\d+ \d+ \d+ \d+\n", proc.stdout)

@@ -143,6 +143,30 @@ class TestRun:
             with pytest.raises(SimError, match="^unsupported payload type float$"):
                 payload_bits(bad)
 
+    def test_one_context_per_run_set_to_the_stepped_node(self):
+        """Every step of a run gets the same context, with `ctx.node` the
+        node being stepped."""
+        seen = []
+
+        class Record(Flood):
+            def __init__(self, v):
+                super().__init__(v == 0)
+                self.v = v
+
+            def on_init(self, ctx):
+                seen.append((id(ctx), ctx.node, self.v))
+                super().on_init(ctx)
+
+            def on_round(self, ctx, inbox):
+                seen.append((id(ctx), ctx.node, self.v))
+                super().on_round(ctx, inbox)
+
+        g = gen_wheel(6)
+        run(g, [Record(v) for v in range(g.n)], SimConfig())
+        assert len(seen) > g.n  # the init steps and the round steps
+        assert len({ctx for ctx, _, _ in seen}) == 1
+        assert all(node == v for _, node, v in seen)
+
     def test_per_node_rng_streams_are_seeded_and_distinct(self):
         class Draw(NodeProgram):
             def on_init(self, ctx):
