@@ -12,6 +12,7 @@ from treeshort.cli import main
 from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, loads_graph, loads_partition
 
 from conftest import build_fan
+from test_package import readme_block_outputs, readme_library_block
 
 
 def write(path, text):
@@ -663,3 +664,9 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     for line in gen_lines:
         assert main(shlex.split(line)[1:]) == 0
     assert main(["bench", write(tmp_path / "spec.json", spec), "--out", "r.csv"]) == 0
+
+
+def test_readme_library_use_runs():
+    """README's "Library use" snippet runs and prints four integers."""
+    out = readme_block_outputs()[readme_library_block()]
+    assert re.fullmatch(r"\d+ \d+ \d+ \d+\n", out)
