@@ -11,23 +11,25 @@ A program step receives the run's one context: `ctx.node` is the node being
 stepped, and the context is valid only during that step.
 
 The partwise-aggregation protocol splits work into an uncharged control
-plane (per-part spanning trees of G[P_i]+H_i pruned to the part, start
-delays drawn uniformly from the measured congestion range, contention
-priorities) and a charged data plane (convergecast of partial aggregates up
-each part tree followed by a broadcast of the result down).  Contention on a
-shared edge is resolved by deterministic priority, smaller delay first, then
-smaller part index; losers retry next round.  Only data-plane messages on
-graph edges are counted in the trace.
+plane (per-part spanning trees of G[P_i]+H_i pruned to the part and rooted
+at their centres, start delays drawn uniformly from the measured congestion
+range, contention priorities) and a charged data plane (convergecast of
+partial aggregates up each part tree followed by a broadcast of the result
+down).  Contention on a shared edge is resolved by deterministic priority,
+smaller delay first, then smaller part index; losers retry next round.
+Only data-plane messages on graph edges are counted in the trace.
 
 Cost model: the control plane is linear in the merged subgraphs (one BFS of
-each, kept to the paths from the part's nodes up to its root).  A run builds
-no per-node context objects and no per-node neighbour tables: a send is
-checked with `Graph.edge_id`, and `ctx.neighbors` is the graph's stored
-neighbour tuple.  An aggregation step is one `on_round` call (the init
-step too) and costs its inbox plus its sends, not the number of roles its
-node holds; a flat int payload is sized in one pass.  Part-tree congestion
-is counted by `Graph.edge_id`, and the value checks and the results walk
-the parts' nodes rather than all n nodes.
+each from min(P_i), kept to the paths from the part's nodes up to it, then
+re-rooted at the kept tree's centre by a walk over the heights recorded by
+the pass that links children; no second BFS).  A run builds no per-node
+context objects and no per-node neighbour tables: a send is checked with
+`Graph.edge_id`, and `ctx.neighbors` is the graph's stored neighbour tuple.
+An aggregation step is one `on_round` call (the init step too) and costs
+its inbox plus its sends, not the number of roles its node holds; a flat
+int payload is sized in one pass.  Part-tree congestion is counted under an
+integer key per tree edge, min(v,c)*n + max(v,c), and the value checks and
+the results walk the parts' nodes rather than all n nodes.
 """
 
 from __future__ import annotations
@@ -431,9 +433,15 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
 
     The tree is the BFS tree from min(P_i), over neighbours in ascending
     order, cut down to the union of the paths from the part's nodes up to
-    the root.  Returns (parent, children): the BFS parent of every merged
-    node, and the children of every live node as a tuple in BFS order, keyed
-    by exactly the live nodes; raises if the merged subgraph is disconnected.
+    min(P_i), then re-rooted at its centre: the walk from min(P_i) steps to
+    the tallest child while the eccentricity drops, so a tie goes to the
+    centre nearest min(P_i), and the parent pointers along the walk are
+    reversed.  The edge set is the pruned BFS tree's; the height is the
+    tree's radius.  Returns (parent, children, height): the parent of every
+    merged node (None at the root), the children of every live node as a
+    tuple in BFS order, a former parent last, keyed by exactly the live
+    nodes, and the tree's height; raises if the merged subgraph is
+    disconnected.
     """
     nodes, adj = _merged_subgraph(g, part, edges)
     for nbrs in adj.values():
@@ -453,10 +461,39 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
         while v not in children:
             children[v] = []
             v = parent[v]
-    for v in order[1:]:
+    height = dict.fromkeys(children, 0)
+    for v in order[:0:-1]:  # reverse BFS order: a node's children come first
         if v in children:
-            children[parent[v]].append(v)
-    return parent, {v: tuple(cs) for v, cs in children.items()}
+            pv = parent[v]
+            children[pv].append(v)  # so each list is in reverse BFS order
+            hv = height[v] + 1
+            if hv > height[pv]:
+                height[pv] = hv
+    # Walk down into the tallest child while that drops the eccentricity.
+    # `up` is the distance from the walk's node to the farthest live node
+    # outside its subtree and never exceeds the node's height, so the
+    # eccentricity is the height, and a step drops it iff the step's `up`
+    # stays below the height it leaves.  `beside` is the longest way down
+    # through the other children.
+    walk, up = [root], 0
+    while up + 1 < height[root]:
+        tallest, beside, below = None, 0, height[root] - 1
+        for c in children[root]:
+            if tallest is None and height[c] == below:
+                tallest = c
+            elif height[c] >= beside:
+                beside = height[c] + 1
+        up = max(up, beside) + 1
+        if up >= height[root]:
+            break
+        walk.append(tallest)
+        root = tallest
+    for v, pv in zip(walk, walk[1:]):
+        children[v].remove(pv)
+        children[pv].insert(0, v)  # last once the list is put in BFS order
+        parent[v] = pv
+    parent[root] = None
+    return parent, {v: tuple(cs[::-1]) for v, cs in children.items()}, height[root]
 
 
 def partwise_aggregate(
@@ -493,14 +530,16 @@ def partwise_aggregate(
         )
     edge_map = as_edge_map(shortcut)
     trees = []
-    edge_use: dict[int, int] = {}
+    edge_use: dict[int, int] = {}  # keyed min(v, c) * n + max(v, c)
+    n, depth = g.n, 0
     for i in range(parts.k):
-        parent, children = _part_tree(g, parts.parts[i], edge_map.get(i, frozenset()), i)
+        parent, children, height = _part_tree(g, parts.parts[i], edge_map.get(i, frozenset()), i)
         trees.append((parent, children))
+        depth = max(depth, height)
         for v, cs in children.items():
             for c in cs:
-                eid = g.edge_id(v, c)
-                edge_use[eid] = edge_use.get(eid, 0) + 1
+                key = v * n + c if v < c else c * n + v
+                edge_use[key] = edge_use.get(key, 0) + 1
     congestion = max(edge_use.values(), default=0)
     delay_range = max(congestion, 1)
     control_rng = random.Random(f"{cfg.seed}:delays")
@@ -520,6 +559,8 @@ def partwise_aggregate(
         control_plane="part trees, delays, and priorities computed centrally",
         delay_range=delay_range,
         op=task.op,
+        part_root="centre of the pruned BFS tree from min(P_i), nearest min(P_i) on ties",
+        part_tree_depth=depth,
         parts=parts.k,
     )
     outputs = trace.outputs

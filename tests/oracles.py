@@ -65,10 +65,13 @@ def induced_diameter(n, edges, subset):
 def pruned_part_tree(n, edges, part):
     """The aggregation part tree built the long way: the BFS tree of the
     graph (n, edges) from min(part), over neighbours in ascending order, with
-    relay leaves outside the part peeled one at a time until none is left.
+    relay leaves outside the part peeled one at a time until none is left,
+    then re-rooted at the live node of smallest eccentricity (a BFS over the
+    tree from every live node), nearest min(part) on ties, by reversing the
+    parent pointers on the path between the two.
 
     Returns (parent, children, live) over the nodes the BFS reaches, children
-    as tuples in BFS order.
+    as tuples in BFS order with a former parent last.
     """
     adj = {v: sorted(nbrs) for v, nbrs in adjacency(n, edges).items()}
     part_set = set(part)
@@ -94,7 +97,20 @@ def pruned_part_tree(n, edges, part):
             degree[pv] -= 1
             if degree[pv] == 0 and pv not in part_set:
                 stack.append(pv)
-    return parent, {v: tuple(c for c in children[v] if c in live) for v in live}, live
+    children = {v: [c for c in children[v] if c in live] for v in live}
+    tree_adj = {v: children[v] + ([parent[v]] if parent[v] is not None else []) for v in live}
+    from_root = bfs_dist(tree_adj, root)
+    ecc = {v: max(bfs_dist(tree_adj, v).values()) for v in live}
+    centre = min(live, key=lambda v: (ecc[v], from_root[v]))
+    path = [centre]  # from the centre up to min(part)
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    for child, former in zip(path, path[1:]):
+        children[former].remove(child)
+        children[child].append(former)
+        parent[former] = child
+    parent[centre] = None
+    return parent, {v: tuple(cs) for v, cs in children.items()}, live
 
 
 def parts_below_tree_edge(tree, partition, blocked, eid):

@@ -162,23 +162,66 @@ def json_digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def golden_mst_inputs():
+    """(weighted graph, sim seed) of the two pinned MST runs."""
+    return (
+        (assign_weights(gen_ktree(150, 3, 4), 6), 2),
+        (assign_weights(gen_grid(9, 9), 8), 3),
+    )
+
+
+def golden_log_inputs():
+    """(graph, parts, seed) of `test_sim.TestGoldenLogs`."""
+    grid, wheel = gen_grid(12, 12), gen_wheel(41)
+    wheel_parts = Partition(wheel.n, [list(range(1 + 10 * a, 11 + 10 * a)) for a in range(4)])
+    return (
+        (grid, gen_parts_random(grid, 15, 3), 3),
+        (*build_fan(9, 18, 9), 1),
+        (wheel, wheel_parts, 1),
+    )
+
+
+def golden_sum_aggregate(g, p, seed):
+    """Sum of node ids over the engine's shortcut, as `TestGoldenLogs` runs it."""
+    result = construct_full(g, bfs_tree(g, 0), p, EngineConfig(), random.Random(seed))
+    task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+    return partwise_aggregate(g, p, result.shortcut, task, SimConfig(seed=seed))
+
+
+def labels_of_random_grid_subset():
+    g = gen_grid(7, 7)
+    rng = random.Random(5)
+    sub = frozenset(e for e in range(g.m) if rng.random() < 0.45)
+    labels = label_components(g, sub, SimConfig(seed=5))
+    return [labels[v] for v in range(g.n)]
+
+
+def labels_on_disconnected_host():
+    # two 3x3 islands and an isolated node 18
+    island = gen_grid(3, 3)
+    edges = list(island.edges) + [(u + 9, v + 9) for u, v in island.edges]
+    g = Graph(19, edges)
+    labels = label_components(g, frozenset(range(0, g.m, 2)), SimConfig(seed=3))
+    return [labels[v] for v in range(g.n)]
+
+
 class TestGolden:
     """MST results and labels pinned by hash, so a change to `apps` that moves
     an MST edge, a per-phase round count or a label fails here, not only a
     comparison of two runs of the same code."""
 
     def test_ktree_mst(self):
-        g = assign_weights(gen_ktree(150, 3, 4), 6)
-        result = boruvka_mst(g, SimConfig(seed=2))
+        g, seed = golden_mst_inputs()[0]
+        result = boruvka_mst(g, SimConfig(seed=seed))
         assert json_digest(result.to_json_dict()) == (
             "fcd7b4abd21813902313edee158698eab0188696aaba796fa50ed9d98e176dc5"
         )
 
     def test_grid_mst(self):
-        g = assign_weights(gen_grid(9, 9), 8)
-        result = boruvka_mst(g, SimConfig(seed=3))
+        g, seed = golden_mst_inputs()[1]
+        result = boruvka_mst(g, SimConfig(seed=seed))
         assert json_digest(result.to_json_dict()) == (
-            "81a81359f3850885d2185ea212645ee39ab89bc58748c7a85b31dfac366d962e"
+            "2085f023ae63cae2e3f64fc8ee7e0b4bd41174e50f440dd3484c321fc0f9cdf5"
         )
 
     def test_edges_and_costs_do_not_depend_on_shortcut_shape(self, monkeypatch):
@@ -194,43 +237,40 @@ class TestGolden:
 
         monkeypatch.setattr(apps, "partwise_aggregate", recording)
         pinned = []
-        for g, seed in (
-            (assign_weights(gen_ktree(150, 3, 4), 6), 2),
-            (assign_weights(gen_grid(9, 9), 8), 3),
-        ):
+        for g, seed in golden_mst_inputs():
             traces.clear()
             result = boruvka_mst(g, SimConfig(seed=seed))
             pinned.append([sorted(result.tree_edges), result.total_weight, list(traces)])
-        grid, wheel = gen_grid(12, 12), gen_wheel(41)
-        wheel_parts = Partition(wheel.n, [list(range(1 + 10 * a, 11 + 10 * a)) for a in range(4)])
-        for g, p, seed in (
-            (grid, gen_parts_random(grid, 15, 3), 3),
-            (*build_fan(9, 18, 9), 1),
-            (wheel, wheel_parts, 1),
-        ):
-            result = construct_full(g, bfs_tree(g, 0), p, EngineConfig(), random.Random(seed))
-            task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
-            _, trace = partwise_aggregate(g, p, result.shortcut, task, SimConfig(seed=seed))
+        for g, p, seed in golden_log_inputs():
+            _, trace = golden_sum_aggregate(g, p, seed)
             pinned.append([trace.rounds_used, trace.messages_sent])
         assert json_digest(pinned) == (
-            "09b60cc7a900b8d30221ba1d3a05bc26d979b709951274f0b11254f7d2cae231"
+            "4e38bb82e2ff301f74ed38e7053d6807bfc0a306e244ca7aab22ed5caa7060f5"
+        )
+
+    def test_results_and_messages_do_not_depend_on_part_tree_root(self):
+        """What moving a part tree's root may not move: the results and
+        message counts of `TestGoldenLogs`, the MST edges and weights of the
+        two MST inputs above and the labels of the two label inputs below."""
+        pinned = []
+        for g, p, seed in golden_log_inputs():
+            results, trace = golden_sum_aggregate(g, p, seed)
+            pinned.append([[results[v] for v in sorted(results)], trace.messages_sent])
+        for g, seed in golden_mst_inputs():
+            result = boruvka_mst(g, SimConfig(seed=seed))
+            pinned.append([sorted(result.tree_edges), result.total_weight])
+        pinned.append(labels_of_random_grid_subset())
+        pinned.append(labels_on_disconnected_host())
+        assert json_digest(pinned) == (
+            "2e23d4d76487afaade0e9192a2d5617c6885eabc86b8057c405863dbe91b1e8f"
         )
 
     def test_labels_of_random_grid_subset(self):
-        g = gen_grid(7, 7)
-        rng = random.Random(5)
-        sub = frozenset(e for e in range(g.m) if rng.random() < 0.45)
-        labels = label_components(g, sub, SimConfig(seed=5))
-        assert json_digest([labels[v] for v in range(g.n)]) == (
+        assert json_digest(labels_of_random_grid_subset()) == (
             "2324c14d71d995dec68293344d2595133a566f869b0dc1af524c57c480aea744"
         )
 
     def test_labels_on_disconnected_host(self):
-        # two 3x3 islands and an isolated node 18
-        island = gen_grid(3, 3)
-        edges = list(island.edges) + [(u + 9, v + 9) for u, v in island.edges]
-        g = Graph(19, edges)
-        labels = label_components(g, frozenset(range(0, g.m, 2)), SimConfig(seed=3))
-        assert json_digest([labels[v] for v in range(g.n)]) == (
+        assert json_digest(labels_on_disconnected_host()) == (
             "6db6d74174f823c5c7cf03b52c1e8dc5cae6c0daeaf3c6452889e99ec465f3ed"
         )

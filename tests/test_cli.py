@@ -285,6 +285,10 @@ class TestAggregate:
         for i in range(parts.k):
             assert payload["per_part"][str(i)] == sum(parts.parts[i])
         assert trace.read_text().splitlines()[0] == "round,src,dst,bits,tag"
+        # the deepest part tree's convergecast and broadcast bound the rounds
+        meta = payload["trace"]["meta"]
+        assert meta["part_root"].startswith("centre of the pruned BFS tree")
+        assert 1 <= 2 * meta["part_tree_depth"] <= payload["trace"]["rounds_used"]
 
 
 class TestAggregateShortcutFile:
@@ -626,7 +630,7 @@ class TestGoldenSession:
             digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
         assert digest.hexdigest() == (
-            "23be4db7ed0e12be781ceb2cb232494977d6aa03a2d0f961e591025a9f4cbbab"
+            "701abae0c95cab004dcb196d1382146ab3232b63ae1c06e20d0d6a059a28f0e6"
         )
 
 

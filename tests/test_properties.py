@@ -399,13 +399,18 @@ def test_part_tree_spans_part_inside_merged_subgraph(inst):
             _part_tree(g, part, h, 5)
         return
     nodes, edges = merged_edges(g, part, h)
-    parent, children = _part_tree(g, part, h, 5)
+    parent, children, height = _part_tree(g, part, h, 5)
     live = children.keys()
     want_parent, want_children, want_live = oracles.pruned_part_tree(g.n, edges, part)
     assert live == want_live
     assert {v: parent[v] for v in live} == {v: want_parent[v] for v in live}
     assert children == want_children  # tuples compared in order
-    root = min(part)
+    (root,) = [v for v in live if parent[v] is None]
+    tree_adj = oracles.adjacency(g.n, [(v, c) for v in live for c in children[v]])
+    ecc = {v: max(oracles.bfs_dist(tree_adj, v).values()) for v in live}
+    # the root is a centre: no higher than min(part), half the diameter
+    assert height == ecc[root] <= ecc[min(part)]
+    assert height == math.ceil(max(ecc.values()) / 2)
     assert set(part) <= live <= nodes
     assert parent[root] is None
     for v in live - {root}:
