@@ -247,6 +247,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    if args.shortcut and args.max_delta is not None:
+        raise UsageError("--max-delta caps a constructed shortcut; it cannot apply to --shortcut")
+    if args.out and args.trace_csv and Path(args.out).resolve() == Path(args.trace_csv).resolve():
+        raise UsageError("--out and --trace-csv name the same file")
     g, p = _load_instance(args.graph, args.parts)
     shortcut = _load_shortcut(args.shortcut, g, p, bfs_tree(g, 0)) if args.shortcut else None
     cfg = sim.SimConfig(

@@ -3,10 +3,13 @@
 The simulator runs lock-step rounds: messages sent during round r are
 delivered at the start of round r+1, and each directed edge carries at most
 one message of at most `msg_bits` bits per round (violations raise, they are
-never silently dropped).  A non-halted node steps once per round unless it
-sleeps: a node that calls `ctx.sleep(until)` is next stepped when a message
-reaches it or in round `until`, whichever comes first.  Rounds in which no
-node steps and no message is in flight are skipped but still counted.
+never silently dropped).  A send is stored at once in the receiver's inbox
+for the next round, and an inbox lists its senders in send order, so a
+second send on one edge in one round is caught at the send.  A non-halted
+node steps once per round unless it sleeps: a node that calls
+`ctx.sleep(until)` is next stepped when a message reaches it or in round
+`until`, whichever comes first.  Rounds in which no node steps and no
+message is in flight are skipped but still counted.
 A program step receives the run's one context: `ctx.node` is the node being
 stepped, and the context is valid only during that step.
 
@@ -19,17 +22,17 @@ down).  Contention on a shared edge is resolved by deterministic priority,
 smaller delay first, then smaller part index; losers retry next round.
 Only data-plane messages on graph edges are counted in the trace.
 
-Cost model: the control plane is linear in the merged subgraphs (one BFS of
-each from min(P_i), kept to the paths from the part's nodes up to it, then
-re-rooted at the kept tree's centre by a walk over the heights recorded by
-the pass that links children; no second BFS).  A run builds no per-node
-context objects and no per-node neighbour tables: a send is checked with
-`Graph.edge_id`, and `ctx.neighbors` is the graph's stored neighbour tuple.
-An aggregation step is one `on_round` call (the init step too) and costs
-its inbox plus its sends, not the number of roles its node holds; a flat
-int payload is sized in one pass.  Part-tree congestion is counted under an
-integer key per tree edge, min(v,c)*n + max(v,c), and the value checks and
-the results walk the parts' nodes rather than all n nodes.
+Cost model: the control plane is linear in the merged subgraphs, besides
+sorting each merged node's neighbour list (one BFS of each from min(P_i),
+kept to the paths from the part's nodes up to it, then re-rooted at the
+kept tree's centre by a walk over the heights recorded by the pass that
+links children).  A send is checked with `Graph.edge_id`, and
+`ctx.neighbors` is the graph's stored neighbour tuple.  An aggregation step
+is one `on_round` call (the init step too) and costs its inbox plus its
+sends, not the number of roles its node holds; a flat int payload is sized
+in one pass.  Part-tree congestion is counted under an integer key per tree
+edge, min(v,c)*n + max(v,c), and the value checks and the results walk the
+parts' nodes.
 """
 
 from __future__ import annotations
@@ -156,11 +159,12 @@ class NodeContext:
     `run` builds one context per run and sets `node` to the node it steps
     before each `on_init` or `on_round` call; `send`, `sleep`, `halt` and
     `set_output` act for that node.  A context is valid only during the step
-    it is passed to."""
+    it is passed to.  `send` checks a message and stores it in the
+    receiver's inbox for the next round, which lists its senders in send
+    order; a second send on one edge in one round raises there."""
 
     __slots__ = ("node", "round", "_g", "_cfg", "_msg_bits", "_edge_id", "_rngs", "_halted",
-                 "_live", "_awake", "_wake_at", "_wakes", "_outputs", "_outbox", "_sent_edges",
-                 "_messages_sent", "_log")
+                 "_awake", "_wake_at", "_wakes", "_outputs", "_next", "_messages_sent", "_log")
 
     def __init__(self, g: Graph, cfg: SimConfig):
         self._msg_bits = cfg.msg_bits_for(g.n)
@@ -174,16 +178,15 @@ class NodeContext:
         self._cfg = cfg
         self._edge_id = g.edge_id
         self._rngs: dict[int, random.Random] = {}
-        self._halted = [False] * g.n
-        self._live = g.n
+        self._halted: set[int] = set()
         self._awake = set(range(g.n))  # stepped every round
         # round given to each node's latest sleep(); left over, harmlessly, once awake
         self._wake_at: list[int | None] = [None] * g.n
         # heap of (round, node); an entry that no longer matches _wake_at is stale
         self._wakes: list[tuple[int, int]] = []
         self._outputs: dict[int, object] = {}
-        self._outbox: list[tuple[int, int, object, str]] = []
-        self._sent_edges: set[tuple[int, int]] = set()
+        # next round's inboxes: dst -> {src: payload}, senders in send order
+        self._next: dict[int, dict[int, object]] = {}
         self._messages_sent = 0
         self._log: list[MessageRecord] | None = [] if cfg.log_messages else None
 
@@ -206,8 +209,8 @@ class NodeContext:
             self._edge_id(src, dst)
         except (GraphError, TypeError):  # TypeError: dst is not a node id
             raise SimError(f"node {src} tried to message non-neighbor {dst}") from None
-        key = (src, dst)
-        if key in self._sent_edges:
+        inbox = self._next.get(dst)
+        if inbox is not None and src in inbox:
             raise DuplicateSendError(
                 f"node {src} sent twice on edge ({src}, {dst}) in round {self.round + 1}"
             )
@@ -216,8 +219,9 @@ class NodeContext:
             raise OversizeMessageError(
                 f"node {src} sent {bits} bits (> {self._msg_bits}) in round {self.round + 1}"
             )
-        self._sent_edges.add(key)
-        self._outbox.append((src, dst, payload, tag))
+        if inbox is None:
+            inbox = self._next[dst] = {}
+        inbox[src] = payload
         self._messages_sent += 1
         if self._log is not None:
             self._log.append(MessageRecord(self.round + 1, src, dst, bits, tag))
@@ -235,11 +239,8 @@ class NodeContext:
             heapq.heappush(self._wakes, (until, v))
 
     def halt(self) -> None:
-        v = self.node
-        if not self._halted[v]:
-            self._halted[v] = True
-            self._live -= 1
-            self._awake.discard(v)
+        self._halted.add(self.node)
+        self._awake.discard(self.node)
 
     def set_output(self, value) -> None:
         self._outputs[self.node] = value
@@ -284,14 +285,15 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
     """Execute one program per node until all halt or max_rounds is exceeded.
 
     Messages sent during round r (round 0 being the init hook) occupy their
-    edge in round r+1; a message addressed to a node that has already halted
-    is counted and logged but silently dropped.  Each round steps, in
-    ascending id order, the awake nodes, the non-halted nodes with mail and
-    the sleepers whose wake round has come; a step wakes the node.  When no
-    node is awake and no message is in flight, the clock jumps to the round
-    before the next wake round, or to max_rounds if no sleeper has one; the
-    skipped rounds count in `rounds_used`.  Every step gets the run's one
-    context, with `ctx.node` set to the node stepped.
+    edge in round r+1, when the receiver gets them in one inbox that lists
+    its senders in send order; a message addressed to a node that has
+    already halted is counted and logged but silently dropped.  Each round
+    steps, in ascending id order, the awake nodes, the non-halted nodes with
+    mail and the sleepers whose wake round has come; a step wakes the node.
+    When no node is awake and no message is in flight, the clock jumps to
+    the round before the next wake round, or to max_rounds if no sleeper has
+    one; the skipped rounds count in `rounds_used`.  Every step gets the
+    run's one context, with `ctx.node` set to the node stepped.
     """
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
@@ -301,21 +303,17 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
         programs[v].on_init(ctx)
     halted, awake, max_rounds = ctx._halted, ctx._awake, cfg.max_rounds
     empty: dict[int, object] = {}
-    while ctx._live:
-        if not awake and not ctx._outbox:
+    while len(halted) < g.n:
+        if not awake and not ctx._next:
             # a stale heap top costs one empty round, never a missed wake
             wake = ctx._wakes[0][0] if ctx._wakes else max_rounds + 1
             ctx.round = min(wake - 1, max_rounds)
         if ctx.round >= max_rounds:
             raise SimTimeout(f"exceeded max_rounds={max_rounds}", ctx._trace())
         ctx.round += 1
-        inboxes: dict[int, dict[int, object]] = {}
-        for src, dst, payload, _tag in ctx._outbox:
-            inboxes.setdefault(dst, {})[src] = payload
-        ctx._outbox = []
-        ctx._sent_edges = set()
+        inboxes, ctx._next = ctx._next, {}
         for v in sorted(awake.union(inboxes, ctx._pop_due())):
-            if not halted[v]:
+            if v not in halted:
                 awake.add(v)  # a later sleep() overwrites any pending wake
                 ctx.node = v
                 programs[v].on_round(ctx, inboxes.get(v, empty))
@@ -356,7 +354,8 @@ class _AggregateProgram(NodeProgram):
         # reported and that have not sent up yet
         self.ready: list[tuple[int, int]] = []
         self.unresolved = 0  # roles still waiting for their part's result
-        # per destination, in first-use order, which fixes the send order
+        # per destination, a heap of queued messages keyed (delay, part); the
+        # destinations' first-use order fixes the send order
         self.pending: dict[int, list[tuple[int, int, int, int]]] = {}
         self.backlog = 0  # messages held in `pending`
 
@@ -368,7 +367,7 @@ class _AggregateProgram(NodeProgram):
 
     def _queue(self, role: _Role, dst: int, kind: int, value: int) -> None:
         # (delay, part) is the contention priority and unique per queue
-        self.pending.setdefault(dst, []).append((role.delay, role.part, kind, value))
+        heapq.heappush(self.pending.setdefault(dst, []), (role.delay, role.part, kind, value))
         self.backlog += 1
 
     def _deliver_result(self, ctx: NodeContext, role: _Role, value: int) -> None:
@@ -410,12 +409,7 @@ class _AggregateProgram(NodeProgram):
             for dst, queue in self.pending.items():
                 if not queue:
                     continue  # an emptied queue stays: first-use order fixes the send order
-                if len(queue) == 1:
-                    entry = queue.pop()
-                else:
-                    entry = min(queue)
-                    queue.remove(entry)
-                _, part, kind, value = entry
+                _, part, kind, value = heapq.heappop(queue)
                 self.backlog -= 1
                 ctx.send(dst, (part, kind, value), tag=_TAGS[kind])
             if self.backlog:

@@ -290,6 +290,20 @@ class TestAggregate:
         assert meta["part_root"].startswith("centre of the pruned BFS tree")
         assert 1 <= 2 * meta["part_tree_depth"] <= payload["trace"]["rounds_used"]
 
+    def test_out_and_trace_csv_on_one_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        """Checked before the inputs are read, so missing inputs still exit
+        1, and no file is created."""
+        monkeypatch.chdir(tmp_path)
+        main(["gen", "grid", "5", "5", "--out", "g", "--parts", "3", "--seed", "4"])
+        capsys.readouterr()
+        for graph in ("g/graph.txt", "missing.txt"):
+            argv = ["aggregate", graph, "g/parts.txt", "--seed", "2"]
+            assert main([*argv, "--out", "same.txt", "--trace-csv", "./same.txt"]) == 1
+            assert capsys.readouterr().err == (
+                "usage error: --out and --trace-csv name the same file\n"
+            )
+        assert not (tmp_path / "same.txt").exists()
+
 
 class TestAggregateShortcutFile:
     """`aggregate --shortcut` rejects the files that `audit` rejects."""
@@ -320,6 +334,20 @@ class TestAggregateShortcutFile:
 
     def test_valid_file_accepted(self, grid_files, tmp_path):
         assert self.aggregate(grid_files, tmp_path, [""] * 10) == 0
+
+    def test_max_delta_with_shortcut_file_is_usage_error(self, grid_files, tmp_path, capsys):
+        """Checked before the inputs are read, so a missing shortcut file
+        still exits 1, and no output file is created."""
+        out = tmp_path / "agg.json"
+        for shortcut in (write(tmp_path / "sc.txt", "".join(f"{i} :\n" for i in range(10))),
+                         str(tmp_path / "missing.txt")):
+            argv = ["aggregate", *grid_files, "--seed", "1", "--shortcut", shortcut]
+            assert main([*argv, "--max-delta", "4", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "usage error: --max-delta caps a constructed shortcut; "
+                "it cannot apply to --shortcut\n"
+            )
+        assert not out.exists()
 
 
 class TestMst:

@@ -90,8 +90,24 @@ class TestRun:
                 ctx.send(ctx.neighbors[0], 2)
 
         g = path_graph(2)
-        with pytest.raises(DuplicateSendError):
+        message = re.escape("node 0 sent twice on edge (0, 1) in round 1")
+        with pytest.raises(DuplicateSendError, match=f"^{message}$"):
             run(g, [Stutter(), HaltAtInit()], SimConfig())
+
+    def test_two_senders_reach_one_node_in_send_order(self):
+        class Send(NodeProgram):
+            def on_init(self, ctx):
+                ctx.send(1, 10 + ctx.node)
+                ctx.halt()
+
+        class Receive(NodeProgram):
+            def on_round(self, ctx, inbox):
+                ctx.set_output(list(inbox.items()))
+                ctx.halt()
+
+        trace = run(path_graph(3), [Send(), Receive(), Send()], SimConfig())
+        assert trace.outputs == {1: [(0, 10), (2, 12)]}
+        assert (trace.rounds_used, trace.messages_sent) == (1, 2)
 
     def test_non_neighbor_send_rejected(self):
         """A node out of range, a non-adjacent node and a destination that is
@@ -319,6 +335,19 @@ class TestScheduler:
         assert 0 < steps <= trace.messages_sent + g.n
 
 
+class Gossip(NodeProgram):
+    """Send the node's id to every neighbour, then output the senders in
+    the order the inbox lists them."""
+
+    def on_init(self, ctx):
+        for u in ctx.neighbors:
+            ctx.send(u, ctx.node)
+
+    def on_round(self, ctx, inbox):
+        ctx.set_output(tuple(inbox))
+        ctx.halt()
+
+
 def log_digest(log):
     text = "".join(f"{r.round} {r.src} {r.dst} {r.bits} {r.tag}\n" for r in log)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -362,6 +391,16 @@ class TestGoldenLogs:
         assert (trace.rounds_used, trace.messages_sent) == (4, 80)
         assert log_digest(trace.log) == (
             "fed7b122ea64aaceaeff24579e3a6d4d234d8f40bff06e48da479eae07be8307"
+        )
+
+    def test_wheel_inbox_order(self):
+        # every inbox lists its senders in the order they sent
+        g = gen_wheel(10)
+        trace = run(g, [Gossip() for _ in range(g.n)], SimConfig(log_messages=True))
+        text = repr((sorted(trace.outputs.items()), trace.rounds_used, trace.messages_sent,
+                     log_digest(trace.log)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9711430bca8a5d541cb5e33a7328811862b8914793aad277a150b8b40c861a74"
         )
 
 
