@@ -50,6 +50,6 @@ from .sim import (
     partwise_aggregate,
     run,
 )
-from .apps import MstResult, boruvka_mst, kruskal_oracle, label_components
+from .apps import MstResult, boruvka_mst, kruskal_oracle
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,6 +20,13 @@ from .graph import Graph, GraphError, Partition
 
 @dataclass(frozen=True)
 class LowerBoundInstance:
+    """A lower-bound topology and its parameters.
+
+    Node ids are dense: top-path node p_i (i in 1..top_path_nodes) is i - 1,
+    and grid node v_{i,j} (row i, column j, both in 1..grid_side) is
+    top_path_nodes + (i - 1) * grid_side + (j - 1).
+    """
+
     graph: Graph
     parts: Partition  # the row paths; top-path nodes belong to no part
     delta_prime: int
@@ -30,14 +37,6 @@ class LowerBoundInstance:
     top_path_nodes: int  # (delta-1)*k + 1
     grid_side: int  # (delta-1)*D + 1
     quality_floor: Fraction  # (delta'-3) * D' / 6
-
-    def p_node(self, i: int) -> int:
-        """Dense id of top-path node p_i, i in 1..top_path_nodes."""
-        return i - 1
-
-    def v_node(self, i: int, j: int) -> int:
-        """Dense id of grid node v_{i,j}, i,j in 1..grid_side (row i, column j)."""
-        return self.top_path_nodes + (i - 1) * self.grid_side + (j - 1)
 
 
 def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
@@ -55,7 +54,7 @@ def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
     top = (delta - 1) * k + 1
     side = (delta - 1) * D + 1
 
-    def p_node(i: int) -> int:
+    def p_node(i: int) -> int:  # numbered as in LowerBoundInstance
         return i - 1
 
     def v_node(i: int, j: int) -> int:

@@ -17,6 +17,13 @@ import oracles
 from oracles import is_planar
 
 
+def lb_node(inst, i, j=None):
+    """Id of top-path node p_i, or of grid node v_{i,j} when j is given."""
+    if j is None:
+        return i - 1
+    return inst.top_path_nodes + (i - 1) * inst.grid_side + (j - 1)
+
+
 def lower_bound_attachment_edges(inst):
     """Edge ids of the delta*(delta-1) attachments to rows other than row 1.
 
@@ -26,10 +33,10 @@ def lower_bound_attachment_edges(inst):
     ids = []
     for j in range(1, inst.delta + 1):
         col = (j - 1) * inst.D + 1
-        anchor = inst.p_node((j - 1) * inst.k + 1)
+        anchor = lb_node(inst, (j - 1) * inst.k + 1)
         for jp in range(2, inst.delta + 1):  # row 1 attachments stay
             row = (jp - 1) * inst.D + 1
-            ids.append(inst.graph.edge_id(inst.v_node(row, col), anchor))
+            ids.append(inst.graph.edge_id(lb_node(inst, row, col), anchor))
     return ids
 
 
@@ -71,14 +78,14 @@ class TestLowerBound:
         inst = gen_lower_bound(5, 12)
         assert validate_partition(inst.graph, inst.parts) is None
         for i in range(inst.top_path_nodes):
-            assert inst.parts.part_of[inst.p_node(i + 1)] is None
+            assert inst.parts.part_of[lb_node(inst, i + 1)] is None
 
     def test_radius_bound_holds_at_the_hub(self):
         # The routing argument bounds the eccentricity of the middle top-path
         # node by 1.5D+1; the diameter itself lands between that and twice it.
         for delta_prime, D_prime in [(5, 12), (6, 16)]:
             inst = gen_lower_bound(delta_prime, D_prime)
-            hub = inst.p_node((inst.top_path_nodes + 1) // 2)
+            hub = lb_node(inst, (inst.top_path_nodes + 1) // 2)
             ecc = bfs_tree(inst.graph, hub).D
             assert ecc <= 1.5 * inst.D + 1 <= D_prime
             assert diameter(inst.graph) <= 2 * ecc

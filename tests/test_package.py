@@ -1,10 +1,14 @@
+import ast
 import functools
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
+
+import treeshort
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -44,3 +48,26 @@ def test_readme_python_blocks_run():
     """Every README Python block runs, so an API change cannot leave an
     example broken; the "Library use" block is among them."""
     assert readme_library_block() in readme_block_outputs()
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """No public symbol exists only for its tests: each non-module name in
+    `treeshort.__all__` is read in another library module, in perfbench or
+    in a README Python block."""
+    root = SRC.parent
+    sources = [p.read_text() for p in (SRC / "treeshort").glob("*.py") if p.name != "__init__.py"]
+    sources += [p.read_text() for p in (root / "perfbench").glob("*.py")]
+    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = {
+        name
+        for name in treeshort.__all__
+        if not isinstance(getattr(treeshort, name), types.ModuleType)
+    }
+    assert sorted(public - used) == []
