@@ -214,6 +214,31 @@ def bfs_tree(g: Graph, root: int) -> RootedTree:
     return RootedTree(g, root, parent)
 
 
+def _largest_eccentricity(adj, nodes, sources) -> int:
+    """Largest eccentricity among `sources` in the connected graph on `nodes`,
+    by one multi-source bit-parallel BFS (Then et al., 2014): bit j of
+    `unseen[v]` stays set until the search from sources[j] reaches v, each
+    round pushes to the neighbours only the bits a node gained in the round
+    before, and the last round with a gain is the answer."""
+    unseen = dict.fromkeys(nodes, (1 << len(sources)) - 1)
+    frontier = {}
+    for j, s in enumerate(sources):
+        frontier[s] = 1 << j
+        unseen[s] ^= 1 << j
+    ecc = -1
+    while frontier:
+        ecc += 1
+        gained = {}
+        for v, bits in frontier.items():
+            for u in adj[v]:
+                new = bits & unseen[u]
+                if new:
+                    unseen[u] ^= new
+                    gained[u] = gained.get(u, 0) | new
+        frontier = gained
+    return ecc
+
+
 def _bfs_far(adj, source: int) -> tuple[dict[int, int], int]:
     """BFS distances from source over `adj`, and the last node reached (a farthest one)."""
     dist = {source: 0}
@@ -229,8 +254,9 @@ def _bfs_far(adj, source: int) -> tuple[dict[int, int], int]:
 # Kernel rule: all-pairs distances on a kernel of K nodes cost about K*K
 # steps and a BFS about n.  A kernel of more than n/4 nodes (dense parts, such
 # as k-tree parts and grid blocks) or of more than 4*sqrt(n) nodes (large
-# subdivided meshes) would cost more than the handful of BFS runs that
-# BoundingDiameters needs on such graphs, so those keep the BFS loop.
+# subdivided meshes) would cost more than BoundingDiameters, which passes
+# over the arcs at most about 3*D times (D the diameter, small on such
+# graphs), so those keep the BFS loop.
 _KERNEL_RATIO = 4
 
 
@@ -263,6 +289,15 @@ def _diameter_of(adj, nodes) -> int | float:
     a BFS from s with eccentricity e bounds every candidate w by
     max(d, e-d) <= ecc(w) <= e+d, d = d(s, w), and a candidate is dropped
     once its upper bound is at most `best`, the largest distance found.
+    On dense graphs of small diameter the bounds can stall, so the sweeps
+    stop once their number reaches the largest upper bound U left among the
+    candidates, and one bit-parallel BFS from all of them
+    (_largest_eccentricity) gives their largest eccentricity; the diameter
+    is the larger of that and `best`, since no dropped node's eccentricity
+    exceeds `best`.  Every upper bound is at most twice the first BFS's
+    eccentricity, so the routine runs at most 2*D BFS and at most D+1
+    finisher rounds, each round visiting every arc at most once (with one
+    operation on a mask of one bit per candidate).
     """
     deg = {v: len(adj[v]) for v in nodes}
     height = dict.fromkeys(deg, 0)
@@ -298,10 +333,12 @@ def _diameter_of(adj, nodes) -> int | float:
         upper = dict.fromkeys(nodes, INFINITE)  # the candidates and their upper bounds
         lower = dict.fromkeys(nodes, 0)
         pick_upper = True
+        runs = 1
         while True:
             e = dist[far]
             best = max(best, e)
             kept = {}
+            top = 0  # the largest upper bound kept
             # comparisons rather than min()/max() calls: this loop dominates the bookkeeping
             for w, hi in upper.items():
                 d = dist[w]
@@ -309,16 +346,21 @@ def _diameter_of(adj, nodes) -> int | float:
                     hi = e + d
                 if hi > best:  # also drops w once its bounds meet, since lower[w] <= best
                     kept[w] = hi
+                    if hi > top:
+                        top = hi
                     lo = d if d > e - d else e - d
                     if lo > lower[w]:
                         lower[w] = lo
             if not kept:
                 return best
+            if runs >= top:
+                return max(best, _largest_eccentricity(adj, nodes, kept))
             upper = kept
             # alternate: the largest upper bound, then the smallest lower bound
             s = max(upper, key=upper.get) if pick_upper else min(upper, key=lower.get)
             pick_upper = not pick_upper
             dist, far = _bfs_far(adj, s)
+            runs += 1
     if not kernel:
         kernel = core[:1]
     index = {v: i for i, v in enumerate(kernel)}

@@ -9,14 +9,17 @@ inputs.  The diameter routine peels pendant trees and contracts degree-2
 chains, then maximises closed forms over the kernel that is left, or runs
 bound-pruned BFS when that kernel is dense; so the inputs include trees,
 cycles, chains of unequal length between and around kernel nodes, pendant
-paths, and graphs large enough (n up to 40, a 12x12 grid) for the BFS
-pruning to engage.  BFS-count guards catch a return to one BFS per node and
-audits that stop taking the kernel route.
+paths, graphs large enough (n up to 40, a 12x12 grid) for the BFS
+pruning to engage, and k-trees, dense graphs of small diameter on which the
+pruning stalls and a bit-parallel sweep finishes it.  Sweep-count guards
+catch a return to one BFS per node, a stall that the finisher does not cut
+short, and audits that stop taking the kernel route.
 """
 
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,14 @@ def sized_graphs(draw):
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
     return Graph(n, sorted((label[u], label[v]) for u, v in edges))
+
+
+@st.composite
+def ktrees(draw):
+    """Random k-trees with k from 2 to 5 and n up to 150: dense graphs of
+    small diameter, where bound-pruned BFS stalls."""
+    k = draw(st.integers(2, 5))
+    return gen_ktree(draw(st.integers(k + 1, 150)), k, draw(st.integers(0, 2**32)))
 
 
 def all_ancestor_shortcut(tree, p):
@@ -313,21 +324,62 @@ def test_dilation_of_all_ancestor_merged_subgraphs_on_grid(seed, k):
 
 @pytest.fixture
 def bfs_calls(monkeypatch):
-    """Count the BFS runs of the shared diameter routine."""
-    calls = []
+    """Record the sweeps of the shared diameter routine: the source of each
+    BFS run in `runs`, the candidate count of each finisher call in
+    `finishers`."""
+    calls = SimpleNamespace(runs=[], finishers=[])
     bfs = treeshort.graph._bfs_far
+    finish = treeshort.graph._largest_eccentricity
 
-    def counting(adj, source):
-        calls.append(source)
+    def counting_bfs(adj, source):
+        calls.runs.append(source)
         return bfs(adj, source)
 
-    monkeypatch.setattr(treeshort.graph, "_bfs_far", counting)
+    def counting_finish(adj, nodes, sources):
+        calls.finishers.append(len(sources))
+        return finish(adj, nodes, sources)
+
+    monkeypatch.setattr(treeshort.graph, "_bfs_far", counting_bfs)
+    monkeypatch.setattr(treeshort.graph, "_largest_eccentricity", counting_finish)
     return calls
 
 
 def test_grid_diameter_needs_few_bfs(bfs_calls):
     assert diameter(gen_grid(32, 32)) == 62
-    assert len(bfs_calls) <= 10  # one BFS per node would be 1,024
+    assert len(bfs_calls.runs) <= 10  # one BFS per node would be 1,024
+    assert bfs_calls.finishers == []  # the bounds meet before the sweeps stall
+
+
+def test_ktree_diameter_needs_few_sweeps(bfs_calls):
+    # BoundingDiameters alone stalls here: 135 BFS runs for a diameter of 6
+    assert diameter(gen_ktree(1000, 3, 5)) == 6
+    assert len(bfs_calls.runs) <= 10
+    assert len(bfs_calls.finishers) == 1
+
+
+@pytest.mark.parametrize("n, seed, want", [(100, 4, 4), (300, 6, 6)])
+def test_stalled_ktree_diameter_is_finished_exactly(bfs_calls, n, seed, want):
+    g = gen_ktree(n, 3, seed)
+    assert oracles.all_pairs_diameter(g.n, g.edges) == want
+    assert diameter(g) == want
+    assert len(bfs_calls.finishers) == 1
+
+
+@SETTINGS
+@given(ktrees())
+def test_ktree_diameter_matches_oracle(g):
+    assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
+
+
+def test_audit_dilation_on_ktree_parts_the_finisher_measures(bfs_calls):
+    g = gen_ktree(150, 3, 2)
+    tree = bfs_tree(g, 0)
+    p = gen_parts_random(g, 8, 2)
+    shortcut = all_ancestor_shortcut(tree, p)
+    report = audit_shortcut(g, tree, p, shortcut)
+    assert bfs_calls.finishers  # some merged subgraph stalls BoundingDiameters
+    want = [merged_oracle(g, p.parts[i], shortcut[i]) for i in range(p.k)]
+    assert [q.dilation for q in report.per_part] == want
 
 
 def test_audit_runs_far_fewer_bfs_than_merged_nodes(bfs_calls):
@@ -337,7 +389,7 @@ def test_audit_runs_far_fewer_bfs_than_merged_nodes(bfs_calls):
     shortcut = all_ancestor_shortcut(tree, p)
     merged_nodes = sum(len(_merged_subgraph(g, p.parts[i], shortcut[i])[0]) for i in range(p.k))
     audit_shortcut(g, tree, p, shortcut)
-    assert len(bfs_calls) <= merged_nodes / 4
+    assert len(bfs_calls.runs) + len(bfs_calls.finishers) <= merged_nodes / 4
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -349,7 +401,7 @@ def test_audit_takes_the_kernel_route_for_most_parts(bfs_calls, seed):
     tree = bfs_tree(g, 0)
     p = gen_parts_random(g, 200, seed)
     audit_shortcut(g, tree, p, all_ancestor_shortcut(tree, p))
-    assert len(bfs_calls) <= 100
+    assert len(bfs_calls.runs) + len(bfs_calls.finishers) <= 100
 
 
 @SETTINGS
