@@ -297,8 +297,11 @@ def _diameter_of(adj, nodes) -> int | float:
     exceeds `best`.  Every upper bound is at most twice the first BFS's
     eccentricity, so the routine runs at most 2*D BFS and at most D+1
     finisher rounds, each round visiting every arc at most once (with one
-    operation on a mask of one bit per candidate).
+    operation on a mask of one bit per candidate).  A one-node graph
+    returns 0 before any of this.
     """
+    if len(nodes) == 1:
+        return 0
     deg = {v: len(adj[v]) for v in nodes}
     height = dict.fromkeys(deg, 0)
     best = 0

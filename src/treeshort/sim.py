@@ -10,8 +10,9 @@ node steps once per round unless it sleeps: a node that calls
 `ctx.sleep(until)` is next stepped when a message reaches it or in round
 `until`, whichever comes first.  Rounds in which no node steps and no
 message is in flight are skipped but still counted.
-A program step receives the run's one context: `ctx.node` is the node being
-stepped, and the context is valid only during that step.
+A program has one hook, `on_round`, and round 0 is its first step, with
+an empty inbox.  A step receives the run's one context: `ctx.node` is the
+node being stepped, and the context is valid only during that step.
 
 The partwise-aggregation protocol splits work into an uncharged control
 plane (per-part spanning trees of G[P_i]+H_i pruned to the part and rooted
@@ -28,11 +29,11 @@ kept to the paths from the part's nodes up to it, then re-rooted at the
 kept tree's centre by a walk over the heights recorded by the pass that
 links children).  A send is checked with `Graph.edge_id`, and
 `ctx.neighbors` is the graph's stored neighbour tuple.  An aggregation step
-is one `on_round` call (the init step too) and costs its inbox plus its
-sends, not the number of roles its node holds; a flat int payload is sized
-in one pass.  Part-tree congestion is counted under an integer key per tree
-edge, min(v,c)*n + max(v,c), and the value checks and the results walk the
-parts' nodes.
+is one `on_round` call and costs its inbox plus its sends, not the number
+of roles its node holds; a payload, an int or a flat tuple of ints, is
+sized in one pass.  Part-tree congestion is counted under an integer key
+per tree edge, min(v,c)*n + max(v,c), and the value checks and the results
+walk the parts' nodes.
 """
 
 from __future__ import annotations
@@ -66,18 +67,17 @@ _bit_length = int.bit_length  # raises TypeError on anything but an int
 
 
 def payload_bits(payload) -> int:
-    """Canonical size accounting: ints directly, tuples element-wise."""
+    """Canonical size accounting of an int, or of a flat tuple of ints
+    element-wise; anything else raises SimError."""
     if isinstance(payload, tuple):
+        # int_bits(x) is x.bit_length() + 1, with 0 taking 1 bit
+        bits = len(payload)
         try:
-            # a flat tuple of ints, the shape of every aggregation message, in
-            # one pass: int_bits(x) is x.bit_length() + 1, with 0 taking 1 bit
-            bits = len(payload)
             for x in payload:
                 bits += _bit_length(x) or 1
-            return bits
         except TypeError:  # a nested or non-int member
-            pass
-        return sum(map(payload_bits, payload))
+            raise SimError(f"unsupported payload type {type(x).__name__}") from None
+        return bits
     if isinstance(payload, int):
         return int_bits(payload)
     raise SimError(f"unsupported payload type {type(payload).__name__}")
@@ -157,13 +157,13 @@ class NodeContext:
     """The state of one run, handed to every program step.
 
     `run` builds one context per run and sets `node` to the node it steps
-    before each `on_init` or `on_round` call; `send`, `sleep`, `halt` and
-    `set_output` act for that node.  A context is valid only during the step
-    it is passed to.  `send` checks a message and stores it in the
+    before each `on_round` call; `send`, `sleep`, `halt` and `set_output`
+    act for that node.  A context is valid only during the step it is
+    passed to.  `send` checks a message and stores it in the
     receiver's inbox for the next round, which lists its senders in send
     order; a second send on one edge in one round raises there."""
 
-    __slots__ = ("node", "round", "_g", "_cfg", "_msg_bits", "_edge_id", "_rngs", "_halted",
+    __slots__ = ("node", "round", "_g", "_cfg", "_msg_bits", "_edge_id", "_halted",
                  "_awake", "_wake_at", "_wakes", "_outputs", "_next", "_messages_sent", "_log")
 
     def __init__(self, g: Graph, cfg: SimConfig):
@@ -173,11 +173,10 @@ class NodeContext:
                 f"msg_bits={self._msg_bits} cannot even carry a node id for n={g.n}"
             )
         self.node = 0  # the node being stepped
-        self.round = 0
+        self.round = -1  # the clock starts one before round 0
         self._g = g
         self._cfg = cfg
         self._edge_id = g.edge_id
-        self._rngs: dict[int, random.Random] = {}
         self._halted: set[int] = set()
         self._awake = set(range(g.n))  # stepped every round
         # round given to each node's latest sleep(); left over, harmlessly, once awake
@@ -194,14 +193,6 @@ class NodeContext:
     def neighbors(self) -> tuple[int, ...]:
         """The node's neighbours in ascending order."""
         return self._g.neighbors(self.node)
-
-    @property
-    def rng(self) -> random.Random:
-        """The node's own stream, seeded `f"{seed}:{node}"` on first use."""
-        rng = self._rngs.get(self.node)
-        if rng is None:
-            rng = self._rngs[self.node] = random.Random(f"{self._cfg.seed}:{self.node}")
-        return rng
 
     def send(self, dst: int, payload, tag: str = "") -> None:
         src = self.node
@@ -271,11 +262,11 @@ class NodeContext:
 
 
 class NodeProgram:
-    """Pure state machine; override both hooks.  Nodes communicate only
-    through simulator-delivered messages."""
+    """Pure state machine stepped by its one hook, `on_round`; round 0 is its
+    first step, with an empty inbox.  Nodes communicate only through
+    simulator-delivered messages."""
 
-    def on_init(self, ctx: NodeContext) -> None:
-        pass
+    __slots__ = ()
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
         pass
@@ -284,23 +275,22 @@ class NodeProgram:
 def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace:
     """Execute one program per node until all halt or max_rounds is exceeded.
 
-    Messages sent during round r (round 0 being the init hook) occupy their
-    edge in round r+1, when the receiver gets them in one inbox that lists
-    its senders in send order; a message addressed to a node that has
-    already halted is counted and logged but silently dropped.  Each round
-    steps, in ascending id order, the awake nodes, the non-halted nodes with
-    mail and the sleepers whose wake round has come; a step wakes the node.
-    When no node is awake and no message is in flight, the clock jumps to
-    the round before the next wake round, or to max_rounds if no sleeper has
-    one; the skipped rounds count in `rounds_used`.  Every step gets the
-    run's one context, with `ctx.node` set to the node stepped.
+    The clock starts one before round 0 with every node awake, so round 0
+    steps every node once, in id order, with an empty inbox.  Messages sent
+    during round r occupy their edge in round r+1, when the receiver gets
+    them in one inbox that lists its senders in send order; a message
+    addressed to a node that has already halted is counted and logged but
+    silently dropped.  Each round steps, in ascending id order, the awake
+    nodes, the non-halted nodes with mail and the sleepers whose wake round
+    has come; a step wakes the node.  When no node is awake and no message
+    is in flight, the clock jumps to the round before the next wake round,
+    or to max_rounds if no sleeper has one; the skipped rounds count in
+    `rounds_used`.  Every step gets the run's one context, with `ctx.node`
+    set to the node stepped.
     """
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
     ctx = NodeContext(g, cfg)
-    for v in range(g.n):
-        ctx.node = v
-        programs[v].on_init(ctx)
     halted, awake, max_rounds = ctx._halted, ctx._awake, cfg.max_rounds
     empty: dict[int, object] = {}
     while len(halted) < g.n:
@@ -328,7 +318,6 @@ _OPS = {"min": min, "max": max, "sum": lambda a, b: a + b}
 
 _UP, _DOWN = 0, 1
 _TAGS = ("up", "down")  # message tag by kind
-_NO_MAIL: Mapping[int, object] = {}
 
 
 class _Role:
@@ -347,6 +336,8 @@ class _Role:
 
 
 class _AggregateProgram(NodeProgram):
+    __slots__ = ("op", "roles", "ready", "unresolved", "pending", "backlog")
+
     def __init__(self, op: str):
         self.op = _OPS[op]
         self.roles: dict[int, _Role] = {}
@@ -377,7 +368,7 @@ class _AggregateProgram(NodeProgram):
         for ch in role.children:
             self._queue(role, ch, _DOWN, value)
 
-    def on_round(self, ctx: NodeContext, inbox: Mapping[int, object] = _NO_MAIL) -> None:
+    def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
         """One step: take the mail in; send up (or, at a root, resolve) every
         ready role whose delay gate is open, in part order; send the
         highest-priority queued message to each destination; then, with
@@ -418,8 +409,6 @@ class _AggregateProgram(NodeProgram):
             ctx.halt()
         else:
             ctx.sleep(ready[0][0] if ready else None)
-
-    on_init = on_round  # the round-0 step: one with no mail
 
 
 def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import treeshort
+from treeshort.sim import NodeContext, NodeProgram
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,21 +54,26 @@ def test_readme_python_blocks_run():
 def test_every_public_name_has_a_caller_outside_the_tests():
     """No public symbol exists only for its tests: each non-module name in
     `treeshort.__all__` is read in another library module, in perfbench or
-    in a README Python block."""
+    in a README Python block, and so is each public member of the
+    node-program interface (`NodeContext`, `NodeProgram`), as an attribute."""
     root = SRC.parent
     sources = [p.read_text() for p in (SRC / "treeshort").glob("*.py") if p.name != "__init__.py"]
     sources += [p.read_text() for p in (root / "perfbench").glob("*.py")]
     sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
-    used = set()
+    used, attrs = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
+    used |= attrs
     public = {
         name
         for name in treeshort.__all__
         if not isinstance(getattr(treeshort, name), types.ModuleType)
     }
-    assert sorted(public - used) == []
+    members = {
+        name for cls in (NodeContext, NodeProgram) for name in vars(cls) if not name.startswith("_")
+    }
+    assert sorted(public - used) + sorted(members - attrs) == []

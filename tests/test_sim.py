@@ -29,24 +29,20 @@ from treeshort.sim import (
 
 
 class HaltAtInit(NodeProgram):
-    def on_init(self, ctx):
+    """Halt in round 0, the first step."""
+
+    def on_round(self, ctx, inbox):
         ctx.halt()
 
 
 class Flood(NodeProgram):
-    """Forward a token once, then halt."""
+    """Forward a token once, then halt; a start node sends it in round 0."""
 
     def __init__(self, start):
         self.start = start
 
-    def on_init(self, ctx):
-        if self.start:
-            for u in ctx.neighbors:
-                ctx.send(u, 1, tag="tok")
-            ctx.halt()
-
     def on_round(self, ctx, inbox):
-        if inbox:
+        if inbox or (self.start and ctx.round == 0):
             for u in ctx.neighbors:
                 if u not in inbox:
                     ctx.send(u, 1, tag="tok")
@@ -75,7 +71,7 @@ class TestRun:
 
     def test_oversize_message_names_node_and_round(self):
         class Shout(NodeProgram):
-            def on_init(self, ctx):
+            def on_round(self, ctx, inbox):
                 ctx.send(ctx.neighbors[0], 1 << 64)
                 ctx.halt()
 
@@ -85,7 +81,7 @@ class TestRun:
 
     def test_duplicate_send_rejected(self):
         class Stutter(NodeProgram):
-            def on_init(self, ctx):
+            def on_round(self, ctx, inbox):
                 ctx.send(ctx.neighbors[0], 1)
                 ctx.send(ctx.neighbors[0], 2)
 
@@ -96,14 +92,15 @@ class TestRun:
 
     def test_two_senders_reach_one_node_in_send_order(self):
         class Send(NodeProgram):
-            def on_init(self, ctx):
+            def on_round(self, ctx, inbox):
                 ctx.send(1, 10 + ctx.node)
                 ctx.halt()
 
         class Receive(NodeProgram):
             def on_round(self, ctx, inbox):
-                ctx.set_output(list(inbox.items()))
-                ctx.halt()
+                if inbox:
+                    ctx.set_output(list(inbox.items()))
+                    ctx.halt()
 
         trace = run(path_graph(3), [Send(), Receive(), Send()], SimConfig())
         assert trace.outputs == {1: [(0, 10), (2, 12)]}
@@ -117,7 +114,7 @@ class TestRun:
             def __init__(self, dst):
                 self.dst = dst
 
-            def on_init(self, ctx):
+            def on_round(self, ctx, inbox):
                 ctx.send(self.dst, 1)
 
         g = path_graph(3)
@@ -150,14 +147,56 @@ class TestRun:
         assert payload_bits((1, 0, 7)) == int_bits(1) + int_bits(0) + int_bits(7)
 
     def test_payload_bits_signs_bools_and_nesting(self):
+        """A payload is an int or a flat tuple of ints; a nested tuple is
+        rejected like any other non-int member."""
         assert payload_bits(-5) == payload_bits((-5,)) == 4
         assert payload_bits(True) == payload_bits((True,)) == 2  # a bool is an int
         assert payload_bits(()) == 0
-        assert payload_bits((1, (2, -3))) == 2 + 3 + 3
-        assert payload_bits((0, ((), (-1,)))) == 2 + 2
-        for bad in (1.5, (1, 1.5), (1, (2, 1.5))):
-            with pytest.raises(SimError, match="^unsupported payload type float$"):
+        for bad, kind in [
+            (1.5, "float"),
+            ((1, 1.5), "float"),
+            ((1, (2, -3)), "tuple"),
+            ((0, ((), (-1,))), "tuple"),
+            ((1, (2, 1.5)), "tuple"),
+        ]:
+            with pytest.raises(SimError, match=f"^unsupported payload type {kind}$"):
                 payload_bits(bad)
+
+    def test_nested_payload_raises_at_the_send(self):
+        class Nest(NodeProgram):
+            def on_round(self, ctx, inbox):
+                ctx.send(ctx.neighbors[0], (1, (2, 3)))
+                ctx.halt()
+
+        with pytest.raises(SimError, match="^unsupported payload type tuple$"):
+            run(path_graph(2), [Nest(), HaltAtInit()], SimConfig())
+
+    def test_round_zero_steps_every_node_once_with_no_mail(self):
+        """Round 0 steps every node once, in id order, with an empty inbox,
+        even when max_rounds is 0; a round-0 send arrives in round 1."""
+        steps = []
+
+        class Probe(NodeProgram):
+            def on_round(self, ctx, inbox):
+                steps.append((ctx.round, ctx.node, dict(inbox)))
+                if ctx.round == 0:
+                    for u in ctx.neighbors:
+                        ctx.send(u, ctx.node)
+                else:
+                    ctx.halt()
+
+        g = gen_wheel(6)
+        trace = run(g, [Probe() for _ in range(g.n)], SimConfig(log_messages=True))
+        assert steps == [(0, v, {}) for v in range(g.n)] + [
+            (1, v, {u: u for u in g.neighbors(v)}) for v in range(g.n)
+        ]
+        assert {record.round for record in trace.log} == {1}
+        assert (trace.rounds_used, trace.messages_sent) == (1, 2 * g.m)
+        steps.clear()
+        with pytest.raises(SimTimeout) as err:
+            run(g, [Probe() for _ in range(g.n)], SimConfig(max_rounds=0))
+        assert steps == [(0, v, {}) for v in range(g.n)]
+        assert err.value.trace.rounds_used == 0
 
     def test_one_context_per_run_set_to_the_stepped_node(self):
         """Every step of a run gets the same context, with `ctx.node` the
@@ -169,48 +208,30 @@ class TestRun:
                 super().__init__(v == 0)
                 self.v = v
 
-            def on_init(self, ctx):
-                seen.append((id(ctx), ctx.node, self.v))
-                super().on_init(ctx)
-
             def on_round(self, ctx, inbox):
                 seen.append((id(ctx), ctx.node, self.v))
                 super().on_round(ctx, inbox)
 
         g = gen_wheel(6)
         run(g, [Record(v) for v in range(g.n)], SimConfig())
-        assert len(seen) > g.n  # the init steps and the round steps
+        assert len(seen) > g.n  # the round-0 steps and the later ones
         assert len({ctx for ctx, _, _ in seen}) == 1
         assert all(node == v for _, node, v in seen)
 
-    def test_per_node_rng_streams_are_seeded_and_distinct(self):
-        class Draw(NodeProgram):
-            def on_init(self, ctx):
-                ctx.set_output(ctx.rng.randrange(1 << 30))
-                ctx.halt()
-
-        g = path_graph(4)
-        first = run(g, [Draw() for _ in range(4)], SimConfig(seed=5)).outputs
-        second = run(g, [Draw() for _ in range(4)], SimConfig(seed=5)).outputs
-        other = run(g, [Draw() for _ in range(4)], SimConfig(seed=6)).outputs
-        assert first == second
-        assert len(set(first.values())) == 4
-        assert first != other
-
 
 class Sleeper(NodeProgram):
-    """Sleep in init until `first`; on each step record the round and, if
-    `plan` has an entry for it, sleep until that round, else halt."""
+    """Sleep in round 0 until `first`; on each later step record the round
+    and, if `plan` has an entry for it, sleep until that round, else halt."""
 
     def __init__(self, first, plan=None):
         self.first = first
         self.plan = plan or {}
         self.steps = []
 
-    def on_init(self, ctx):
-        ctx.sleep(self.first)
-
     def on_round(self, ctx, inbox):
+        if ctx.round == 0:
+            ctx.sleep(self.first)
+            return
         self.steps.append(ctx.round)
         if ctx.round in self.plan:
             ctx.sleep(self.plan[ctx.round])
@@ -219,9 +240,9 @@ class Sleeper(NodeProgram):
 
 
 class Poke(NodeProgram):
-    """Send one message to every neighbour in init, then halt."""
+    """Send one message to every neighbour in round 0, then halt."""
 
-    def on_init(self, ctx):
+    def on_round(self, ctx, inbox):
         for u in ctx.neighbors:
             ctx.send(u, 1)
         ctx.halt()
@@ -283,7 +304,7 @@ class TestScheduler:
 
     def test_halt_is_idempotent(self):
         class HaltTwice(NodeProgram):
-            def on_init(self, ctx):
+            def on_round(self, ctx, inbox):
                 ctx.halt()
                 ctx.halt()
 
@@ -339,13 +360,13 @@ class Gossip(NodeProgram):
     """Send the node's id to every neighbour, then output the senders in
     the order the inbox lists them."""
 
-    def on_init(self, ctx):
-        for u in ctx.neighbors:
-            ctx.send(u, ctx.node)
-
     def on_round(self, ctx, inbox):
-        ctx.set_output(tuple(inbox))
-        ctx.halt()
+        if ctx.round == 0:
+            for u in ctx.neighbors:
+                ctx.send(u, ctx.node)
+        else:
+            ctx.set_output(tuple(inbox))
+            ctx.halt()
 
 
 def log_digest(log):
