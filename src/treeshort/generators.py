@@ -165,7 +165,7 @@ def gen_parts_random(g: Graph, count: int, seed: int) -> Partition:
     while head < len(queue):
         v = queue[head]
         head += 1
-        for u, _ in g.adjacency(v):
+        for u in g.neighbors(v):
             if part_of[u] < 0:
                 part_of[u] = part_of[v]
                 queue.append(u)

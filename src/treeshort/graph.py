@@ -1,17 +1,17 @@
 """Undirected graphs, BFS trees, node partitions, and distance primitives.
 
 Nodes are dense integers 0..n-1 and edge ids are dense integers 0..m-1
-(the position of the edge in the construction order).  All structures are
-immutable after construction and safe to share between workers; every
-traversal visits neighbors in ascending node id, so results are
-reproducible.
+(the position of the edge in the construction order).  The only rooted
+tree is the BFS tree, which `bfs_tree` builds in one pass over the
+adjacency.  All structures are immutable after construction and safe to
+share between workers; every traversal visits neighbors in ascending node
+id, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
@@ -135,7 +135,10 @@ class Graph:
 
 
 class RootedTree:
-    """Rooted spanning tree of a host graph; parent edges are host edges."""
+    """The BFS spanning tree of a host graph from `root`; parent edges are
+    host edges.  Only `bfs_tree` builds one, filling every field in its one
+    pass: `children[v]` ascends and `order` is the reverse BFS order, so
+    depth never increases along it (for bottom-up sweeps)."""
 
     __slots__ = (
         "graph",
@@ -149,45 +152,6 @@ class RootedTree:
         "tree_edges",
     )
 
-    def __init__(self, graph: Graph, root: int, parent: Sequence[int]):
-        if not (0 <= root < graph.n):
-            raise GraphError(f"invalid root {root}")
-        if parent[root] != root:
-            raise GraphError("root must be its own parent")
-        self.graph = graph
-        self.root = root
-        self.parent = tuple(parent)
-        parent_edge = [-1] * graph.n
-        children: list[list[int]] = [[] for _ in range(graph.n)]
-        for v, p in enumerate(self.parent):
-            if v == root:
-                continue
-            parent_edge[v] = graph.edge_id(p, v)  # raises if not a host edge
-            children[p].append(v)  # v ascends, so each list is sorted already
-        self.parent_edge = tuple(parent_edge)
-        self.children = tuple(map(tuple, children))
-        # depth by BFS over tree edges; also proves the parent map is acyclic
-        depth = [-1] * graph.n
-        depth[root] = 0
-        order = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
-                order.append(c)
-                queue.append(c)
-        if len(order) != graph.n:
-            missing = min(v for v in range(graph.n) if depth[v] < 0)
-            raise GraphError(f"parent map does not span the graph (node {missing})")
-        self.depth = tuple(depth)
-        self.D = max(depth)
-        # nodes in reverse BFS order = non-increasing depth, for bottom-up sweeps
-        self.order = tuple(reversed(order))
-        self.tree_edges = frozenset(
-            self.parent_edge[v] for v in range(graph.n) if v != root
-        )
-
     def deeper_endpoint(self, eid: int) -> int:
         """The endpoint of a tree edge further from the root."""
         u, v = self.graph.endpoints(eid)
@@ -195,23 +159,46 @@ class RootedTree:
 
 
 def bfs_tree(g: Graph, root: int) -> RootedTree:
-    """Breadth-first spanning tree; depth equals the eccentricity of the root."""
+    """Breadth-first spanning tree; depth equals the eccentricity of the root.
+
+    One pass over `g._nbrs`/`g._eids`: a node's parent edge is the id next to
+    it in its parent's edge tuple, and a node's children are found in
+    ascending order, each after the children of every node found before."""
     if not (0 <= root < g.n):
         raise GraphError(f"invalid root {root}")
     parent = [-1] * g.n
     parent[root] = root
-    queue = deque([root])
-    nbrs = g._nbrs
-    while queue:
-        v = queue.popleft()
-        for u in nbrs[v]:
+    parent_edge = [-1] * g.n
+    depth = [0] * g.n
+    children: list[tuple[int, ...]] = [()] * g.n
+    found = [root]
+    nbrs, eids = g._nbrs, g._eids
+    for v in found:  # the list grows behind the loop: it is the BFS queue
+        below = depth[v] + 1
+        kids = []
+        for u, e in zip(nbrs[v], eids[v]):
             if parent[u] < 0:
                 parent[u] = v
-                queue.append(u)
-    unreached = [v for v in range(g.n) if parent[v] < 0]
-    if unreached:
-        raise GraphError(f"graph disconnected: node {unreached[0]} unreachable from {root}")
-    return RootedTree(g, root, parent)
+                parent_edge[u] = e
+                depth[u] = below
+                kids.append(u)
+        if kids:
+            children[v] = tuple(kids)
+            found += kids
+    if len(found) != g.n:
+        unreached = parent.index(-1)
+        raise GraphError(f"graph disconnected: node {unreached} unreachable from {root}")
+    t = object.__new__(RootedTree)  # the class has no constructor of its own
+    t.graph = g
+    t.root = root
+    t.parent = tuple(parent)
+    t.parent_edge = tuple(parent_edge)
+    t.depth = tuple(depth)
+    t.D = depth[found[-1]]  # the last node found is a deepest one
+    t.children = tuple(children)
+    t.order = tuple(reversed(found))
+    t.tree_edges = frozenset(parent_edge) - {-1}
+    return t
 
 
 def _largest_eccentricity(adj, nodes, sources) -> int:
@@ -529,13 +516,14 @@ def dumps_graph(g: Graph) -> str:
 
 def _line_ints(tokens: list[str], kind: str, lineno: int) -> list[int]:
     """The integers of one line of a `kind` file; a bad token names the
-    1-based line."""
+    1-based line.  A token is ASCII decimal digits after one optional '-'
+    (`int` alone would also take '+5', '1_0' and non-ASCII digits)."""
     out = []
     for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise GraphError(f"{kind} file line {lineno}: {tok!r} is not an integer") from None
+        digits = tok[1:] if tok[:1] == "-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise GraphError(f"{kind} file line {lineno}: {tok!r} is not an integer")
+        out.append(int(tok))
     return out
 
 

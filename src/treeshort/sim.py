@@ -27,11 +27,10 @@ Cost model: the control plane is linear in the merged subgraphs, besides
 sorting each merged node's neighbour list (one BFS of each from min(P_i),
 kept to the paths from the part's nodes up to it, then re-rooted at the
 kept tree's centre by a walk over the heights recorded by the pass that
-links children).  A send is checked with `Graph.edge_id`, and
-`ctx.neighbors` is the graph's stored neighbour tuple.  An aggregation step
-is one `on_round` call and costs its inbox plus its sends, not the number
-of roles its node holds; a payload, an int or a flat tuple of ints, is
-sized in one pass.  Part-tree congestion is counted under an integer key
+links children).  A send is checked with `Graph.edge_id`.  An aggregation
+step is one `on_round` call and costs its inbox plus its sends, not the
+number of roles its node holds; a payload, an int or a flat tuple of ints,
+is sized in one pass.  Part-tree congestion is counted under an integer key
 per tree edge, min(v,c)*n + max(v,c), and the value checks and the results
 walk the parts' nodes.
 """
@@ -163,8 +162,8 @@ class NodeContext:
     receiver's inbox for the next round, which lists its senders in send
     order; a second send on one edge in one round raises there."""
 
-    __slots__ = ("node", "round", "_g", "_cfg", "_msg_bits", "_edge_id", "_halted",
-                 "_awake", "_wake_at", "_wakes", "_outputs", "_next", "_messages_sent", "_log")
+    __slots__ = ("node", "round", "_cfg", "_msg_bits", "_edge_id", "_halted", "_awake",
+                 "_wake_at", "_wakes", "_outputs", "_next", "_messages_sent", "_log")
 
     def __init__(self, g: Graph, cfg: SimConfig):
         self._msg_bits = cfg.msg_bits_for(g.n)
@@ -174,7 +173,6 @@ class NodeContext:
             )
         self.node = 0  # the node being stepped
         self.round = -1  # the clock starts one before round 0
-        self._g = g
         self._cfg = cfg
         self._edge_id = g.edge_id
         self._halted: set[int] = set()
@@ -188,11 +186,6 @@ class NodeContext:
         self._next: dict[int, dict[int, object]] = {}
         self._messages_sent = 0
         self._log: list[MessageRecord] | None = [] if cfg.log_messages else None
-
-    @property
-    def neighbors(self) -> tuple[int, ...]:
-        """The node's neighbours in ascending order."""
-        return self._g.neighbors(self.node)
 
     def send(self, dst: int, payload, tag: str = "") -> None:
         src = self.node

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from treeshort.audit import _merged_subgraph
-from treeshort.graph import Graph, Partition, RootedTree, _diameter_of
+from treeshort.graph import Graph, Partition, _diameter_of, bfs_tree
 
 
 def merged_diameter(g, part, h):
@@ -21,11 +21,11 @@ def caterpillar():
     """Spine end r(5) - center a(0) - leaves u1..u4 (1..4), rooted at r.
 
     Node ids put the center at 0 so the CLI's root-0 BFS tree matches the
-    hand-rooted tree used by the marking examples up to the root choice.
+    BFS tree from r used by the marking examples up to the root choice.
     """
     g = Graph(6, [(0, 5), (0, 1), (0, 2), (0, 3), (0, 4)])
-    parent = [5, 0, 0, 0, 0, 5]
-    tree = RootedTree(g, 5, parent)
+    tree = bfs_tree(g, 5)
+    assert tree.parent == (5, 0, 0, 0, 0, 5)
     parts = Partition(6, [[1], [2], [3], [4]])
     return g, tree, parts
 

@@ -175,6 +175,23 @@ class TestLoaderErrors:
         assert main(["audit", graph, parts, shortcut]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["1_0", "+5", "\u0662"], ids=["underscore", "plus", "arabic"])
+    @pytest.mark.parametrize("kind", ["graph", "partition", "shortcut"])
+    def test_only_ascii_decimal_digits(self, caterpillar_files, tmp_path, capsys, kind, token):
+        """`int` reads each of these tokens as a number ('1_0' as 10); a
+        loader takes only ASCII digits after one optional '-'."""
+        graph, parts = caterpillar_files
+        shortcut = write(tmp_path / "sc.txt", "0 : 0\n1 :\n2 :\n3 :\n")
+        files = dict(graph=graph, partition=parts, shortcut=shortcut)
+        bad = {
+            "graph": f"6 5\n0 {token}\n0 2\n0 3\n0 4\n0 5\n",
+            "partition": f"1\n{token}\n3\n4\n",
+            "shortcut": f"0 : 0\n1 : {token}\n2 :\n3 :\n",
+        }
+        files[kind] = write(tmp_path / f"bad-{kind}.txt", bad[kind])
+        assert main(["audit", files["graph"], files["partition"], files["shortcut"]]) == 2
+        assert f"{kind} file line 2: {token!r} is not an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import re
 import tracemalloc
@@ -10,7 +11,6 @@ from treeshort.graph import (
     Graph,
     GraphError,
     Partition,
-    RootedTree,
     bfs_tree,
     diameter,
     dumps_graph,
@@ -149,17 +149,22 @@ class TestBfsTree:
             bfs_tree(path_graph(3), root)
 
     @pytest.mark.parametrize(
-        "root, parent, message",
+        "g, root, digest",
         [
-            (3, [0, 0, 1], "invalid root 3"),
-            (0, [1, 0, 1], "root must be its own parent"),
-            (0, [0, 2, 1], "parent map does not span the graph (node 1)"),
+            (gen_grid(7, 5), 17, "95c6e33f2d43d88c8164c395a8473ad953b79abd752cea7dfb771fe8c7278162"),
+            (gen_ktree(60, 3, 2), 59, "b6f1931f5a47ec49ccd3ccf2b191bb53b245663e137a82632f6b4b41792fd3f7"),
+            (gen_wheel(12), 5, "a1645e89c698b3a94501d13b93a8153d89fe09f935e55ce853bb33e0c6c2afdb"),
         ],
-        ids=["invalid-root", "root-not-own-parent", "cycle-off-the-root"],
+        ids=["grid", "ktree", "wheel"],
     )
-    def test_rooted_tree_rejects(self, root, parent, message):
-        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-            RootedTree(path_graph(3), root, parent)
+    def test_fields_pinned(self, g, root, digest):
+        """Every field, the order of `order` and of each `children` tuple
+        included, which the engine's bottom-up sweep and its outputs follow."""
+        t = bfs_tree(g, root)
+        text = repr(
+            (t.parent, t.parent_edge, t.depth, t.D, t.children, t.order, sorted(t.tree_edges))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("g", [gen_grid(4, 6), gen_wheel(11), gen_ktree(30, 2, 7)])
     def test_depth_triangle_property(self, g):

@@ -36,14 +36,16 @@ class HaltAtInit(NodeProgram):
 
 
 class Flood(NodeProgram):
-    """Forward a token once, then halt; a start node sends it in round 0."""
+    """Forward a token once to the neighbours `nbrs`, then halt; a start
+    node sends it in round 0."""
 
-    def __init__(self, start):
+    def __init__(self, start, nbrs):
         self.start = start
+        self.nbrs = nbrs
 
     def on_round(self, ctx, inbox):
         if inbox or (self.start and ctx.round == 0):
-            for u in ctx.neighbors:
+            for u in self.nbrs:
                 if u not in inbox:
                     ctx.send(u, 1, tag="tok")
             ctx.halt()
@@ -61,18 +63,18 @@ class TestRun:
 
     def test_flood_token_path_five(self):
         g = path_graph(5)
-        trace = run(g, [Flood(v == 0) for v in range(5)], SimConfig())
+        trace = run(g, [Flood(v == 0, g.neighbors(v)) for v in range(5)], SimConfig())
         assert trace.rounds_used == 4
 
     def test_hub_broadcast_on_wheel(self):
         g = gen_wheel(10)
-        trace = run(g, [Flood(v == 0) for v in range(10)], SimConfig())
+        trace = run(g, [Flood(v == 0, g.neighbors(v)) for v in range(10)], SimConfig())
         assert trace.rounds_used == 1
 
     def test_oversize_message_names_node_and_round(self):
         class Shout(NodeProgram):
             def on_round(self, ctx, inbox):
-                ctx.send(ctx.neighbors[0], 1 << 64)
+                ctx.send(1, 1 << 64)
                 ctx.halt()
 
         g = path_graph(2)
@@ -82,8 +84,8 @@ class TestRun:
     def test_duplicate_send_rejected(self):
         class Stutter(NodeProgram):
             def on_round(self, ctx, inbox):
-                ctx.send(ctx.neighbors[0], 1)
-                ctx.send(ctx.neighbors[0], 2)
+                ctx.send(1, 1)
+                ctx.send(1, 2)
 
         g = path_graph(2)
         message = re.escape("node 0 sent twice on edge (0, 1) in round 1")
@@ -165,7 +167,7 @@ class TestRun:
     def test_nested_payload_raises_at_the_send(self):
         class Nest(NodeProgram):
             def on_round(self, ctx, inbox):
-                ctx.send(ctx.neighbors[0], (1, (2, 3)))
+                ctx.send(1, (1, (2, 3)))
                 ctx.halt()
 
         with pytest.raises(SimError, match="^unsupported payload type tuple$"):
@@ -180,7 +182,7 @@ class TestRun:
             def on_round(self, ctx, inbox):
                 steps.append((ctx.round, ctx.node, dict(inbox)))
                 if ctx.round == 0:
-                    for u in ctx.neighbors:
+                    for u in g.neighbors(ctx.node):
                         ctx.send(u, ctx.node)
                 else:
                     ctx.halt()
@@ -205,7 +207,7 @@ class TestRun:
 
         class Record(Flood):
             def __init__(self, v):
-                super().__init__(v == 0)
+                super().__init__(v == 0, g.neighbors(v))
                 self.v = v
 
             def on_round(self, ctx, inbox):
@@ -240,10 +242,14 @@ class Sleeper(NodeProgram):
 
 
 class Poke(NodeProgram):
-    """Send one message to every neighbour in round 0, then halt."""
+    """Send one message to each of the neighbours `nbrs` in round 0, then
+    halt."""
+
+    def __init__(self, nbrs):
+        self.nbrs = nbrs
 
     def on_round(self, ctx, inbox):
-        for u in ctx.neighbors:
+        for u in self.nbrs:
             ctx.send(u, 1)
         ctx.halt()
 
@@ -264,7 +270,7 @@ class TestScheduler:
                     ctx.halt()
 
         sleeper = Sleeper(10, plan={1: 20})
-        trace = run(path_graph(3), [sleeper, Poke(), Ticker()], SimConfig())
+        trace = run(path_graph(3), [sleeper, Poke((0, 2)), Ticker()], SimConfig())
         assert sleeper.steps == [1, 20]  # not stepped in round 10
         assert trace.rounds_used == 20
         assert trace.messages_sent == 2
@@ -298,7 +304,7 @@ class TestScheduler:
 
     def test_mail_to_halted_node_is_dropped(self):
         sleeper = Sleeper(4)
-        trace = run(path_graph(3), [Poke(), HaltAtInit(), sleeper], SimConfig())
+        trace = run(path_graph(3), [Poke((1,)), HaltAtInit(), sleeper], SimConfig())
         assert sleeper.steps == [4]
         assert trace.messages_sent == 1
 
@@ -317,8 +323,8 @@ class TestScheduler:
         assert trace.rounds_used == 3
 
     def test_run_builds_no_neighbor_tuples(self, monkeypatch):
-        """Neighbour checks go through `Graph.edge_id`; `Graph.neighbors` is
-        called only for programs that read `ctx.neighbors`."""
+        """Neighbour checks go through `Graph.edge_id`; aggregation never
+        calls `Graph.neighbors`."""
         calls = 0
         neighbors = Graph.neighbors
 
@@ -327,14 +333,12 @@ class TestScheduler:
             calls += 1
             return neighbors(self, v)
 
-        monkeypatch.setattr(Graph, "neighbors", counted)
         g = gen_grid(6, 6)
         p = gen_parts_random(g, 4, 2)
+        monkeypatch.setattr(Graph, "neighbors", counted)
         task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
         results, trace = partwise_aggregate(g, p, [bfs_tree(g, 0).tree_edges] * 4, task, SimConfig())
         assert trace.messages_sent > 0 and calls == 0
-        run(path_graph(5), [Flood(v == 0) for v in range(5)], SimConfig())
-        assert calls > 0
 
     def test_aggregation_steps_only_nodes_with_work(self, monkeypatch):
         """Steps are bounded by one per message plus one delay-gate wake per
@@ -357,12 +361,15 @@ class TestScheduler:
 
 
 class Gossip(NodeProgram):
-    """Send the node's id to every neighbour, then output the senders in
-    the order the inbox lists them."""
+    """Send the node's id to each of the neighbours `nbrs`, then output the
+    senders in the order the inbox lists them."""
+
+    def __init__(self, nbrs):
+        self.nbrs = nbrs
 
     def on_round(self, ctx, inbox):
         if ctx.round == 0:
-            for u in ctx.neighbors:
+            for u in self.nbrs:
                 ctx.send(u, ctx.node)
         else:
             ctx.set_output(tuple(inbox))
@@ -417,7 +424,7 @@ class TestGoldenLogs:
     def test_wheel_inbox_order(self):
         # every inbox lists its senders in the order they sent
         g = gen_wheel(10)
-        trace = run(g, [Gossip() for _ in range(g.n)], SimConfig(log_messages=True))
+        trace = run(g, [Gossip(g.neighbors(v)) for v in range(g.n)], SimConfig(log_messages=True))
         text = repr((sorted(trace.outputs.items()), trace.rounds_used, trace.messages_sent,
                      log_digest(trace.log)))
         assert hashlib.sha256(text.encode()).hexdigest() == (
