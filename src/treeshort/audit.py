@@ -3,9 +3,11 @@
 Everything here recomputes from scratch: congestion, dilation, block counts,
 tree-restriction, and certificate soundness are derived only from the graph,
 the partition, and the candidate object, never trusted from producer
-bookkeeping.  Each part's merged subgraph G[P_i] + H_i is built once and
-yields both measures: dilation is its diameter, and blocks, the components
-of the forest (P_i ∪ V(H_i), H_i), are its node count minus |H_i|.
+bookkeeping.  `audit_shortcut` checks the edge ids once, at its entry; the
+helpers it calls trust them.  Each part's merged subgraph G[P_i] + H_i is
+built once and yields both measures: dilation is its diameter, and blocks,
+the components of the forest (P_i ∪ V(H_i), H_i), are its node count minus
+|H_i|.
 Closed-form bounds are exposed as pure functions so tests can compare
 measured values against formula values explicitly.
 """
@@ -13,6 +15,7 @@ measured values against formula values explicitly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -71,26 +74,18 @@ def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
     raise TypeError(f"cannot interpret {type(shortcut).__name__} as a shortcut")
 
 
-def measure_congestion(g: Graph, shortcut) -> int:
-    """Maximum over edges of the number of parts whose H_i contains the edge."""
-    counts: dict[int, int] = {}
-    m = g.m
-    for edges in as_edge_map(shortcut).values():
-        for eid in edges:
-            if not (0 <= eid < m):
-                raise GraphError(f"unknown edge id {eid}")
-            counts[eid] = counts.get(eid, 0) + 1
+def measure_congestion(shortcut) -> int:
+    """Maximum over edges of the number of parts whose H_i contains the edge
+    (the caller checks the edge ids)."""
+    counts = Counter(eid for edges in as_edge_map(shortcut).values() for eid in edges)
     return max(counts.values(), default=0)
 
 
 def _merged_subgraph(g: Graph, part: Sequence[int], edges: frozenset[int]):
-    """Node set and adjacency lists of G[P_i] + H_i."""
+    """Node set and adjacency lists of G[P_i] + H_i (the caller checks the ids)."""
     adj: dict[int, list[int]] = {v: [] for v in part}
-    ends, m = g.edges, g.m
     for eid in edges:
-        if not 0 <= eid < m:
-            raise GraphError(f"unknown edge id {eid}")
-        u, v = ends[eid]
+        u, v = g.edges[eid]
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     part_set = frozenset(part)
@@ -102,24 +97,26 @@ def _merged_subgraph(g: Graph, part: Sequence[int], edges: frozenset[int]):
     return adj.keys(), adj
 
 
-def part_blocks(t: RootedTree, nodes, edges: frozenset[int]) -> int:
+def part_blocks(nodes, edges: frozenset[int]) -> int:
     """Component count of the forest (P_i ∪ V(H_i), H_i), given its node set.
 
-    H_i is a set of tree edges, so it is a forest and every edge joins two
-    components: the count is |nodes| - |H_i|.
+    The caller checks that H_i is a set of tree edges, so it is a forest and
+    every edge joins two components: the count is |nodes| - |H_i|.
     """
-    for eid in edges:
-        if eid not in t.tree_edges:
-            raise GraphError(f"edge {eid} is not a tree edge; shortcut is not tree-restricted")
     return len(nodes) - len(edges)
 
 
-def check_tree_restricted(shortcut, t: RootedTree) -> bool:
-    return all(
-        eid in t.tree_edges
-        for edges in as_edge_map(shortcut).values()
-        for eid in edges
-    )
+def check_tree_restricted(shortcut, t: RootedTree) -> None:
+    """Raise GraphError unless every edge id of `shortcut` is an edge of `t`,
+    hence also a known edge; on failure name the smallest unknown id, if
+    any, else the smallest non-tree edge."""
+    tree_edges = t.tree_edges
+    bad = [e for es in as_edge_map(shortcut).values() for e in es if e not in tree_edges]
+    if bad:
+        unknown = [e for e in bad if not 0 <= e < t.graph.m]
+        if unknown:
+            raise GraphError(f"unknown edge id {min(unknown)}")
+        raise GraphError(f"edge {min(bad)} is not a tree edge; shortcut is not tree-restricted")
 
 
 def block_dilation_bound(b: int, D: int) -> int:
@@ -137,20 +134,22 @@ def partial_to_full_congestion(c: int, k: int) -> int:
 
 
 def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityReport:
-    """Full recomputation of (congestion, dilation, blocks, quality) plus per-part detail."""
+    """Full recomputation of (congestion, dilation, blocks, quality) plus per-part
+    detail; raises GraphError unless `shortcut` is restricted to `t`."""
     edge_map = as_edge_map(shortcut)
+    check_tree_restricted(edge_map, t)
     per_part = []
     worst_dilation: int | float = 0
     worst_blocks = 0
     for i in range(p.k):
         edges = edge_map.get(i, frozenset())
         nodes, adj = _merged_subgraph(g, p.parts[i], edges)
-        blocks = part_blocks(t, nodes, edges)
+        blocks = part_blocks(nodes, edges)
         dil = _diameter_of(adj, nodes)
         per_part.append(PartQuality(i, dil, blocks))
         worst_dilation = max(worst_dilation, dil)
         worst_blocks = max(worst_blocks, blocks)
-    congestion = measure_congestion(g, shortcut)
+    congestion = measure_congestion(edge_map)
     return QualityReport(
         congestion=congestion,
         dilation=worst_dilation,
@@ -197,7 +196,7 @@ def validate_minor(g: Graph, cert) -> Violation | None:
         seen_pairs.add(key)
         if not (0 <= medge.witness < g.m):
             return Violation("bad-witness", f"witness edge id {medge.witness} unknown")
-        u, v = g.endpoints(medge.witness)
+        u, v = g.edges[medge.witness]
         sides = {owner.get(u), owner.get(v)}
         if sides != {a, b}:
             return Violation(

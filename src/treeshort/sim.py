@@ -482,7 +482,7 @@ def partwise_aggregate(
     """Every node of every part learns the exact aggregate of its part.
 
     Returns (results, trace) where results maps each node belonging to a part
-    to the aggregate of that part's values.
+    to the aggregate of that part's values.  The edge ids are checked here.
     """
     if task.op not in _OPS:
         raise AggregationError(f"unsupported op {task.op!r}")
@@ -505,6 +505,9 @@ def partwise_aggregate(
             f"only {budget} available after the header"
         )
     edge_map = as_edge_map(shortcut)
+    unknown = [e for es in edge_map.values() for e in es if not 0 <= e < g.m]
+    if unknown:
+        raise GraphError(f"unknown edge id {min(unknown)}")
     trees = []
     edge_use: dict[int, int] = {}  # keyed min(v, c) * n + max(v, c)
     n, depth = g.n, 0

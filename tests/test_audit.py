@@ -49,17 +49,10 @@ class TestAsEdgeMap:
 
 class TestCongestion:
     def test_shared_edge_counts_twice(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        assert measure_congestion(g, {0: {0}, 1: {0}}) == 2
+        assert measure_congestion({0: {0}, 1: {0}}) == 2
 
     def test_all_empty(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        assert measure_congestion(g, {0: set(), 1: set()}) == 0
-
-    def test_unknown_edge_id(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(GraphError):
-            measure_congestion(g, {0: {5}})
+        assert measure_congestion({0: set(), 1: set()}) == 0
 
 
 class TestDilation:
@@ -115,12 +108,27 @@ class TestBlocks:
 class TestTreeRestriction:
     def test_empty_true(self):
         t = bfs_tree(gen_wheel(6), 0)
-        assert check_tree_restricted({0: set()}, t)
+        assert check_tree_restricted({0: set()}, t) is None
 
     def test_rim_edge_false(self):
         g = gen_wheel(6)
         t = bfs_tree(g, 0)
-        assert not check_tree_restricted({0: {g.edge_id(1, 2)}}, t)
+        rim = g.edge_id(1, 2)
+        message = f"^edge {rim} is not a tree edge; shortcut is not tree-restricted$"
+        with pytest.raises(GraphError, match=message):
+            check_tree_restricted({0: {g.edge_id(0, 1)}, 1: {rim}}, t)
+
+    def test_unknown_id_named(self):
+        t = bfs_tree(gen_wheel(6), 0)
+        with pytest.raises(GraphError, match="^unknown edge id 99$"):
+            check_tree_restricted([{99}], t)
+
+    def test_unknown_id_outranks_smaller_non_tree_id(self):
+        g = gen_wheel(6)
+        t = bfs_tree(g, 0)
+        rim = g.edge_id(1, 2)  # a non-tree id below every unknown one
+        with pytest.raises(GraphError, match=f"^unknown edge id {g.m}$"):
+            check_tree_restricted([{rim}, {g.m, rim}], t)
 
 
 class TestBoundFormulas:

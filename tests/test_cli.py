@@ -347,7 +347,24 @@ class TestAggregateShortcutFile:
         g = loads_graph(Path(grid_files[0]).read_text())
         non_tree = min(set(range(g.m)) - bfs_tree(g, 0).tree_edges)
         assert self.aggregate(grid_files, tmp_path, [str(non_tree)] + [""] * 9) == 2
-        assert "non-tree edges" in capsys.readouterr().err
+        message = f"edge {non_tree} is not a tree edge; shortcut is not tree-restricted"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["audit", "aggregate"])
+    def test_shortcut_checked_before_out_is_claimed(self, grid_files, tmp_path, capsys, command):
+        """A bad shortcut is named even when --out could not be created."""
+        g = loads_graph(Path(grid_files[0]).read_text())
+        non_tree = min(set(range(g.m)) - bfs_tree(g, 0).tree_edges)
+        rows = [str(non_tree)] + [""] * 9
+        shortcut = write(tmp_path / "sc.txt", "".join(f"{i} : {r}\n" for i, r in enumerate(rows)))
+        argv = {
+            "audit": ["audit", *grid_files, shortcut],
+            "aggregate": ["aggregate", *grid_files, "--seed", "1", "--shortcut", shortcut],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / "nodir" / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"edge {non_tree} is not a tree edge" in err
+        assert "nodir" not in err
 
     def test_valid_file_accepted(self, grid_files, tmp_path):
         assert self.aggregate(grid_files, tmp_path, [""] * 10) == 0

@@ -153,7 +153,7 @@ class TestCaseOne:
         assert frozenset(partial.edge_sets) == frozenset(range(4))
         for i in range(4):
             assert partial.edge_sets[i] == frozenset()
-        assert measure_congestion(g, partial.edge_sets) == 0
+        assert measure_congestion(partial.edge_sets) == 0
         assert audit_shortcut(g, tree, parts, partial.edge_sets).blocks == 1
 
     def test_every_part_degree_nine_returns_none(self, fan_instance):
@@ -188,6 +188,7 @@ class TestCaseOne:
             partial = case_one_partial(marking, tree, parts, 1)
             if partial is None:
                 continue
+            check_tree_restricted(partial.edge_sets, tree)
             assert len(frozenset(partial.edge_sets)) >= -(-parts.k // 2)
             counts = {}
             deg = part_degrees(marking, parts.k)
@@ -199,7 +200,7 @@ class TestCaseOne:
                 # a covered part has one block per live forest component it
                 # meets: at most its degree among marked edges, plus the root's
                 nodes, _ = _merged_subgraph(g, parts.parts[i], edges)
-                blocks = part_blocks(tree, nodes, edges)
+                blocks = part_blocks(nodes, edges)
                 assert blocks <= deg[i] + 1
                 assert blocks <= 8 * 1 + 1
             assert all(v < c for v in counts.values())
@@ -447,7 +448,7 @@ class TestConstructFull:
         result = construct_full(g, tree, parts, EngineConfig(), random.Random(0))
         assert result.delta_final == 1
         assert result.shortcut[0] == tree.tree_edges
-        assert measure_congestion(g, result.shortcut) == 1
+        assert measure_congestion(result.shortcut) == 1
         assert audit_shortcut(g, tree, parts, result.shortcut).blocks == 1
 
     def test_fan_doubles_once_and_certifies(self, fan_instance):
@@ -463,7 +464,7 @@ class TestConstructFull:
         assert report.congestion == 18
         assert report.dilation == 4
         assert report.blocks == 1
-        assert check_tree_restricted(result.shortcut, tree)
+        check_tree_restricted(result.shortcut, tree)
         assert result.delta_final == 2
         assert result.stats.covering_iterations == (1,) * parts.k
 
@@ -479,7 +480,7 @@ class TestConstructFull:
         assert result.stats.certificate_deltas == ()
         assert len(result.shortcut) == parts.k
         assert None not in result.stats.covering_iterations
-        assert check_tree_restricted(result.shortcut, tree)
+        check_tree_restricted(result.shortcut, tree)
         delta, D, k = result.delta_final, tree.D, parts.k
         report = audit_shortcut(g, tree, parts, result.shortcut)
         assert report.congestion <= partial_to_full_congestion(8 * delta * D, k)

@@ -519,6 +519,12 @@ def test_blocks_match_forest_component_oracle(inst):
         message = f"^edge {non_tree[0]} is not a tree edge; shortcut is not tree-restricted$"
         with pytest.raises(GraphError, match=message):
             audit_shortcut(g, tree, p, bad)
+    # an unknown id is named before any non-tree edge of the same shortcut
+    for unknown in (-1, g.m):
+        bad = list(shortcut)
+        bad[0] = shortcut[0] | {unknown, *non_tree[:1]}
+        with pytest.raises(GraphError, match=f"^unknown edge id {unknown}$"):
+            audit_shortcut(g, tree, p, bad)
 
 
 # payload members: ints of every size and sign, with 0, -1 and bools drawn often

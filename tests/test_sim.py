@@ -10,7 +10,7 @@ from treeshort import sim
 from treeshort.audit import audit_shortcut
 from treeshort.engine import EngineConfig, construct_full
 from treeshort.generators import gen_grid, gen_parts_random, gen_wheel
-from treeshort.graph import Graph, Partition, bfs_tree
+from treeshort.graph import Graph, GraphError, Partition, bfs_tree
 from treeshort.sim import (
     AggregationError,
     AggregationTask,
@@ -549,6 +549,15 @@ class TestPartwiseAggregate:
         task = AggregationTask(values=values, op=op, parts=p)
         with pytest.raises(AggregationError, match=f"^{re.escape(message)}$"):
             partwise_aggregate(g, p, {0: frozenset()}, task, SimConfig())
+
+    @pytest.mark.parametrize("eid", [-1, 2], ids=["negative", "m"])
+    def test_unknown_edge_id_rejected(self, eid):
+        # without the check, -1 would wrap to the last edge and aggregate
+        g = path_graph(3)
+        p = Partition(3, [[0, 1, 2]])
+        task = AggregationTask(values={v: 1 for v in range(3)}, op="sum", parts=p)
+        with pytest.raises(GraphError, match=f"^unknown edge id {eid}$"):
+            partwise_aggregate(g, p, {0: {eid}}, task, SimConfig())
 
     def test_partition_mismatch_rejected(self):
         g = path_graph(4)
