@@ -8,7 +8,8 @@ edges and parts, and then either
   * covers at least half of the parts with a partial shortcut whose edges are
     their ancestor tree edges in the forest obtained by cutting the marked
     edges, trimmed to each part's Steiner forest, found by walking up from
-    each covered part's nodes in O(sum |P_i| + |H_i|) steps (case I), or
+    each covered part's nodes in O(sum |P_i| + |H_i| + D*r_i) steps, r_i
+    the number of forest components part i meets (case I), or
   * samples a bipartite minor of the host graph whose exact rational density
     exceeds delta, certifying that no such shortcut family exists at this
     delta (case II).
@@ -135,21 +136,37 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
     parts intersecting its subtree, where subtrees hanging below an
     already-marked edge no longer propagate upward; the edge above a node is
     marked exactly when the accumulated part count reaches c, and that
-    node's accumulated map becomes the edge's entry.
+    node's accumulated map becomes the edge's entry.  A childless node's map
+    would hold at most its own part, so for c >= 2 it builds none: its
+    parent reads the node's part directly, keeping the smaller
+    representative as a merge would.  At c = 1 a childless node with a part
+    is marked, so at that threshold it keeps its own map.
     """
     if c < 1:
         raise ValueError(f"threshold must be >= 1, got {c}")
     if t.graph.n != p.n:
         raise GraphError("tree and partition disagree on node count")
+    part_of, children, parent_edge, root = p.part_of, t.children, t.parent_edge, t.root
+    leaf_maps = c == 1  # the only threshold a childless node's edge can reach
     parts_below: dict[int, dict[int, int]] = {}
     below: list[dict[int, int] | None] = [None] * t.graph.n
     for v in t.order:  # non-increasing depth
+        kids = children[v]
+        if not kids and not leaf_maps:
+            continue
         acc: dict[int, int] = {}
-        own = p.part_of[v]
+        own = part_of[v]
         if own is not None:
             acc[own] = v
-        for ch in t.children[v]:
-            if t.parent_edge[ch] in parts_below:
+        for ch in kids:
+            if not leaf_maps and not children[ch]:
+                part = part_of[ch]
+                if part is not None:
+                    cur = acc.get(part)
+                    if cur is None or ch < cur:
+                        acc[part] = ch
+                continue
+            if parent_edge[ch] in parts_below:
                 continue
             chmap = below[ch]
             if len(chmap) > len(acc):
@@ -160,9 +177,9 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
                     acc[part] = node
             below[ch] = None
         below[v] = acc
-        if v != t.root and len(acc) >= c:
+        if v != root and len(acc) >= c:
             # the parent skips this marked child, so acc is never merged again
-            parts_below[t.parent_edge[v]] = acc
+            parts_below[parent_edge[v]] = acc
     return CongestionMarking(parts_below)
 
 
@@ -182,7 +199,11 @@ def case_one_partial(
     walk from each of its nodes, stopping at the root, at a marked edge (the
     component's top) or at a node whose parent edge the part already holds
     (a join).  A top reached by one walk only loses that walk's edges down
-    to its first part node or join, so the cost stays O(sum |P_i| + |H_i|).
+    to its first part node or join: that pendant path is walked, then
+    dropped, and is up to D edges long per component the part meets.  A
+    covered part meets at most 8*delta + 1 components (one below each marked
+    edge above it, and the root's), so the cost is O(|P_i| + |H_i| + D*r_i)
+    per part, r_i the number of components it meets.
     """
     k = p.k
     deg = Counter(i for parts in marking.parts_below.values() for i in parts)
@@ -327,8 +348,9 @@ def construct_full(
     the certificate if one was found, and doubles.  Case I cannot fail once
     delta reaches the true minor density, so the search terminates with
     delta_final below twice that value.  The shortcut holds part i's edge
-    set at index i.  `config.max_delta` caps delta (None: the node count),
-    and every random draw comes from `rng`.
+    set at index i.  The first iteration of each delta runs on `p` itself,
+    later ones on the subset of parts still uncovered.  `config.max_delta`
+    caps delta (None: the node count), and every random draw comes from `rng`.
     """
     max_delta = config.max_delta if config.max_delta is not None else g.n
     certificates: list[MinorCertificate] = []
@@ -343,7 +365,8 @@ def construct_full(
         iteration = 0
         while remaining:
             iteration += 1
-            outcome = construct_partial(g, t, p.subset(remaining), delta, rng)
+            sub = p if len(remaining) == p.k else p.subset(remaining)
+            outcome = construct_partial(g, t, sub, delta, rng)
             partial = outcome.partial
             if partial is None:
                 if outcome.certificate is not None:

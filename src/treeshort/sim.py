@@ -505,7 +505,8 @@ def partwise_aggregate(
             f"only {budget} available after the header"
         )
     edge_map = as_edge_map(shortcut)
-    unknown = [e for es in edge_map.values() for e in es if not 0 <= e < g.m]
+    m = g.m
+    unknown = [e for es in edge_map.values() for e in es if not 0 <= e < m]
     if unknown:
         raise GraphError(f"unknown edge id {min(unknown)}")
     trees = []

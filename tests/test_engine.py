@@ -24,7 +24,7 @@ from treeshort.engine import (
     sample_dense_minor,
 )
 from treeshort.graph import Graph, GraphError, Partition, bfs_tree
-from treeshort.generators import gen_ktree, gen_parts_random
+from treeshort.generators import gen_grid, gen_ktree, gen_parts_random
 
 import oracles
 from conftest import build_fan
@@ -75,51 +75,61 @@ class TestMarking:
         assert marking.overcongested == tree.tree_edges
 
     def test_threshold_dichotomy_on_random_trees(self):
-        for seed in range(12):
-            rng = random.Random(1000 + seed)
-            n = rng.randrange(20, 200)
-            g = gen_ktree(n, 1, seed)  # random tree
-            tree = bfs_tree(g, 0)
-            parts = gen_parts_random(g, rng.randrange(1, max(2, n // 3)), seed)
-            c = rng.randrange(1, 12)
-            marking = mark_overcongested(tree, parts, c)
-            for eid in tree.tree_edges:
-                expected = oracles.parts_below_tree_edge(
-                    tree, parts, marking.overcongested, eid
-                )
-                if eid in marking.overcongested:
-                    assert len(expected) >= c
-                    assert marking.parts_below[eid].keys() == expected
-                else:
-                    assert len(expected) < c
+        for g, tree, parts, rng in marking_instances(1000, 18):
+            for c in (1, 2, rng.randrange(3, 12)):
+                marking = mark_overcongested(tree, parts, c)
+                for eid in tree.tree_edges:
+                    expected = oracles.parts_below_tree_edge(
+                        tree, parts, marking.overcongested, eid
+                    )
+                    if eid in marking.overcongested:
+                        assert len(expected) >= c
+                        assert marking.parts_below[eid].keys() == expected
+                    else:
+                        assert len(expected) < c
 
     def test_representatives_are_valid_min_descendants(self):
-        for seed in range(6):
-            rng = random.Random(2000 + seed)
-            n = rng.randrange(30, 150)
-            g = gen_ktree(n, 1, seed)
-            tree = bfs_tree(g, 0)
-            parts = gen_parts_random(g, rng.randrange(2, 10), seed)
-            marking = mark_overcongested(tree, parts, rng.randrange(1, 6))
-            for eid, reps in marking.parts_below.items():
-                for i, rep in reps.items():
-                    assert parts.part_of[rep] == i
-                    # walk up from rep: must reach the deeper endpoint without
-                    # crossing a marked edge
+        for g, tree, parts, rng in marking_instances(2000, 9):
+            for c in (1, 2, rng.randrange(3, 6)):
+                marking = mark_overcongested(tree, parts, c)
+                for eid, reps in marking.parts_below.items():
                     ve = tree.deeper_endpoint(eid)
-                    cur = rep
-                    while cur != ve:
-                        assert tree.parent_edge[cur] not in marking.overcongested
-                        cur = tree.parent[cur]
-                    # minimality among the part's nodes in the live component
-                    live = [
-                        v
-                        for v in range(g.n)
-                        if parts.part_of[v] == i
-                        and v
-                        in oracles_component_nodes(tree, marking.overcongested, ve)
-                    ]
-                    assert rep == min(live)
+                    live = oracles_component_nodes(tree, marking.overcongested, ve)
+                    for i, rep in reps.items():
+                        assert parts.part_of[rep] == i
+                        # walk up from rep: must reach the deeper endpoint
+                        # without crossing a marked edge
+                        cur = rep
+                        while cur != ve:
+                            assert tree.parent_edge[cur] not in marking.overcongested
+                            cur = tree.parent[cur]
+                        # minimality among the part's nodes in the live component
+                        assert rep == min(v for v in live if parts.part_of[v] == i)
+
+
+def marking_instances(base_seed, count):
+    """Random trees, k-trees (k = 2, 3) and grids in turn, with shuffled node
+    ids and a random root, and with about 30% of the parts left out on every
+    other instance, so that some childless tree nodes belong to no part.
+    Yields (g, tree, parts, rng)."""
+    for seed in range(count):
+        rng = random.Random(base_seed + seed)
+        kind = seed % 3
+        if kind == 0:
+            g = gen_ktree(rng.randrange(20, 200), 1, seed)  # random tree
+        elif kind == 1:
+            g = gen_ktree(rng.randrange(20, 150), rng.randrange(2, 4), seed)
+        else:
+            g = gen_grid(rng.randrange(2, 13), rng.randrange(2, 13))
+        perm = list(range(g.n))
+        rng.shuffle(perm)  # ids no longer follow the tree, so a minimum is not the first found
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        tree = bfs_tree(g, rng.randrange(g.n))
+        parts = gen_parts_random(g, rng.randrange(1, max(2, g.n // 3)), seed)
+        if seed % 2:
+            keep = [i for i in range(parts.k) if rng.random() >= 0.3] or [0]
+            parts = parts.subset(keep)
+        yield g, tree, parts, rng
 
 
 def oracles_component_nodes(tree, blocked, start):
