@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Container, KeysView, Mapping
 
 from .audit import validate_minor
-from .graph import Graph, GraphError, Partition, RootedTree, _line_ints
+from .graph import _INT_TOKEN, Graph, GraphError, Partition, RootedTree, _line_ints
 
 # Case-II retry budget per construction call, scaled by tree depth.  One
 # attempt succeeds with probability Omega(1/D) when the dichotomy holds, so
@@ -116,7 +116,6 @@ class EngineConfig:
 @dataclass(frozen=True)
 class ConstructStats:
     iterations_by_delta: tuple[tuple[int, int], ...]
-    covering_iterations: tuple[int, ...]  # per part: the iteration at delta_final that covered it
     uncertified_failures: int
     certificate_deltas: tuple[int, ...]  # aligned with the certificates tuple
 
@@ -360,7 +359,6 @@ def construct_full(
     delta = 1
     while delta <= max_delta:
         edge_sets: list[frozenset[int] | None] = [None] * p.k
-        covering: list[int | None] = [None] * p.k
         remaining = list(range(p.k))
         iteration = 0
         while remaining:
@@ -376,9 +374,7 @@ def construct_full(
                     uncertified += 1
                 break
             for sub_i, edges in partial.edge_sets.items():
-                orig = remaining[sub_i]
-                edge_sets[orig] = edges
-                covering[orig] = iteration
+                edge_sets[remaining[sub_i]] = edges
             remaining = [
                 remaining[j] for j in range(len(remaining)) if j not in partial.edge_sets
             ]
@@ -386,7 +382,6 @@ def construct_full(
         if not remaining:
             stats = ConstructStats(
                 iterations_by_delta=tuple(iterations_log),
-                covering_iterations=tuple(covering),
                 uncertified_failures=uncertified,
                 certificate_deltas=tuple(certificate_deltas),
             )
@@ -461,13 +456,13 @@ def _cert_field(obj, key: str, path: str, kind: type):
 def certificate_from_json_dict(data: dict) -> MinorCertificate:
     """Inverse of certificate_to_json_dict; a malformed field raises GraphError."""
     text = _cert_field(data, "density", "", str)
-    num, _, den = text.partition("/")
-    try:
-        density = Fraction(int(num), int(den or "1"))
-    except ValueError:
-        raise GraphError(f"certificate field density: {text!r} is not an integer ratio") from None
-    except ZeroDivisionError:
-        raise GraphError(f"certificate field density: {text!r} has a zero denominator") from None
+    num, slash, den = text.partition("/")
+    den = den if slash else "1"
+    if not (_INT_TOKEN.fullmatch(num) and _INT_TOKEN.fullmatch(den)):
+        raise GraphError(f"certificate field density: {text!r} is not an integer ratio")
+    if int(den) == 0:
+        raise GraphError(f"certificate field density: {text!r} has a zero denominator")
+    density = Fraction(int(num), int(den))
     nodes = []
     for idx, node in enumerate(_cert_field(data, "nodes", "", list)):
         path = f"nodes[{idx}]"

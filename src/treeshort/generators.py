@@ -32,8 +32,7 @@ class LowerBoundInstance:
     delta_prime: int
     D_prime: int
     delta: int  # delta' - 2
-    k: int  # floor(D' / (2 delta))
-    D: int  # k * delta
+    D: int  # k * delta, k = floor(D' / (2 delta))
     top_path_nodes: int  # (delta-1)*k + 1
     grid_side: int  # (delta-1)*D + 1
     quality_floor: Fraction  # (delta'-3) * D' / 6
@@ -90,7 +89,6 @@ def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
         delta_prime=delta_prime,
         D_prime=D_prime,
         delta=delta,
-        k=k,
         D=D,
         top_path_nodes=top,
         grid_side=side,

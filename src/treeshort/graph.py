@@ -11,6 +11,7 @@ id, so results are reproducible.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -20,6 +21,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 INFINITE = math.inf
 
 MAX_WEIGHT = 2**31  # weights live in [1, 2**31)
+
+# an integer token of a text input: ASCII decimal digits after one optional '-'
+# (`int` alone would also take '+5', '1_0', ' 3' and non-ASCII digits)
+_INT_TOKEN = re.compile("-?[0-9]+")
 
 
 class GraphError(Exception):
@@ -241,9 +246,9 @@ def _bfs_far(adj, source: int) -> tuple[dict[int, int], int]:
 # Kernel rule: all-pairs distances on a kernel of K nodes cost about K*K
 # steps and a BFS about n.  A kernel of more than n/4 nodes (dense parts, such
 # as k-tree parts and grid blocks) or of more than 4*sqrt(n) nodes (large
-# subdivided meshes) would cost more than BoundingDiameters, which passes
-# over the arcs at most about 3*D times (D the diameter, small on such
-# graphs), so those keep the BFS loop.
+# subdivided meshes) would cost more than the sweeps, which pass over the
+# arcs at most about 3*D times (2*D BFS runs and D+1 finisher rounds, D the
+# diameter, small on such graphs), so those keep the BFS loop.
 _KERNEL_RATIO = 4
 
 
@@ -271,21 +276,21 @@ def _diameter_of(adj, nodes) -> int | float:
         d(b, x)) / 2; their sum peaks between the two, so its integer
         maximum lies at an integer point next to a breakpoint.
     Kernel rule: when the kernel holds more than a quarter of the nodes, or
-    more than 4*sqrt(n) of them (_KERNEL_RATIO), the routine runs
-    BoundingDiameters (Takes & Kosters, 2011) on the full adjacency instead:
-    a BFS from s with eccentricity e bounds every candidate w by
-    max(d, e-d) <= ecc(w) <= e+d, d = d(s, w), and a candidate is dropped
-    once its upper bound is at most `best`, the largest distance found.
-    On dense graphs of small diameter the bounds can stall, so the sweeps
-    stop once their number reaches the largest upper bound U left among the
-    candidates, and one bit-parallel BFS from all of them
-    (_largest_eccentricity) gives their largest eccentricity; the diameter
-    is the larger of that and `best`, since no dropped node's eccentricity
-    exceeds `best`.  Every upper bound is at most twice the first BFS's
-    eccentricity, so the routine runs at most 2*D BFS and at most D+1
-    finisher rounds, each round visiting every arc at most once (with one
-    operation on a mask of one bit per candidate).  A one-node graph
-    returns 0 before any of this.
+    more than 4*sqrt(n) of them (_KERNEL_RATIO), the routine sweeps the
+    full adjacency instead, keeping the upper bounds of BoundingDiameters
+    (Takes & Kosters, 2011): a BFS from s with eccentricity e bounds every
+    candidate w by ecc(w) <= e + d(s, w), and a candidate is dropped once
+    its upper bound is at most `best`, the largest distance found.  The
+    next source is the first candidate, in dict order, that holds the
+    largest upper bound U left.  On dense graphs of small diameter the
+    bounds can stall, so the sweeps stop once their number reaches U, and
+    one bit-parallel BFS from every candidate left (_largest_eccentricity)
+    gives their largest eccentricity; the diameter is the larger of that
+    and `best`, since no dropped node's eccentricity exceeds `best`.  Every
+    upper bound is at most twice the first BFS's eccentricity, so the
+    routine runs at most 2*D BFS and at most D+1 finisher rounds, each round
+    visiting every arc at most once (with one operation on a mask of one bit
+    per candidate).  A one-node graph returns 0 before any of this.
     """
     if len(nodes) == 1:
         return 0
@@ -321,34 +326,26 @@ def _diameter_of(adj, nodes) -> int | float:
         if len(dist) != len(deg):
             return INFINITE
         upper = dict.fromkeys(nodes, INFINITE)  # the candidates and their upper bounds
-        lower = dict.fromkeys(nodes, 0)
-        pick_upper = True
         runs = 1
         while True:
             e = dist[far]
             best = max(best, e)
             kept = {}
-            top = 0  # the largest upper bound kept
+            top = 0  # the largest upper bound kept, first held by s
             # comparisons rather than min()/max() calls: this loop dominates the bookkeeping
             for w, hi in upper.items():
-                d = dist[w]
-                if e + d < hi:
-                    hi = e + d
-                if hi > best:  # also drops w once its bounds meet, since lower[w] <= best
+                d = e + dist[w]
+                if d < hi:
+                    hi = d
+                if hi > best:  # else ecc(w) <= best, and w cannot raise the diameter
                     kept[w] = hi
                     if hi > top:
-                        top = hi
-                    lo = d if d > e - d else e - d
-                    if lo > lower[w]:
-                        lower[w] = lo
+                        top, s = hi, w
             if not kept:
                 return best
             if runs >= top:
                 return max(best, _largest_eccentricity(adj, nodes, kept))
             upper = kept
-            # alternate: the largest upper bound, then the smallest lower bound
-            s = max(upper, key=upper.get) if pick_upper else min(upper, key=lower.get)
-            pick_upper = not pick_upper
             dist, far = _bfs_far(adj, s)
             runs += 1
     if not kernel:
@@ -515,16 +512,11 @@ def dumps_graph(g: Graph) -> str:
 
 
 def _line_ints(tokens: list[str], kind: str, lineno: int) -> list[int]:
-    """The integers of one line of a `kind` file; a bad token names the
-    1-based line.  A token is ASCII decimal digits after one optional '-'
-    (`int` alone would also take '+5', '1_0' and non-ASCII digits)."""
-    out = []
+    """The integers of one line of a `kind` file; a bad token names the 1-based line."""
     for tok in tokens:
-        digits = tok[1:] if tok[:1] == "-" else tok
-        if not (digits.isascii() and digits.isdigit()):
+        if not _INT_TOKEN.fullmatch(tok):
             raise GraphError(f"{kind} file line {lineno}: {tok!r} is not an integer")
-        out.append(int(tok))
-    return out
+    return [int(tok) for tok in tokens]
 
 
 def loads_graph(text: str) -> Graph:

@@ -390,8 +390,17 @@ class TestCertificateJson:
             ("", "'' is not an integer ratio"),
             ("3/0", "'3/0' has a zero denominator"),
             (1.5, "expected str, got float"),
+            ("1_0/3", "'1_0/3' is not an integer ratio"),
+            ("+5/2", r"'\+5/2' is not an integer ratio"),
+            ("\u0662/1", "'\u0662/1' is not an integer ratio"),
+            (" 3/2", "' 3/2' is not an integer ratio"),
+            ("3/ 2", "'3/ 2' is not an integer ratio"),
+            ("3/", "'3/' is not an integer ratio"),
         ],
-        ids=["letter", "decimal", "empty", "zero-denominator", "not-a-string"],
+        ids=[
+            "letter", "decimal", "empty", "zero-denominator", "not-a-string", "underscore",
+            "plus", "arabic-digit", "leading-space", "inner-space", "no-denominator",
+        ],
     )
     def test_bad_density(self, density, message):
         data = _cert_data()
@@ -476,7 +485,6 @@ class TestConstructFull:
         assert report.blocks == 1
         check_tree_restricted(result.shortcut, tree)
         assert result.delta_final == 2
-        assert result.stats.covering_iterations == (1,) * parts.k
 
     def test_uncertified_case_two_still_yields_a_bounded_shortcut(self, fan_instance, monkeypatch):
         # with no minor-sampling attempts every case-II event is uncertified,
@@ -489,7 +497,6 @@ class TestConstructFull:
         assert result.certificates == ()
         assert result.stats.certificate_deltas == ()
         assert len(result.shortcut) == parts.k
-        assert None not in result.stats.covering_iterations
         check_tree_restricted(result.shortcut, tree)
         delta, D, k = result.delta_final, tree.D, parts.k
         report = audit_shortcut(g, tree, parts, result.shortcut)
@@ -524,12 +531,6 @@ class TestConstructFull:
         lg = math.ceil(math.log2(parts.k))
         assert report.congestion <= 8 * 1 * tree.D * lg
         assert report.blocks <= 8
-        # the stats record which iteration froze each part's edges
-        iterations = set(result.stats.covering_iterations)
-        assert iterations == {1, 2}
-        for i, it in enumerate(result.stats.covering_iterations):
-            expected = 2 if len(parts.parts[i]) == 9 else 1
-            assert (result.delta_final, it) == (1, expected)
         # chained parts were covered against an empty marking, and the root
         # joins their nine middle subtrees, so their root edges are kept;
         # a singleton part needs no edge

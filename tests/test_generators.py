@@ -33,7 +33,7 @@ def lower_bound_attachment_edges(inst):
     ids = []
     for j in range(1, inst.delta + 1):
         col = (j - 1) * inst.D + 1
-        anchor = lb_node(inst, (j - 1) * inst.k + 1)
+        anchor = lb_node(inst, (j - 1) * (inst.D // inst.delta) + 1)
         for jp in range(2, inst.delta + 1):  # row 1 attachments stay
             row = (jp - 1) * inst.D + 1
             ids.append(inst.graph.edge_id(lb_node(inst, row, col), anchor))
@@ -54,7 +54,7 @@ def lb_counts(delta_prime, D_prime):
 class TestLowerBound:
     def test_5_12_shape(self):
         inst = gen_lower_bound(5, 12)
-        assert (inst.delta, inst.k, inst.D) == (3, 2, 6)
+        assert (inst.delta, inst.D // inst.delta, inst.D) == (3, 2, 6)
         assert inst.top_path_nodes == 5
         assert inst.grid_side == 13
         assert inst.graph.n == 174

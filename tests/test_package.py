@@ -1,5 +1,8 @@
 import ast
+import dataclasses
 import functools
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -65,17 +68,25 @@ def attributes(trees, outside=None):
     return names
 
 
+@functools.cache
+def caller_trees():
+    """The syntax trees of every library module but `__init__`, of
+    perfbench's modules and of the README Python blocks: the code that
+    counts as a caller outside the tests."""
+    root = SRC.parent
+    sources = [p.read_text() for p in (SRC / "treeshort").glob("*.py") if p.name != "__init__.py"]
+    sources += [p.read_text() for p in (root / "perfbench").glob("*.py")]
+    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    return [ast.parse(source) for source in sources]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """No public symbol exists only for its tests: each non-module name in
     `treeshort.__all__` is read in another library module, in perfbench or
     in a README Python block, and so is each public member of the
     node-program interface (`NodeContext`, `NodeProgram`), as an attribute
     outside its own class's body."""
-    root = SRC.parent
-    sources = [p.read_text() for p in (SRC / "treeshort").glob("*.py") if p.name != "__init__.py"]
-    sources += [p.read_text() for p in (root / "perfbench").glob("*.py")]
-    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
-    trees = [ast.parse(source) for source in sources]
+    trees = caller_trees()
     used = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= attributes(trees)
     public = {
@@ -88,3 +99,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         read = attributes(trees, outside=cls.__name__)
         unread += sorted(name for name in vars(cls) if name[0] != "_" and name not in read)
     assert sorted(public - used) + unread == []
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """No field exists only for its tests: each field of each public
+    dataclass in `src/treeshort/` is read as an attribute in the library, in
+    perfbench or in a README Python block.  The check goes by name, so it
+    cannot see a field whose name is also another object's attribute: a
+    `LowerBoundInstance.k` would pass on every `p.k` of a partition."""
+    read = attributes(caller_trees())
+    unread = []
+    for path in sorted((SRC / "treeshort").glob("[!_]*.py")):
+        module = importlib.import_module(f"treeshort.{path.stem}")
+        for name, cls in inspect.getmembers(module, dataclasses.is_dataclass):
+            if name[0] != "_" and cls.__module__ == module.__name__:
+                fields = {f.name for f in dataclasses.fields(cls)}
+                unread += sorted(f"{name}.{field}" for field in fields - read)
+    assert unread == []

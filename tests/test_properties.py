@@ -10,12 +10,15 @@ chains, then maximises closed forms over the kernel that is left, or runs
 bound-pruned BFS when that kernel is dense; so the inputs include trees,
 cycles, chains of unequal length between and around kernel nodes, pendant
 paths, graphs large enough (n up to 40, a 12x12 grid) for the BFS
-pruning to engage, and k-trees, dense graphs of small diameter on which the
-pruning stalls and a bit-parallel sweep finishes it.  Sweep-count guards
-catch a return to one BFS per node, a stall that the finisher does not cut
-short, and audits that stop taking the kernel route.
+pruning to engage, and k-trees and Hamiltonian cycles with random chords,
+dense graphs of small diameter on which the pruning stalls and a
+bit-parallel sweep finishes it.  Sweep-count guards catch a return to one
+BFS per node, a stall that the finisher does not cut short (more than 2*D
+BFS runs or a second finisher call), and audits that stop taking the
+kernel route.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -156,7 +159,7 @@ def test_diameter_matches_all_pairs_oracle(g):
 @SETTINGS
 @given(sized_graphs())
 def test_diameter_matches_oracle_up_to_40_nodes(g):
-    assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
+    assert_diameter_within_sweep_bound(g)
 
 
 def path_edges(nodes):
@@ -322,11 +325,12 @@ def test_dilation_of_all_ancestor_merged_subgraphs_on_grid(seed, k):
     assert dilation == report.dilation == max(want)
 
 
-@pytest.fixture
-def bfs_calls(monkeypatch):
-    """Record the sweeps of the shared diameter routine: the source of each
-    BFS run in `runs`, the candidate count of each finisher call in
-    `finishers`."""
+@contextlib.contextmanager
+def counted_sweeps():
+    """Record the sweeps of the shared diameter routine inside the block: the
+    source of each BFS run in `runs`, the candidate count of each finisher
+    call in `finishers`.  Hypothesis tests use it directly, as hypothesis
+    rejects function-scoped fixtures such as `bfs_calls`."""
     calls = SimpleNamespace(runs=[], finishers=[])
     bfs = treeshort.graph._bfs_far
     finish = treeshort.graph._largest_eccentricity
@@ -339,9 +343,26 @@ def bfs_calls(monkeypatch):
         calls.finishers.append(len(sources))
         return finish(adj, nodes, sources)
 
-    monkeypatch.setattr(treeshort.graph, "_bfs_far", counting_bfs)
-    monkeypatch.setattr(treeshort.graph, "_largest_eccentricity", counting_finish)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treeshort.graph, "_bfs_far", counting_bfs)
+        patch.setattr(treeshort.graph, "_largest_eccentricity", counting_finish)
+        yield calls
+
+
+@pytest.fixture
+def bfs_calls():
+    with counted_sweeps() as calls:
+        yield calls
+
+
+def assert_diameter_within_sweep_bound(g):
+    """diameter(g) is the oracle's, after at most 2*D BFS runs and at most
+    one finisher call, the bound the sweep route promises."""
+    with counted_sweeps() as calls:
+        d = diameter(g)
+    assert d == oracles.all_pairs_diameter(g.n, g.edges)
+    assert len(calls.runs) <= 2 * d
+    assert len(calls.finishers) <= 1
 
 
 def test_grid_diameter_needs_few_bfs(bfs_calls):
@@ -368,7 +389,21 @@ def test_stalled_ktree_diameter_is_finished_exactly(bfs_calls, n, seed, want):
 @SETTINGS
 @given(ktrees())
 def test_ktree_diameter_matches_oracle(g):
-    assert diameter(g) == oracles.all_pairs_diameter(g.n, g.edges)
+    assert_diameter_within_sweep_bound(g)
+
+
+def hamiltonian_with_chords(n, p, seed):
+    """The cycle 0, 1, ..., n-1 plus each node pair as a chord with
+    probability p: dense graphs of small diameter that are not k-trees."""
+    rng = random.Random(seed)
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("n, p, seed", [(300, 0.01, 1), (350, 0.02, 2), (400, 0.05, 3)])
+def test_dense_hamiltonian_diameter_within_sweep_bound(n, p, seed):
+    assert_diameter_within_sweep_bound(hamiltonian_with_chords(n, p, seed))
 
 
 def test_audit_dilation_on_ktree_parts_the_finisher_measures(bfs_calls):
