@@ -43,11 +43,7 @@ class EngineError(Exception):
 
 
 class MaxDeltaExceeded(EngineError):
-    """Doubling search passed the configured cap; carries all certificates found."""
-
-    def __init__(self, max_delta: int, certificates: tuple["MinorCertificate", ...]):
-        super().__init__(f"no shortcut found for any delta <= {max_delta}")
-        self.certificates = certificates
+    """Doubling search passed the configured cap; the message names the cap."""
 
 
 @dataclass(frozen=True)
@@ -392,7 +388,7 @@ def construct_full(
                 stats=stats,
             )
         delta *= 2
-    raise MaxDeltaExceeded(max_delta, tuple(certificates))
+    raise MaxDeltaExceeded(f"no shortcut found for any delta <= {max_delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +409,9 @@ def loads_shortcut(text: str) -> Shortcut:
     for no, ln in enumerate(text.splitlines(), 1):
         if not ln.strip():
             continue
-        head, _, rest = ln.partition(":")
+        head, sep, rest = ln.partition(":")
         index = head.split()
-        if len(index) != 1:
+        if not sep or len(index) != 1:
             raise GraphError(f"shortcut file line {no}: expected 'part : edge ids', got {ln!r}")
         (i,) = _line_ints(index, "shortcut", no)
         if i in rows:

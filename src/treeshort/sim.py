@@ -99,11 +99,7 @@ class AggregationError(SimError):
 
 
 class SimTimeout(SimError):
-    """max_rounds exhausted; `.trace` holds the partial trace."""
-
-    def __init__(self, message: str, trace: "RoundTrace"):
-        super().__init__(message)
-        self.trace = trace
+    """max_rounds exhausted; the message names the cap."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ class NodeContext:
     receiver's inbox for the next round, which lists its senders in send
     order; a second send on one edge in one round raises there."""
 
-    __slots__ = ("node", "round", "_cfg", "_msg_bits", "_edge_id", "_halted", "_awake",
+    __slots__ = ("node", "round", "_msg_bits", "_edge_id", "_halted", "_awake",
                  "_wake_at", "_wakes", "_outputs", "_next", "_messages_sent", "_log")
 
     def __init__(self, g: Graph, cfg: SimConfig):
@@ -173,7 +169,6 @@ class NodeContext:
             )
         self.node = 0  # the node being stepped
         self.round = -1  # the clock starts one before round 0
-        self._cfg = cfg
         self._edge_id = g.edge_id
         self._halted: set[int] = set()
         self._awake = set(range(g.n))  # stepped every round
@@ -238,21 +233,6 @@ class NodeContext:
                 due.append(v)
         return due
 
-    def _trace(self) -> RoundTrace:
-        return RoundTrace(
-            rounds_used=self.round,
-            messages_sent=self._messages_sent,
-            log=tuple(self._log) if self._log is not None else None,
-            outputs=dict(self._outputs),
-            meta={
-                "config": {
-                    "msg_bits": self._msg_bits,
-                    "max_rounds": self._cfg.max_rounds,
-                    "seed": self._cfg.seed,
-                }
-            },
-        )
-
 
 class NodeProgram:
     """Pure state machine stepped by its one hook, `on_round`; round 0 is its
@@ -279,7 +259,8 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
     is in flight, the clock jumps to the round before the next wake round,
     or to max_rounds if no sleeper has one; the skipped rounds count in
     `rounds_used`.  Every step gets the run's one context, with `ctx.node`
-    set to the node stepped.
+    set to the node stepped.  Passing max_rounds raises `SimTimeout`, which
+    carries only its message.
     """
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
@@ -292,7 +273,7 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
             wake = ctx._wakes[0][0] if ctx._wakes else max_rounds + 1
             ctx.round = min(wake - 1, max_rounds)
         if ctx.round >= max_rounds:
-            raise SimTimeout(f"exceeded max_rounds={max_rounds}", ctx._trace())
+            raise SimTimeout(f"exceeded max_rounds={max_rounds}")
         ctx.round += 1
         inboxes, ctx._next = ctx._next, {}
         for v in sorted(awake.union(inboxes, ctx._pop_due())):
@@ -300,7 +281,14 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
                 awake.add(v)  # a later sleep() overwrites any pending wake
                 ctx.node = v
                 programs[v].on_round(ctx, inboxes.get(v, empty))
-    return ctx._trace()
+    config = {"msg_bits": ctx._msg_bits, "max_rounds": max_rounds, "seed": cfg.seed}
+    return RoundTrace(
+        rounds_used=ctx.round,
+        messages_sent=ctx._messages_sent,
+        log=tuple(ctx._log) if ctx._log is not None else None,
+        outputs=ctx._outputs,
+        meta={"config": config},
+    )
 
 
 # ---------------------------------------------------------------------------

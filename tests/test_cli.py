@@ -166,8 +166,9 @@ class TestLoaderErrors:
             ("0 : 0\n1 :\n2 :\nx : 0\n", "shortcut file line 4: 'x' is not an integer"),
             ("0 : 0\n\n1 : 1 z\n2 :\n3 :\n", "shortcut file line 3: 'z' is not an integer"),
             ("0 : 0\n: 1\n", "shortcut file line 2: expected 'part : edge ids'"),
+            ("0 : 0\n1\n2 :\n3 :\n", "shortcut file line 2: expected 'part : edge ids'"),
         ],
-        ids=["index", "edge-id", "no-index"],
+        ids=["index", "edge-id", "no-index", "no-colon"],
     )
     def test_shortcut_file(self, caterpillar_files, tmp_path, capsys, text, message):
         graph, parts = caterpillar_files
@@ -639,6 +640,21 @@ class TestCaps:
         args = ["aggregate", files["graph"], files["parts"], "--seed", "1", "--max-rounds", "0"]
         assert main(args) == 3
         assert capsys.readouterr().err == "runtime error: exceeded max_rounds=0\n"
+
+    def test_cap_the_search_passes_is_runtime_error(self, tmp_path, capsys):
+        """The fan needs delta 2, so the search passes a cap of 1: the
+        message names the cap and no output file is written."""
+        fan, fan_parts = build_fan(9, 18, 9)
+        graph = write(tmp_path / "fan-graph.txt", dumps_graph(fan))
+        parts = write(tmp_path / "fan-parts.txt", dumps_partition(fan_parts))
+        cap = ["--seed", "7", "--max-delta", "1"]
+        message = "runtime error: no shortcut found for any delta <= 1\n"
+        assert main(["shortcut", graph, parts, *cap, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == message
+        assert list((tmp_path / "o").iterdir()) == []
+        assert main(["aggregate", graph, parts, *cap, "--out", str(tmp_path / "a.json")]) == 3
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "a.json").exists()
 
     def test_non_integer_cap_keeps_argparse_wording(self, files, capsys):
         args = ["shortcut", files["graph"], files["parts"], "--seed", "1", "--max-delta", "x"]

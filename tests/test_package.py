@@ -116,3 +116,19 @@ def test_every_dataclass_field_is_read_outside_the_tests():
                 fields = {f.name for f in dataclasses.fields(cls)}
                 unread += sorted(f"{name}.{field}" for field in fields - read)
     assert unread == []
+
+
+def test_exceptions_carry_only_their_message():
+    """No exception class in `src/treeshort/` defines its own `__init__`, so
+    none carries a payload beyond its message.  This covers what the
+    name-based field lint cannot see: an exception attribute such as a
+    `certificates` or a `trace` passes that lint whenever another object
+    has an attribute of the same name."""
+    with_init = []
+    for path in sorted((SRC / "treeshort").glob("[!_]*.py")):
+        module = importlib.import_module(f"treeshort.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                if "__init__" in vars(cls):
+                    with_init.append(name)
+    assert with_init == []

@@ -125,14 +125,13 @@ class TestRun:
                 run(g, [Teleport(dst), HaltAtInit(), HaltAtInit()], SimConfig())
             assert str(err.value) == f"node 0 tried to message non-neighbor {dst}"
 
-    def test_timeout_carries_partial_trace(self):
+    def test_timeout_names_max_rounds(self):
         class Stubborn(NodeProgram):
             pass  # never halts
 
         g = path_graph(2)
-        with pytest.raises(SimTimeout) as err:
+        with pytest.raises(SimTimeout, match="^exceeded max_rounds=10$"):
             run(g, [Stubborn(), Stubborn()], SimConfig(max_rounds=10))
-        assert err.value.trace.rounds_used == 10
 
     def test_program_count_must_match_node_count(self):
         with pytest.raises(SimError, match="^need 3 programs, got 2$"):
@@ -195,10 +194,9 @@ class TestRun:
         assert {record.round for record in trace.log} == {1}
         assert (trace.rounds_used, trace.messages_sent) == (1, 2 * g.m)
         steps.clear()
-        with pytest.raises(SimTimeout) as err:
+        with pytest.raises(SimTimeout, match="^exceeded max_rounds=0$"):
             run(g, [Probe() for _ in range(g.n)], SimConfig(max_rounds=0))
         assert steps == [(0, v, {}) for v in range(g.n)]
-        assert err.value.trace.rounds_used == 0
 
     def test_one_context_per_run_set_to_the_stepped_node(self):
         """Every step of a run gets the same context, with `ctx.node` the
@@ -290,16 +288,14 @@ class TestScheduler:
 
     def test_all_asleep_without_wake_times_out_at_once(self):
         sleepers = [Sleeper(None), Sleeper(None)]
-        with pytest.raises(SimTimeout, match="max_rounds=1000000") as err:
+        with pytest.raises(SimTimeout, match="^exceeded max_rounds=1000000$"):
             run(path_graph(2), sleepers, SimConfig(max_rounds=10**6))
-        assert err.value.trace.rounds_used == 10**6
         assert all(s.steps == [] for s in sleepers)
 
     def test_wake_after_max_rounds_times_out_at_max_rounds(self):
         sleeper = Sleeper(50)
-        with pytest.raises(SimTimeout) as err:
+        with pytest.raises(SimTimeout, match="^exceeded max_rounds=30$"):
             run(Graph(1, []), [sleeper], SimConfig(max_rounds=30))
-        assert err.value.trace.rounds_used == 30
         assert sleeper.steps == []
 
     def test_mail_to_halted_node_is_dropped(self):
