@@ -6,7 +6,6 @@ from .graph import (
     GraphError,
     Partition,
     RootedTree,
-    Violation,
     bfs_tree,
     diameter,
     validate_partition,

@@ -26,7 +26,7 @@ from .graph import (
     GraphError,
     Partition,
     RootedTree,
-    Violation,
+    _check_node_count,
     _diameter_of,
     _first_disconnected,
 )
@@ -135,7 +135,9 @@ def partial_to_full_congestion(c: int, k: int) -> int:
 
 def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityReport:
     """Full recomputation of (congestion, dilation, blocks, quality) plus per-part
-    detail; raises GraphError unless `shortcut` is restricted to `t`."""
+    detail; raises GraphError unless `p` is built for `g` and `shortcut` is
+    restricted to `t`."""
+    _check_node_count(g, p)
     edge_map = as_edge_map(shortcut)
     check_tree_restricted(edge_map, t)
     per_part = []
@@ -159,8 +161,8 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
     )
 
 
-def validate_minor(g: Graph, cert) -> Violation | None:
-    """Check a minor certificate against its host graph; first violation or None.
+def validate_minor(g: Graph, cert) -> None:
+    """Check a minor certificate against its host graph; raise GraphError on its first flaw.
 
     Verifies set disjointness, per-set connectivity (the check that
     `validate_partition` also runs), witness-edge realization of every minor
@@ -170,42 +172,34 @@ def validate_minor(g: Graph, cert) -> Violation | None:
     for idx, mnode in enumerate(cert.nodes):
         vertices = tuple(mnode.vertices)
         if not vertices:
-            return Violation("empty-set", f"minor node {idx} maps to an empty vertex set")
+            raise GraphError(f"minor node {idx} maps to an empty vertex set")
         for v in vertices:
             if not (0 <= v < g.n):
-                return Violation("bad-vertex", f"minor node {idx} contains invalid node {v}")
+                raise GraphError(f"minor node {idx} contains invalid node {v}")
             if v in owner:
-                return Violation(
-                    "disjointness",
-                    f"node {v} appears in minor nodes {owner[v]} and {idx}",
-                )
+                raise GraphError(f"node {v} appears in minor nodes {owner[v]} and {idx}")
             owner[v] = idx
     idx = _first_disconnected(g, [mnode.vertices for mnode in cert.nodes], owner.get)
     if idx is not None:
-        return Violation("connectivity", f"minor node {idx} induces a disconnected set")
+        raise GraphError(f"minor node {idx} induces a disconnected set")
     seen_pairs: set[tuple[int, int]] = set()
     for medge in cert.edges:
         a, b = medge.a, medge.b
         if a == b:
-            return Violation("self-edge", f"minor edge joins node {a} to itself")
+            raise GraphError(f"minor edge joins node {a} to itself")
         if not (0 <= a < len(cert.nodes) and 0 <= b < len(cert.nodes)):
-            return Violation("bad-endpoint", f"minor edge ({a}, {b}) out of range")
+            raise GraphError(f"minor edge ({a}, {b}) out of range")
         key = (min(a, b), max(a, b))
         if key in seen_pairs:
-            return Violation("duplicate-edge", f"minor edge {key} listed twice")
+            raise GraphError(f"minor edge {key} listed twice")
         seen_pairs.add(key)
         if not (0 <= medge.witness < g.m):
-            return Violation("bad-witness", f"witness edge id {medge.witness} unknown")
+            raise GraphError(f"witness edge id {medge.witness} unknown")
         u, v = g.edges[medge.witness]
-        sides = {owner.get(u), owner.get(v)}
-        if sides != {a, b}:
-            return Violation(
-                "edge-realization",
-                f"witness edge {medge.witness}=({u},{v}) does not join sets {a} and {b}",
+        if {owner.get(u), owner.get(v)} != {a, b}:
+            raise GraphError(
+                f"witness edge {medge.witness}=({u},{v}) does not join sets {a} and {b}"
             )
     recomputed = Fraction(len(cert.edges), len(cert.nodes)) if cert.nodes else Fraction(0)
     if cert.density != recomputed:
-        return Violation(
-            "density", f"stated density {cert.density} != recomputed {recomputed}"
-        )
-    return None
+        raise GraphError(f"stated density {cert.density} != recomputed {recomputed}")

@@ -293,9 +293,10 @@ def sample_dense_minor(
             MinorEdge(edge_index[e], part_index[i], witness) for e, i, witness in links
         )
         cert = MinorCertificate(nodes=tuple(nodes), edges=edges, density=density)
-        violation = validate_minor(g, cert)
-        if violation is not None:
-            raise EngineError(f"sampled certificate failed validation: {violation}")
+        try:
+            validate_minor(g, cert)
+        except GraphError as exc:
+            raise EngineError(f"sampled certificate failed validation: {exc}") from None
         return cert
     return None
 
@@ -416,7 +417,11 @@ def loads_shortcut(text: str) -> Shortcut:
         (i,) = _line_ints(index, "shortcut", no)
         if i in rows:
             raise GraphError(f"shortcut file repeats part index {i}")
-        rows[i] = frozenset(_line_ints(rest.split(), "shortcut", no))
+        ids = _line_ints(rest.split(), "shortcut", no)
+        rows[i] = frozenset(ids)
+        if len(rows[i]) != len(ids):
+            e = next(e for k, e in enumerate(ids) if e in ids[:k])
+            raise GraphError(f"shortcut file line {no}: edge id {e} listed twice")
     if sorted(rows) != list(range(len(rows))):
         raise GraphError("shortcut file part indices are not dense")
     return tuple(rows[i] for i in range(len(rows)))

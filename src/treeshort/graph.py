@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -29,17 +28,6 @@ _INT_TOKEN = re.compile("-?[0-9]+")
 
 class GraphError(Exception):
     """Malformed graph/tree/partition input or unsatisfied precondition."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    """Structured validation failure; `code` is stable, `message` is for humans."""
-
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.message}"
 
 
 def _check_no_parallel(pairs: Sequence[tuple[int, int]]) -> None:
@@ -419,11 +407,11 @@ def diameter(g: Graph) -> int:
 
 
 class Partition:
-    """Disjoint connected node sets P_0..P_{k-1}; nodes may be left unassigned.
+    """Disjoint node sets P_0..P_{k-1}; nodes may be left unassigned.
 
-    Disjointness and per-part connectivity are *not* enforced here so that
-    validate_partition can report violations; construction only rejects
-    empty parts and out-of-range ids.
+    Construction rejects empty parts, out-of-range ids and a node listed
+    twice, in one part or in two; per-part connectivity needs the graph, so
+    validate_partition checks it.
     """
 
     __slots__ = ("n", "parts", "k", "part_of")
@@ -432,7 +420,7 @@ class Partition:
         self.n = n
         normalized = []
         for nodes in parts:
-            tup = tuple(sorted(set(nodes)))
+            tup = tuple(sorted(nodes))
             if not tup:
                 raise GraphError("empty part")
             if tup[0] < 0 or tup[-1] >= n:
@@ -443,8 +431,11 @@ class Partition:
         part_of: list[int | None] = [None] * n
         for i, nodes in enumerate(self.parts):
             for v in nodes:
-                if part_of[v] is None:
-                    part_of[v] = i
+                j = part_of[v]
+                if j is not None:
+                    where = f"listed twice in part {i}" if j == i else f"in part {j} and part {i}"
+                    raise GraphError(f"node {v} {where}")
+                part_of[v] = i
         self.part_of: tuple[int | None, ...] = tuple(part_of)
 
     def subset(self, indices: Sequence[int]) -> "Partition":
@@ -473,22 +464,18 @@ def _first_disconnected(
     return None
 
 
-def validate_partition(g: Graph, p: Partition) -> Violation | None:
-    """Check disjointness and per-part connectivity; first violation or None.
-
-    `p.part_of` holds each node's first part, so a node of part i whose
-    `part_of` is not i lies in that earlier part too."""
+def _check_node_count(g: Graph, p: Partition) -> None:
     if p.n != g.n:
-        return Violation("size-mismatch", f"partition built for n={p.n}, graph has n={g.n}")
-    part_of = p.part_of
-    for i, nodes in enumerate(p.parts):
-        for v in nodes:
-            if part_of[v] != i:
-                return Violation("overlap", f"node {v} in part {part_of[v]} and part {i}")
-    i = _first_disconnected(g, p.parts, part_of.__getitem__)
+        raise GraphError(f"partition built for n={p.n}, graph has n={g.n}")
+
+
+def validate_partition(g: Graph, p: Partition) -> None:
+    """Raise GraphError unless `p` is built for `g`'s node count and each
+    part induces a connected subgraph (the first disconnected part is named)."""
+    _check_node_count(g, p)
+    i = _first_disconnected(g, p.parts, p.part_of.__getitem__)
     if i is not None:
-        return Violation("disconnected-part", f"part {i} induces a disconnected subgraph")
-    return None
+        raise GraphError(f"part {i} induces a disconnected subgraph")
 
 
 # ---------------------------------------------------------------------------

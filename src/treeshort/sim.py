@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .audit import _merged_subgraph, as_edge_map
-from .graph import Graph, GraphError, Partition
+from .graph import Graph, GraphError, Partition, _check_node_count
 
 
 def default_msg_bits(n: int) -> int:
@@ -470,8 +470,9 @@ def partwise_aggregate(
     """Every node of every part learns the exact aggregate of its part.
 
     Returns (results, trace) where results maps each node belonging to a part
-    to the aggregate of that part's values.  The edge ids are checked here.
+    to the aggregate of that part's values.  Node count and edge ids are checked here.
     """
+    _check_node_count(g, parts)
     if task.op not in _OPS:
         raise AggregationError(f"unsupported op {task.op!r}")
     if task.parts.parts != parts.parts:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from treeshort.audit import (
     validate_minor,
 )
 from treeshort.engine import MinorCertificate, MinorEdge, MinorNode, PartialShortcut
-from treeshort.graph import INFINITE, Graph, GraphError, Partition, Violation, bfs_tree
-from treeshort.generators import gen_wheel
+from treeshort.graph import INFINITE, Graph, GraphError, Partition, bfs_tree
+from treeshort.generators import gen_grid, gen_wheel
 
 from conftest import merged_diameter
 from oracles import thomason_bounds
@@ -182,55 +183,67 @@ class TestValidateMinor:
         g = k4()
         nodes = (MinorNode("part", 0, (0, 1)), MinorNode("part", 1, (1, 2)))
         cert = MinorCertificate(nodes, (MinorEdge(0, 1, g.edge_id(1, 2)),), Fraction(1, 2))
-        violation = validate_minor(g, cert)
-        assert violation.code == "disjointness"
+        with pytest.raises(GraphError, match=r"^node 1 appears in minor nodes 0 and 1$"):
+            validate_minor(g, cert)
 
     def test_witness_inside_one_set(self):
         g = k4()
         nodes = (MinorNode("part", 0, (0, 1)), MinorNode("part", 1, (2, 3)))
         cert = MinorCertificate(nodes, (MinorEdge(0, 1, g.edge_id(0, 1)),), Fraction(1, 2))
-        violation = validate_minor(g, cert)
-        assert violation.code == "edge-realization"
+        message = f"witness edge {g.edge_id(0, 1)}=(0,1) does not join sets 0 and 1"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            validate_minor(g, cert)
 
     def test_disconnected_set(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         nodes = (MinorNode("part", 0, (0, 3)), MinorNode("part", 1, (1,)))
         cert = MinorCertificate(nodes, (), Fraction(0, 1))
-        assert validate_minor(g, cert).code == "connectivity"
+        with pytest.raises(GraphError, match=r"^minor node 0 induces a disconnected set$"):
+            validate_minor(g, cert)
 
     def test_duplicate_minor_edge(self):
         g = k4()
         nodes = (MinorNode("part", 0, (0,)), MinorNode("part", 1, (1,)))
         e = MinorEdge(0, 1, g.edge_id(0, 1))
         cert = MinorCertificate(nodes, (e, MinorEdge(1, 0, g.edge_id(0, 1))), Fraction(1, 1))
-        assert validate_minor(g, cert).code == "duplicate-edge"
+        with pytest.raises(GraphError, match=r"^minor edge \(0, 1\) listed twice$"):
+            validate_minor(g, cert)
 
     def test_density_mismatch(self):
         g = k4()
         cert = singleton_cert(g, density=Fraction(2, 1))
-        assert validate_minor(g, cert).code == "density"
+        with pytest.raises(GraphError, match=r"^stated density 2 != recomputed 3/2$"):
+            validate_minor(g, cert)
 
     @pytest.mark.parametrize(
-        "vertices, edges, code, message",
+        "vertices, edges, message",
         [
-            (((0,), ()), (), "empty-set", "minor node 1 maps to an empty vertex set"),
-            (((0,), (1, 4)), (), "bad-vertex", "minor node 1 contains invalid node 4"),
-            (((0,), (1,)), ((1, 1, 0),), "self-edge", "minor edge joins node 1 to itself"),
-            (((0,), (1,)), ((0, 2, 0),), "bad-endpoint", "minor edge (0, 2) out of range"),
-            (((0,), (1,)), ((0, 1, 6),), "bad-witness", "witness edge id 6 unknown"),
+            (((0,), ()), (), "minor node 1 maps to an empty vertex set"),
+            (((0,), (1, 4)), (), "minor node 1 contains invalid node 4"),
+            (((0,), (1,)), ((1, 1, 0),), "minor edge joins node 1 to itself"),
+            (((0,), (1,)), ((0, 2, 0),), "minor edge (0, 2) out of range"),
+            (((0,), (1,)), ((0, 1, 6),), "witness edge id 6 unknown"),
         ],
         ids=["empty-set", "bad-vertex", "self-edge", "bad-endpoint", "bad-witness"],
     )
-    def test_malformed_certificate(self, vertices, edges, code, message):
+    def test_malformed_certificate(self, vertices, edges, message):
         g = k4()
         nodes = tuple(MinorNode("part", i, vs) for i, vs in enumerate(vertices))
         cert = MinorCertificate(
             nodes, tuple(MinorEdge(*e) for e in edges), Fraction(len(edges), len(nodes))
         )
-        assert validate_minor(g, cert) == Violation(code, message)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            validate_minor(g, cert)
 
 
 class TestAuditReport:
+    def test_partition_for_other_node_count_rejected(self):
+        # without the check, node 11 would index past the 9-node graph
+        g = gen_grid(3, 3)
+        p = Partition(12, [[0, 1], [4, 11]])
+        with pytest.raises(GraphError, match=r"^partition built for n=12, graph has n=9$"):
+            audit_shortcut(g, bfs_tree(g, 0), p, [frozenset(), frozenset()])
+
     def test_recomputation_is_stable(self):
         g = gen_wheel(10)
         t = bfs_tree(g, 0)

@@ -85,10 +85,20 @@ class TestShortcut:
         delta = int(out.split("delta_final=")[1].split()[0])
         assert delta <= 4
 
-    def test_invalid_partition_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 2\n", "part 0 induces a disconnected subgraph"),
+            ("0 1\n1 2\n", "node 1 in part 0 and part 1"),
+            ("0 0 1\n", "node 0 listed twice in part 0"),
+        ],
+        ids=["disconnected", "overlap", "repeat"],
+    )
+    def test_invalid_partition_is_validation_error(self, tmp_path, capsys, text, message):
         graph = write(tmp_path / "p.txt", "3 2\n0 1\n1 2\n")
-        parts = write(tmp_path / "bad.txt", "0 2\n")
+        parts = write(tmp_path / "bad.txt", text)
         assert main(["shortcut", graph, parts, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 class TestAuditCommand:
@@ -167,8 +177,9 @@ class TestLoaderErrors:
             ("0 : 0\n\n1 : 1 z\n2 :\n3 :\n", "shortcut file line 3: 'z' is not an integer"),
             ("0 : 0\n: 1\n", "shortcut file line 2: expected 'part : edge ids'"),
             ("0 : 0\n1\n2 :\n3 :\n", "shortcut file line 2: expected 'part : edge ids'"),
+            ("0 : 0\n1 : 1 1\n2 :\n3 :\n", "shortcut file line 2: edge id 1 listed twice"),
         ],
-        ids=["index", "edge-id", "no-index", "no-colon"],
+        ids=["index", "edge-id", "no-index", "no-colon", "repeated-edge-id"],
     )
     def test_shortcut_file(self, caterpillar_files, tmp_path, capsys, text, message):
         graph, parts = caterpillar_files

@@ -230,17 +230,27 @@ class TestPartition:
 
     def test_disconnected_part_reported(self):
         g = path_graph(3)
-        violation = validate_partition(g, Partition(3, [[0, 2]]))
-        assert violation is not None
-        assert violation.code == "disconnected-part"
-        assert "part 0" in violation.message
+        with pytest.raises(GraphError, match=r"^part 0 induces a disconnected subgraph$"):
+            validate_partition(g, Partition(3, [[0, 2]]))
 
     def test_overlap_reported(self):
-        g = path_graph(3)
-        violation = validate_partition(g, Partition(3, [[0, 1], [1, 2]]))
-        assert violation is not None
-        assert violation.code == "overlap"
-        assert "node 1" in violation.message
+        with pytest.raises(GraphError, match=r"^node 1 in part 0 and part 1$"):
+            Partition(3, [[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ([[0, 0, 1]], "node 0 listed twice in part 0"),
+            ([[2, 3], [0], [4, 2]], "node 2 in part 0 and part 2"),
+            # part order, then ascending node order: node 1 of part 1 is found first
+            ([[0, 1], [3, 1, 3]], "node 1 in part 0 and part 1"),
+            ([[0, 3], [3, 1, 1]], "node 1 listed twice in part 1"),
+        ],
+        ids=["within-part", "across-parts", "overlap-first", "repeat-first"],
+    )
+    def test_first_repeat_rejected(self, parts, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Partition(5, parts)
 
     def test_empty_part_rejected(self):
         with pytest.raises(GraphError):

@@ -132,3 +132,17 @@ def test_exceptions_carry_only_their_message():
                 if "__init__" in vars(cls):
                     with_init.append(name)
     assert with_init == []
+
+
+def test_validators_return_none():
+    """Each public module-level `validate_*` or `check_*` function in
+    `src/treeshort/` is annotated `-> None`: a validator raises GraphError
+    on invalid input rather than returning a result object for its caller
+    to turn into an error."""
+    returning = []
+    for path in sorted((SRC / "treeshort").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("validate_", "check_")):
+                if not (isinstance(node.returns, ast.Constant) and node.returns.value is None):
+                    returning.append(node.name)
+    assert returning == []

@@ -43,7 +43,6 @@ from treeshort.graph import (
     Graph,
     GraphError,
     Partition,
-    Violation,
     bfs_tree,
     diameter,
     validate_partition,
@@ -682,8 +681,9 @@ def test_trimmed_case_one_sets_cost_no_more_and_aggregate_alike(inst, delta):
 
 @st.composite
 def partitions_on_small_graphs(draw):
-    """A small graph and disjoint parts of random nodes, sometimes with an
-    extra part that may overlap them or built for another node count."""
+    """A small graph, a node count (sometimes not the graph's) and parts of
+    distinct random nodes, sometimes with an extra part that may repeat a
+    node of its own or of the other parts."""
     g = draw(graphs())
     n = g.n if draw(st.integers(0, 9)) else draw(st.integers(1, 10))
     owner = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
@@ -692,37 +692,47 @@ def partitions_on_small_graphs(draw):
     if not parts or draw(st.integers(0, 2)) == 0:
         extra = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
         parts.insert(draw(st.integers(0, len(parts))), draw(extra))
-    return g, Partition(n, parts)
+    return g, n, parts
 
 
 def connected_in(adj, nodes):
     return set(oracles.bfs_dist(adj, nodes[0], allowed=set(nodes))) == set(nodes)
 
 
+def first_repeat(parts):
+    """The message for the first node listed twice, in part order and then
+    node order, or None when the parts are disjoint."""
+    for i, nodes in enumerate(parts):
+        for v in sorted(nodes):
+            earlier = [j for j in range(i) if v in parts[j]]
+            if earlier:
+                return f"node {v} in part {earlier[0]} and part {i}"
+            if nodes.count(v) > 1:
+                return f"node {v} listed twice in part {i}"
+    return None
+
+
 @SETTINGS
 @given(partitions_on_small_graphs())
 def test_validate_partition_matches_brute_force(inst):
-    g, p = inst
-    violation = validate_partition(g, p)
-    if p.n != g.n:
-        assert violation == Violation(
-            "size-mismatch", f"partition built for n={p.n}, graph has n={g.n}"
-        )
+    g, n, parts = inst
+    repeat = first_repeat(parts)
+    if repeat is not None:
+        with pytest.raises(GraphError, match=f"^{repeat}$"):
+            Partition(n, parts)
         return
-    for i, nodes in enumerate(p.parts):
-        for v in nodes:
-            first = min(j for j, other in enumerate(p.parts) if v in other)
-            if first < i:
-                assert violation == Violation("overlap", f"node {v} in part {first} and part {i}")
-                return
+    p = Partition(n, parts)
+    if n != g.n:
+        with pytest.raises(GraphError, match=f"^partition built for n={n}, graph has n={g.n}$"):
+            validate_partition(g, p)
+        return
     adj = oracles.adjacency(g.n, g.edges)
     for i, nodes in enumerate(p.parts):
         if not connected_in(adj, nodes):
-            assert violation == Violation(
-                "disconnected-part", f"part {i} induces a disconnected subgraph"
-            )
+            with pytest.raises(GraphError, match=f"^part {i} induces a disconnected subgraph$"):
+                validate_partition(g, p)
             return
-    assert violation is None
+    assert validate_partition(g, p) is None
 
 
 @SETTINGS
@@ -736,12 +746,11 @@ def test_validate_minor_connectivity_matches_brute_force(g, data):
     if not sets:
         return
     nodes = tuple(MinorNode("part", idx, tuple(vs)) for idx, vs in enumerate(sets))
-    violation = validate_minor(g, MinorCertificate(nodes, (), Fraction(0)))
+    cert = MinorCertificate(nodes, (), Fraction(0))
     adj = oracles.adjacency(g.n, g.edges)
     for idx, vs in enumerate(sets):
         if not connected_in(adj, vs):
-            assert violation == Violation(
-                "connectivity", f"minor node {idx} induces a disconnected set"
-            )
+            with pytest.raises(GraphError, match=f"^minor node {idx} induces a disconnected set$"):
+                validate_minor(g, cert)
             return
-    assert violation is None
+    assert validate_minor(g, cert) is None

@@ -555,6 +555,14 @@ class TestPartwiseAggregate:
         with pytest.raises(GraphError, match=f"^unknown edge id {eid}$"):
             partwise_aggregate(g, p, {0: {eid}}, task, SimConfig())
 
+    def test_partition_for_other_node_count_rejected(self):
+        # without the check, node 11 would index past the 9-node graph
+        g = gen_grid(3, 3)
+        p = Partition(12, [[0, 1], [4, 11]])
+        task = AggregationTask({v: v for v in range(12)}, "sum", p)
+        with pytest.raises(GraphError, match=r"^partition built for n=12, graph has n=9$"):
+            partwise_aggregate(g, p, [frozenset(), frozenset()], task, SimConfig())
+
     def test_partition_mismatch_rejected(self):
         g = path_graph(4)
         p = Partition(4, [[0, 1], [2, 3]])
