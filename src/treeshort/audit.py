@@ -82,18 +82,17 @@ def measure_congestion(shortcut) -> int:
 
 
 def _merged_subgraph(g: Graph, part: Sequence[int], edges: frozenset[int]):
-    """Node set and adjacency lists of G[P_i] + H_i (the caller checks the ids)."""
-    adj: dict[int, list[int]] = {v: [] for v in part}
+    """Node set and adjacency lists of G[P_i] + H_i (the caller checks the ids):
+    a part node lists its part neighbours, ascending, then its H_i edges out of
+    the part; the nodes are the part's, then the other H_i endpoints."""
+    part_set = frozenset(part)
+    inside = part_set.__contains__
+    adj: dict[int, list[int]] = {v: list(filter(inside, g.neighbors(v))) for v in part}
     for eid in edges:
         u, v = g.edges[eid]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    part_set = frozenset(part)
-    for v in part:
-        for u, eid in g.adjacency(v):
-            if u in part_set and v < u and eid not in edges:
-                adj[u].append(v)
-                adj[v].append(u)
+        if u not in part_set or v not in part_set:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
     return adj.keys(), adj
 
 
@@ -164,22 +163,22 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
 def validate_minor(g: Graph, cert) -> None:
     """Check a minor certificate against its host graph; raise GraphError on its first flaw.
 
-    Verifies set disjointness, per-set connectivity (the check that
-    `validate_partition` also runs), witness-edge realization of every minor
-    edge, simplicity, and the exact rational density.
+    Verifies set disjointness, per-set connectivity (as `validate_partition`
+    does), witness-edge realization of every minor edge, simplicity and the
+    exact rational density; its owner list of n entries costs O(n).
     """
-    owner: dict[int, int] = {}
+    owner: list[int | None] = [None] * g.n
     for idx, mnode in enumerate(cert.nodes):
         vertices = tuple(mnode.vertices)
         if not vertices:
             raise GraphError(f"minor node {idx} maps to an empty vertex set")
         for v in vertices:
-            if not (0 <= v < g.n):
+            if not (0 <= v < g.n):  # before the index: a negative id would wrap
                 raise GraphError(f"minor node {idx} contains invalid node {v}")
-            if v in owner:
+            if owner[v] is not None:
                 raise GraphError(f"node {v} appears in minor nodes {owner[v]} and {idx}")
             owner[v] = idx
-    idx = _first_disconnected(g, [mnode.vertices for mnode in cert.nodes], owner.get)
+    idx = _first_disconnected(g, [mnode.vertices for mnode in cert.nodes], owner)
     if idx is not None:
         raise GraphError(f"minor node {idx} induces a disconnected set")
     seen_pairs: set[tuple[int, int]] = set()
@@ -196,7 +195,7 @@ def validate_minor(g: Graph, cert) -> None:
         if not (0 <= medge.witness < g.m):
             raise GraphError(f"witness edge id {medge.witness} unknown")
         u, v = g.edges[medge.witness]
-        if {owner.get(u), owner.get(v)} != {a, b}:
+        if {owner[u], owner[v]} != {a, b}:
             raise GraphError(
                 f"witness edge {medge.witness}=({u},{v}) does not join sets {a} and {b}"
             )

@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Container, KeysView, Mapping
 
 from .audit import validate_minor
-from .graph import _INT_TOKEN, Graph, GraphError, Partition, RootedTree, _line_ints
+from .graph import _INT_TOKEN, Graph, GraphError, Partition, RootedTree
+from .graph import _check_node_count, _line_ints
 
 # Case-II retry budget per construction call, scaled by tree depth.  One
 # attempt succeeds with probability Omega(1/D) when the dichotomy holds, so
@@ -139,8 +140,7 @@ def mark_overcongested(t: RootedTree, p: Partition, c: int) -> CongestionMarking
     """
     if c < 1:
         raise ValueError(f"threshold must be >= 1, got {c}")
-    if t.graph.n != p.n:
-        raise GraphError("tree and partition disagree on node count")
+    _check_node_count(t.graph, p)
     part_of, children, parent_edge, root = p.part_of, t.children, t.parent_edge, t.root
     leaf_maps = c == 1  # the only threshold a childless node's edge can reach
     parts_below: dict[int, dict[int, int]] = {}
@@ -306,16 +306,11 @@ def _live_component(
 ) -> tuple[int, ...]:
     """Vertices reachable downward from the deeper endpoint of `eid` through
     unmarked tree edges and non-removed nodes."""
-    start = t.deeper_endpoint(eid)
-    comp = [start]
-    stack = [start]
-    while stack:
-        v = stack.pop()
+    comp = [t.deeper_endpoint(eid)]
+    for v in comp:  # the list grows behind the loop, as in `bfs_tree`
         for ch in t.children[v]:
-            if t.parent_edge[ch] in blocked or removed[ch]:
-                continue
-            comp.append(ch)
-            stack.append(ch)
+            if t.parent_edge[ch] not in blocked and not removed[ch]:
+                comp.append(ch)
     return tuple(sorted(comp))
 
 

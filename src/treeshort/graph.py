@@ -15,7 +15,7 @@ import re
 from bisect import bisect_left
 from heapq import heappop, heappush
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 INFINITE = math.inf
 
@@ -444,20 +444,21 @@ class Partition:
 
 
 def _first_disconnected(
-    g: Graph, sets: Sequence[Sequence[int]], owner: Callable[[int], int | None]
+    g: Graph, sets: Sequence[Sequence[int]], owner: Sequence[int | None]
 ) -> int | None:
     """Index of the first of the disjoint node sets that is not connected, or
-    None; `owner(v)` is the index of the set holding v (None for no set).  One
-    BFS per set through its own nodes, so the cost does not grow with n; it
-    serves `validate_partition` and `audit.validate_minor` alike."""
-    nbrs = g._nbrs
+    None; `owner[v]` indexes the set holding node v (None for none).  It costs
+    one O(n) copy of `owner`, where a reached node's entry becomes None, plus
+    one BFS per set through its own nodes; `validate_partition` and
+    `audit.validate_minor` share it."""
+    nbrs, mark = g._nbrs, list(owner)
     for idx, nodes in enumerate(sets):
-        reached = {nodes[0]}
+        mark[nodes[0]] = None
         order = [nodes[0]]
         for v in order:
             for u in nbrs[v]:
-                if u not in reached and owner(u) == idx:
-                    reached.add(u)
+                if mark[u] == idx:
+                    mark[u] = None
                     order.append(u)
         if len(order) != len(nodes):
             return idx
@@ -473,7 +474,7 @@ def validate_partition(g: Graph, p: Partition) -> None:
     """Raise GraphError unless `p` is built for `g`'s node count and each
     part induces a connected subgraph (the first disconnected part is named)."""
     _check_node_count(g, p)
-    i = _first_disconnected(g, p.parts, p.part_of.__getitem__)
+    i = _first_disconnected(g, p.parts, p.part_of)
     if i is not None:
         raise GraphError(f"part {i} induces a disconnected subgraph")
 

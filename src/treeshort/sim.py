@@ -27,12 +27,12 @@ Cost model: the control plane is linear in the merged subgraphs, besides
 sorting each merged node's neighbour list (one BFS of each from min(P_i),
 kept to the paths from the part's nodes up to it, then re-rooted at the
 kept tree's centre by a walk over the heights recorded by the pass that
-links children).  A send is checked with `Graph.edge_id`.  An aggregation
-step is one `on_round` call and costs its inbox plus its sends, not the
-number of roles its node holds; a payload, an int or a flat tuple of ints,
-is sized in one pass.  Part-tree congestion is counted under an integer key
-per tree edge, min(v,c)*n + max(v,c), and the value checks and the results
-walk the parts' nodes.
+links children).  A send bisects the sender's neighbour tuple.  An
+aggregation step is one `on_round` call and costs its inbox plus its sends,
+not the number of roles its node holds; a payload, an int or a flat tuple of
+ints, is sized in one pass.  Part-tree congestion is counted under an integer
+key per tree edge, min(v,c)*n + max(v,c), and the value checks (a type test
+and two comparisons each) and the results walk the parts' nodes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -158,7 +159,7 @@ class NodeContext:
     receiver's inbox for the next round, which lists its senders in send
     order; a second send on one edge in one round raises there."""
 
-    __slots__ = ("node", "round", "_msg_bits", "_edge_id", "_halted", "_awake",
+    __slots__ = ("node", "round", "_msg_bits", "_neighbors", "_halted", "_awake",
                  "_wake_at", "_wakes", "_outputs", "_next", "_messages_sent", "_log")
 
     def __init__(self, g: Graph, cfg: SimConfig):
@@ -169,7 +170,7 @@ class NodeContext:
             )
         self.node = 0  # the node being stepped
         self.round = -1  # the clock starts one before round 0
-        self._edge_id = g.edge_id
+        self._neighbors = g.neighbors
         self._halted: set[int] = set()
         self._awake = set(range(g.n))  # stepped every round
         # round given to each node's latest sleep(); left over, harmlessly, once awake
@@ -184,10 +185,13 @@ class NodeContext:
 
     def send(self, dst: int, payload, tag: str = "") -> None:
         src = self.node
+        nbrs = self._neighbors(src)
         try:
-            self._edge_id(src, dst)
-        except (GraphError, TypeError):  # TypeError: dst is not a node id
-            raise SimError(f"node {src} tried to message non-neighbor {dst}") from None
+            i = bisect_left(nbrs, dst)
+        except TypeError:  # dst is not a node id
+            i = len(nbrs)
+        if i == len(nbrs) or nbrs[i] != dst:
+            raise SimError(f"node {src} tried to message non-neighbor {dst}")
         inbox = self._next.get(dst)
         if inbox is not None and src in inbox:
             raise DuplicateSendError(
@@ -409,7 +413,7 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
     """
     nodes, adj = _merged_subgraph(g, part, edges)
     for nbrs in adj.values():
-        nbrs.sort()  # no duplicates: H_i and G[P_i] \ H_i carry distinct edge ids
+        nbrs.sort()  # no duplicates: the merged subgraph lists each edge once
     root = min(part)
     parent: dict[int, int | None] = {root: None}
     order = [root]
@@ -461,16 +465,12 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
 
 
 def partwise_aggregate(
-    g: Graph,
-    parts: Partition,
-    shortcut,
-    task: AggregationTask,
-    cfg: SimConfig,
+    g: Graph, parts: Partition, shortcut, task: AggregationTask, cfg: SimConfig
 ) -> tuple[dict[int, int], RoundTrace]:
     """Every node of every part learns the exact aggregate of its part.
 
     Returns (results, trace) where results maps each node belonging to a part
-    to the aggregate of that part's values.  Node count and edge ids are checked here.
+    to the aggregate of that part's values.  Node count, values and edge ids are checked here.
     """
     _check_node_count(g, parts)
     if task.op not in _OPS:
@@ -479,19 +479,22 @@ def partwise_aggregate(
         raise AggregationError("task partition does not match the supplied partition")
     values = task.values
     budget = cfg.msg_bits_for(g.n) - aggregate_header_bits(parts.k)
+    limit = 1 << (budget - 1) if budget > 1 else 0  # int_bits(x) <= budget iff abs(x) < limit
     bad = [
         v
         for part in parts.parts
         for v in part
-        if v not in values or int_bits(values[v]) > budget
+        if not isinstance(x := values.get(v), int) or not -limit < x < limit
     ]
     if bad:
         v = min(bad)  # the first in id order
         if v not in values:
             raise AggregationError(f"node {v} belongs to a part but has no value")
+        x = values[v]
+        if not isinstance(x, int):
+            raise AggregationError(f"value of node {v} has type {type(x).__name__}, not int")
         raise AggregationError(
-            f"value of node {v} needs {int_bits(values[v])} bits; "
-            f"only {budget} available after the header"
+            f"value of node {v} needs {int_bits(x)} bits; only {budget} available after the header"
         )
     edge_map = as_edge_map(shortcut)
     m = g.m

@@ -45,7 +45,7 @@ class TestMarking:
         "n, c, error, message",
         [
             (4, 0, ValueError, "threshold must be >= 1, got 0"),
-            (5, 1, GraphError, "tree and partition disagree on node count"),
+            (5, 1, GraphError, "partition built for n=5, graph has n=4"),
         ],
         ids=["threshold-below-one", "node-count-mismatch"],
     )

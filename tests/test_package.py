@@ -146,3 +146,15 @@ def test_validators_return_none():
                 if not (isinstance(node.returns, ast.Constant) and node.returns.value is None):
                     returning.append(node.name)
     assert returning == []
+
+
+def test_only_graph_reads_the_adjacency_tuples():
+    """No module in `src/treeshort/` but `graph.py` reads a graph's `_nbrs`
+    or `_eids`: the rest of the library goes through `Graph.neighbors` and
+    `Graph.adjacency`, so the stored layout can change in one module."""
+    readers = []
+    for path in sorted((SRC / "treeshort").glob("*.py")):
+        if path.name != "graph.py":
+            found = attributes([ast.parse(path.read_text())]) & {"_nbrs", "_eids"}
+            readers += [f"{path.name}: {name}" for name in sorted(found)]
+    assert readers == []

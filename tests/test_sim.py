@@ -120,9 +120,39 @@ class TestRun:
                 ctx.send(self.dst, 1)
 
         g = path_graph(3)
-        for dst in (2, -1, 3, "x"):
+        for dst in (2, -1, 3, "x", None, 0.5):
             with pytest.raises(SimError) as err:
                 run(g, [Teleport(dst), HaltAtInit(), HaltAtInit()], SimConfig())
+            assert str(err.value) == f"node 0 tried to message non-neighbor {dst}"
+
+    def test_hub_sends_to_both_ends_of_its_neighbour_tuple(self):
+        """The send check bisects the sender's neighbour tuple: a hub with 60
+        leaves reaches its first and its last leaf, and the ids just past
+        either end, -1 and n, are rejected."""
+
+        class Hub(NodeProgram):
+            def __init__(self, dsts):
+                self.dsts = dsts
+
+            def on_round(self, ctx, inbox):
+                for dst in self.dsts:
+                    ctx.send(dst, dst)
+                ctx.halt()
+
+        class Leaf(NodeProgram):
+            def on_round(self, ctx, inbox):
+                if inbox:
+                    ctx.set_output(dict(inbox))
+                if ctx.round == 1:  # the hub's sends have arrived
+                    ctx.halt()
+
+        n = 61
+        g = Graph(n, [(0, v) for v in range(1, n)])
+        trace = run(g, [Hub((1, n - 1))] + [Leaf() for _ in range(1, n)], SimConfig())
+        assert trace.outputs == {1: {0: 1}, n - 1: {0: n - 1}}
+        for dst in (n, -1):
+            with pytest.raises(SimError) as err:
+                run(g, [Hub((dst,))] + [HaltAtInit() for _ in range(1, n)], SimConfig())
             assert str(err.value) == f"node 0 tried to message non-neighbor {dst}"
 
     def test_timeout_names_max_rounds(self):
@@ -318,23 +348,25 @@ class TestScheduler:
         trace = run(path_graph(2), [HaltTwice(), HaltAtThree()], SimConfig())
         assert trace.rounds_used == 3
 
-    def test_run_builds_no_neighbor_tuples(self, monkeypatch):
-        """Neighbour checks go through `Graph.edge_id`; aggregation never
-        calls `Graph.neighbors`."""
+    def test_sends_checked_on_the_stored_neighbour_tuples(self, monkeypatch):
+        """A send is checked by bisecting the sender's neighbour tuple, not
+        through `Graph.edge_id`: an aggregation makes no `edge_id` call, and
+        `Graph.neighbors` hands out the stored tuple, building none."""
         calls = 0
-        neighbors = Graph.neighbors
+        edge_id = Graph.edge_id
 
-        def counted(self, v):
+        def counted(self, u, v):
             nonlocal calls
             calls += 1
-            return neighbors(self, v)
+            return edge_id(self, u, v)
 
         g = gen_grid(6, 6)
         p = gen_parts_random(g, 4, 2)
-        monkeypatch.setattr(Graph, "neighbors", counted)
+        monkeypatch.setattr(Graph, "edge_id", counted)
         task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
         results, trace = partwise_aggregate(g, p, [bfs_tree(g, 0).tree_edges] * 4, task, SimConfig())
         assert trace.messages_sent > 0 and calls == 0
+        assert all(g.neighbors(v) is g.neighbors(v) for v in range(g.n))
 
     def test_aggregation_steps_only_nodes_with_work(self, monkeypatch):
         """Steps are bounded by one per message plus one delay-gate wake per
@@ -520,6 +552,25 @@ class TestPartwiseAggregate:
         with pytest.raises(AggregationError, match="bits"):
             partwise_aggregate(g, p, {0: frozenset()}, task, SimConfig())
 
+    def test_value_budget_matches_int_bits(self):
+        """The entry check admits a value exactly when its `int_bits` fit the
+        budget left after the header, at either sign and at budgets of one
+        bit or less, where no value fits; a bool is an int."""
+        g = path_graph(3)
+        p = Partition(3, [[1]])
+        header = sim.aggregate_header_bits(1)
+        for msg_bits in range(2, 10):
+            budget = msg_bits - header
+            for x in [*range(-18, 19), True]:
+                task = AggregationTask(values={1: x}, op="sum", parts=p)
+                cfg = SimConfig(msg_bits=msg_bits)
+                if int_bits(x) <= budget:
+                    assert partwise_aggregate(g, p, [frozenset()], task, cfg)[0] == {1: x}
+                    continue
+                message = f"value of node 1 needs {int_bits(x)} bits; only {budget} available"
+                with pytest.raises(AggregationError, match=f"^{message} after the header$"):
+                    partwise_aggregate(g, p, [frozenset()], task, cfg)
+
     def test_sum_overflowing_capacity_errors_at_send(self):
         # individual values fit, the partial sum does not
         g = path_graph(3)
@@ -536,8 +587,11 @@ class TestPartwiseAggregate:
         [
             ({v: 1 for v in range(3)}, "avg", "unsupported op 'avg'"),
             ({0: 1, 1: 1}, "sum", "node 2 belongs to a part but has no value"),
+            ({0: 1, 1: 1.0, 2: 1}, "sum", "value of node 1 has type float, not int"),
+            ({0: 1, 1: 1, 2: "1"}, "sum", "value of node 2 has type str, not int"),
+            ({0: None, 1: 1}, "sum", "value of node 0 has type NoneType, not int"),
         ],
-        ids=["unsupported-op", "missing-value"],
+        ids=["unsupported-op", "missing-value", "float-value", "str-value", "none-value"],
     )
     def test_bad_task_rejected(self, values, op, message):
         g = path_graph(3)
