@@ -14,7 +14,6 @@ from .engine import (
     CongestionMarking,
     EngineConfig,
     EngineError,
-    MaxDeltaExceeded,
     MinorCertificate,
     PartialShortcut,
     Shortcut,

@@ -163,7 +163,8 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
 def validate_minor(g: Graph, cert) -> None:
     """Check a minor certificate against its host graph; raise GraphError on its first flaw.
 
-    Verifies set disjointness, per-set connectivity (as `validate_partition`
+    Verifies that every vertex and witness is an in-range int (a bool is
+    not), set disjointness, per-set connectivity (as `validate_partition`
     does), witness-edge realization of every minor edge, simplicity and the
     exact rational density; its owner list of n entries costs O(n).
     """
@@ -173,8 +174,8 @@ def validate_minor(g: Graph, cert) -> None:
         if not vertices:
             raise GraphError(f"minor node {idx} maps to an empty vertex set")
         for v in vertices:
-            if not (0 <= v < g.n):  # before the index: a negative id would wrap
-                raise GraphError(f"minor node {idx} contains invalid node {v}")
+            if type(v) is not int or not 0 <= v < g.n:  # before the index: -1 would wrap
+                raise GraphError(f"minor node {idx} contains invalid node {v!r}")
             if owner[v] is not None:
                 raise GraphError(f"node {v} appears in minor nodes {owner[v]} and {idx}")
             owner[v] = idx
@@ -192,8 +193,8 @@ def validate_minor(g: Graph, cert) -> None:
         if key in seen_pairs:
             raise GraphError(f"minor edge {key} listed twice")
         seen_pairs.add(key)
-        if not (0 <= medge.witness < g.m):
-            raise GraphError(f"witness edge id {medge.witness} unknown")
+        if type(medge.witness) is not int or not 0 <= medge.witness < g.m:
+            raise GraphError(f"witness edge id {medge.witness!r} unknown")
         u, v = g.edges[medge.witness]
         if {owner[u], owner[v]} != {a, b}:
             raise GraphError(

@@ -458,7 +458,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
     except (engine.EngineError, sim.SimError) as exc:

@@ -43,10 +43,6 @@ class EngineError(Exception):
     """Shortcut construction failed in a way the caller must handle."""
 
 
-class MaxDeltaExceeded(EngineError):
-    """Doubling search passed the configured cap; the message names the cap."""
-
-
 @dataclass(frozen=True)
 class CongestionMarking:
     """The bipartite congestion structure: overcongested tree edges, the parts
@@ -384,7 +380,7 @@ def construct_full(
                 stats=stats,
             )
         delta *= 2
-    raise MaxDeltaExceeded(f"no shortcut found for any delta <= {max_delta}")
+    raise EngineError(f"no shortcut found for any delta <= {max_delta}")
 
 
 # ---------------------------------------------------------------------------

@@ -87,22 +87,6 @@ class SimError(Exception):
     """Simulator misuse or protocol failure."""
 
 
-class OversizeMessageError(SimError):
-    pass
-
-
-class DuplicateSendError(SimError):
-    pass
-
-
-class AggregationError(SimError):
-    pass
-
-
-class SimTimeout(SimError):
-    """max_rounds exhausted; the message names the cap."""
-
-
 @dataclass(frozen=True)
 class SimConfig:
     msg_bits: int | None = None  # default: 4 * ceil(log2(n+1))
@@ -194,12 +178,12 @@ class NodeContext:
             raise SimError(f"node {src} tried to message non-neighbor {dst}")
         inbox = self._next.get(dst)
         if inbox is not None and src in inbox:
-            raise DuplicateSendError(
+            raise SimError(
                 f"node {src} sent twice on edge ({src}, {dst}) in round {self.round + 1}"
             )
         bits = payload_bits(payload)
         if bits > self._msg_bits:
-            raise OversizeMessageError(
+            raise SimError(
                 f"node {src} sent {bits} bits (> {self._msg_bits}) in round {self.round + 1}"
             )
         if inbox is None:
@@ -263,8 +247,8 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
     is in flight, the clock jumps to the round before the next wake round,
     or to max_rounds if no sleeper has one; the skipped rounds count in
     `rounds_used`.  Every step gets the run's one context, with `ctx.node`
-    set to the node stepped.  Passing max_rounds raises `SimTimeout`, which
-    carries only its message.
+    set to the node stepped.  Passing max_rounds raises `SimError` naming
+    the cap.
     """
     if len(programs) != g.n:
         raise SimError(f"need {g.n} programs, got {len(programs)}")
@@ -277,7 +261,7 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
             wake = ctx._wakes[0][0] if ctx._wakes else max_rounds + 1
             ctx.round = min(wake - 1, max_rounds)
         if ctx.round >= max_rounds:
-            raise SimTimeout(f"exceeded max_rounds={max_rounds}")
+            raise SimError(f"exceeded max_rounds={max_rounds}")
         ctx.round += 1
         inboxes, ctx._next = ctx._next, {}
         for v in sorted(awake.union(inboxes, ctx._pop_due())):
@@ -423,7 +407,7 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
                 parent[u] = v
                 order.append(u)
     if len(order) != len(nodes):
-        raise AggregationError(f"merged subgraph of part {index} is disconnected")
+        raise SimError(f"merged subgraph of part {index} is disconnected")
     children: dict[int, list[int]] = {root: []}
     for v in part:
         while v not in children:
@@ -474,9 +458,9 @@ def partwise_aggregate(
     """
     _check_node_count(g, parts)
     if task.op not in _OPS:
-        raise AggregationError(f"unsupported op {task.op!r}")
+        raise SimError(f"unsupported op {task.op!r}")
     if task.parts.parts != parts.parts:
-        raise AggregationError("task partition does not match the supplied partition")
+        raise SimError("task partition does not match the supplied partition")
     values = task.values
     budget = cfg.msg_bits_for(g.n) - aggregate_header_bits(parts.k)
     limit = 1 << (budget - 1) if budget > 1 else 0  # int_bits(x) <= budget iff abs(x) < limit
@@ -489,11 +473,11 @@ def partwise_aggregate(
     if bad:
         v = min(bad)  # the first in id order
         if v not in values:
-            raise AggregationError(f"node {v} belongs to a part but has no value")
+            raise SimError(f"node {v} belongs to a part but has no value")
         x = values[v]
         if not isinstance(x, int):
-            raise AggregationError(f"value of node {v} has type {type(x).__name__}, not int")
-        raise AggregationError(
+            raise SimError(f"value of node {v} has type {type(x).__name__}, not int")
+        raise SimError(
             f"value of node {v} needs {int_bits(x)} bits; only {budget} available after the header"
         )
     edge_map = as_edge_map(shortcut)
@@ -540,5 +524,5 @@ def partwise_aggregate(
         results = {v: outputs[v] for part in parts.parts for v in part}
     except KeyError:
         v = min(v for part in parts.parts for v in part if v not in outputs)
-        raise AggregationError(f"node {v} finished without a result") from None
+        raise SimError(f"node {v} finished without a result") from None
     return results, trace

@@ -223,8 +223,24 @@ class TestValidateMinor:
             (((0,), (1,)), ((1, 1, 0),), "minor edge joins node 1 to itself"),
             (((0,), (1,)), ((0, 2, 0),), "minor edge (0, 2) out of range"),
             (((0,), (1,)), ((0, 1, 6),), "witness edge id 6 unknown"),
+            (((0,), (1.5,)), (), "minor node 1 contains invalid node 1.5"),
+            (((0,), ("1",)), (), "minor node 1 contains invalid node '1'"),
+            (((None,), (1,)), (), "minor node 0 contains invalid node None"),
+            (((0,), (True,)), (), "minor node 1 contains invalid node True"),
+            (((0,), (1,)), ((0, 1, 0.0),), "witness edge id 0.0 unknown"),
         ],
-        ids=["empty-set", "bad-vertex", "self-edge", "bad-endpoint", "bad-witness"],
+        ids=[
+            "empty-set",
+            "bad-vertex",
+            "self-edge",
+            "bad-endpoint",
+            "bad-witness",
+            "float-vertex",
+            "str-vertex",
+            "none-vertex",
+            "bool-vertex",
+            "float-witness",
+        ],
     )
     def test_malformed_certificate(self, vertices, edges, message):
         g = k4()

@@ -223,6 +223,14 @@ class TestLoaderErrors:
         assert main([a.format(**names) for a in argv]) == 2
         assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
 
+    def test_non_utf8_graph_file(self, caterpillar_files, tmp_path, capsys):
+        _, parts = caterpillar_files
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(b"6 5\n0 1\n0 \xff2\n")
+        assert main(["shortcut", str(graph), parts, "--seed", "1"]) == 2
+        message = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     @pytest.mark.parametrize(
         "text, message",
         [("", "empty graph file"), ("4 1\n0 9\n", "edge (0, 9) out of range for n=4")],
@@ -473,7 +481,8 @@ class TestBench:
         assert main(["bench", spec, "--out", str(out)]) == 3
         rows = out.read_text().splitlines()[2:]
         assert rows[0].endswith("ok")
-        assert "error:" in rows[1]
+        # the eleven measure columns stay empty
+        assert rows[1] == "wheel-6-p2-s1,wheel,,,,,,,,,,,,error:EngineError: forced failure"
 
     def test_unwritable_out_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
         """`bench` opens `--out` after checking the spec and before the first
@@ -510,6 +519,12 @@ class TestBench:
     def test_malformed_spec_validation_error(self, tmp_path):
         spec = write(tmp_path / "spec.json", "{}")
         assert main(["bench", spec]) == 2
+
+    def test_unparsable_spec_validation_error(self, tmp_path, capsys):
+        spec = write(tmp_path / "spec.json", "{")
+        assert main(["bench", spec]) == 2
+        message = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     @pytest.mark.parametrize(
         "runs, message",

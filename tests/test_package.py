@@ -118,20 +118,40 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     assert unread == []
 
 
+def exception_classes():
+    """The exception classes defined in `src/treeshort/`, by name."""
+    found = {}
+    for path in sorted((SRC / "treeshort").glob("[!_]*.py")):
+        module = importlib.import_module(f"treeshort.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found[name] = cls
+    return found
+
+
 def test_exceptions_carry_only_their_message():
     """No exception class in `src/treeshort/` defines its own `__init__`, so
     none carries a payload beyond its message.  This covers what the
     name-based field lint cannot see: an exception attribute such as a
     `certificates` or a `trace` passes that lint whenever another object
     has an attribute of the same name."""
-    with_init = []
-    for path in sorted((SRC / "treeshort").glob("[!_]*.py")):
-        module = importlib.import_module(f"treeshort.{path.stem}")
-        for name, cls in inspect.getmembers(module, inspect.isclass):
-            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
-                if "__init__" in vars(cls):
-                    with_init.append(name)
+    with_init = [name for name, cls in exception_classes().items() if "__init__" in vars(cls)]
     assert with_init == []
+
+
+def test_every_exception_class_is_caught_by_name():
+    """Each exception class in `src/treeshort/` is named by an `except`
+    clause in the library, in perfbench or in a README Python block, alone
+    or in a tuple: a subclass that only the tests tell apart from its base
+    is one more concept with no caller."""
+    caught = set()
+    for tree in caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.id for t in named if isinstance(t, ast.Name)}
+                caught |= {t.attr for t in named if isinstance(t, ast.Attribute)}
+    assert sorted(exception_classes().keys() - caught) == []
 
 
 def test_validators_return_none():

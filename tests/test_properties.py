@@ -48,7 +48,6 @@ from treeshort.graph import (
     validate_partition,
 )
 from treeshort.sim import (
-    AggregationError,
     AggregationTask,
     SimConfig,
     SimError,
@@ -481,7 +480,7 @@ def test_merged_subgraph_matches_definition(inst):
 def test_part_tree_spans_part_inside_merged_subgraph(inst):
     g, part, h = inst
     if merged_oracle(g, part, h) is None:
-        with pytest.raises(AggregationError, match="part 5 is disconnected"):
+        with pytest.raises(SimError, match="^merged subgraph of part 5 is disconnected$"):
             _part_tree(g, part, h, 5)
         return
     nodes, edges = merged_edges(g, part, h)

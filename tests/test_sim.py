@@ -12,14 +12,10 @@ from treeshort.engine import EngineConfig, construct_full
 from treeshort.generators import gen_grid, gen_parts_random, gen_wheel
 from treeshort.graph import Graph, GraphError, Partition, bfs_tree
 from treeshort.sim import (
-    AggregationError,
     AggregationTask,
-    DuplicateSendError,
     NodeProgram,
-    OversizeMessageError,
     SimConfig,
     SimError,
-    SimTimeout,
     default_msg_bits,
     int_bits,
     partwise_aggregate,
@@ -78,7 +74,8 @@ class TestRun:
                 ctx.halt()
 
         g = path_graph(2)
-        with pytest.raises(OversizeMessageError, match="node 0.*round 1"):
+        message = re.escape("node 0 sent 66 bits (> 8) in round 1")
+        with pytest.raises(SimError, match=f"^{message}$"):
             run(g, [Shout(), HaltAtInit()], SimConfig())
 
     def test_duplicate_send_rejected(self):
@@ -89,7 +86,7 @@ class TestRun:
 
         g = path_graph(2)
         message = re.escape("node 0 sent twice on edge (0, 1) in round 1")
-        with pytest.raises(DuplicateSendError, match=f"^{message}$"):
+        with pytest.raises(SimError, match=f"^{message}$"):
             run(g, [Stutter(), HaltAtInit()], SimConfig())
 
     def test_two_senders_reach_one_node_in_send_order(self):
@@ -160,7 +157,7 @@ class TestRun:
             pass  # never halts
 
         g = path_graph(2)
-        with pytest.raises(SimTimeout, match="^exceeded max_rounds=10$"):
+        with pytest.raises(SimError, match="^exceeded max_rounds=10$"):
             run(g, [Stubborn(), Stubborn()], SimConfig(max_rounds=10))
 
     def test_program_count_must_match_node_count(self):
@@ -224,7 +221,7 @@ class TestRun:
         assert {record.round for record in trace.log} == {1}
         assert (trace.rounds_used, trace.messages_sent) == (1, 2 * g.m)
         steps.clear()
-        with pytest.raises(SimTimeout, match="^exceeded max_rounds=0$"):
+        with pytest.raises(SimError, match="^exceeded max_rounds=0$"):
             run(g, [Probe() for _ in range(g.n)], SimConfig(max_rounds=0))
         assert steps == [(0, v, {}) for v in range(g.n)]
 
@@ -318,13 +315,13 @@ class TestScheduler:
 
     def test_all_asleep_without_wake_times_out_at_once(self):
         sleepers = [Sleeper(None), Sleeper(None)]
-        with pytest.raises(SimTimeout, match="^exceeded max_rounds=1000000$"):
+        with pytest.raises(SimError, match="^exceeded max_rounds=1000000$"):
             run(path_graph(2), sleepers, SimConfig(max_rounds=10**6))
         assert all(s.steps == [] for s in sleepers)
 
     def test_wake_after_max_rounds_times_out_at_max_rounds(self):
         sleeper = Sleeper(50)
-        with pytest.raises(SimTimeout, match="^exceeded max_rounds=30$"):
+        with pytest.raises(SimError, match="^exceeded max_rounds=30$"):
             run(Graph(1, []), [sleeper], SimConfig(max_rounds=30))
         assert sleeper.steps == []
 
@@ -542,14 +539,15 @@ class TestPartwiseAggregate:
         g = path_graph(3)
         p = Partition(3, [[0, 2]])
         task = AggregationTask(values={0: 1, 2: 1}, op="sum", parts=p)
-        with pytest.raises(AggregationError, match="part 0"):
+        with pytest.raises(SimError, match="^merged subgraph of part 0 is disconnected$"):
             partwise_aggregate(g, p, {0: frozenset()}, task, SimConfig())
 
     def test_value_capacity_checked(self):
         g = path_graph(3)
         p = Partition(3, [list(range(3))])
         task = AggregationTask(values={v: 1 << 40 for v in range(3)}, op="max", parts=p)
-        with pytest.raises(AggregationError, match="bits"):
+        message = "value of node 0 needs 42 bits; only 4 available after the header"
+        with pytest.raises(SimError, match=f"^{message}$"):
             partwise_aggregate(g, p, {0: frozenset()}, task, SimConfig())
 
     def test_value_budget_matches_int_bits(self):
@@ -568,7 +566,7 @@ class TestPartwiseAggregate:
                     assert partwise_aggregate(g, p, [frozenset()], task, cfg)[0] == {1: x}
                     continue
                 message = f"value of node 1 needs {int_bits(x)} bits; only {budget} available"
-                with pytest.raises(AggregationError, match=f"^{message} after the header$"):
+                with pytest.raises(SimError, match=f"^{message} after the header$"):
                     partwise_aggregate(g, p, [frozenset()], task, cfg)
 
     def test_sum_overflowing_capacity_errors_at_send(self):
@@ -579,7 +577,8 @@ class TestPartwiseAggregate:
         bits = default_msg_bits(3)
         big = (1 << (bits - int_bits(0) - int_bits(1) - 1)) - 1
         task = AggregationTask(values={v: big for v in range(3)}, op="sum", parts=p)
-        with pytest.raises(OversizeMessageError):
+        message = re.escape("node 1 sent 10 bits (> 8) in round 2")
+        with pytest.raises(SimError, match=f"^{message}$"):
             partwise_aggregate(g, p, {0: t.tree_edges}, task, SimConfig())
 
     @pytest.mark.parametrize(
@@ -597,7 +596,7 @@ class TestPartwiseAggregate:
         g = path_graph(3)
         p = Partition(3, [[0, 1, 2]])
         task = AggregationTask(values=values, op=op, parts=p)
-        with pytest.raises(AggregationError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
             partwise_aggregate(g, p, {0: frozenset()}, task, SimConfig())
 
     @pytest.mark.parametrize("eid", [-1, 2], ids=["negative", "m"])
@@ -622,7 +621,8 @@ class TestPartwiseAggregate:
         p = Partition(4, [[0, 1], [2, 3]])
         other = Partition(4, [[0, 1, 2, 3]])
         task = AggregationTask(values={v: 1 for v in range(4)}, op="sum", parts=other)
-        with pytest.raises(AggregationError, match="partition"):
+        message = "task partition does not match the supplied partition"
+        with pytest.raises(SimError, match=f"^{message}$"):
             partwise_aggregate(g, p, {0: frozenset(), 1: frozenset()}, task, SimConfig())
 
 
