@@ -74,6 +74,15 @@ def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
     raise TypeError(f"cannot interpret {type(shortcut).__name__} as a shortcut")
 
 
+def _part_edge_map(shortcut, p: Partition) -> Mapping[int, frozenset[int]]:
+    """`as_edge_map(shortcut)`; raises GraphError on an entry for no part of `p`."""
+    edge_map = as_edge_map(shortcut)
+    stray = [i for i in edge_map if not 0 <= i < p.k]
+    if stray:
+        raise GraphError(f"shortcut has an entry for part {min(stray)}; partition has {p.k} parts")
+    return edge_map
+
+
 def measure_congestion(shortcut) -> int:
     """Maximum over edges of the number of parts whose H_i contains the edge
     (the caller checks the edge ids)."""
@@ -134,10 +143,10 @@ def partial_to_full_congestion(c: int, k: int) -> int:
 
 def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityReport:
     """Full recomputation of (congestion, dilation, blocks, quality) plus per-part
-    detail; raises GraphError unless `p` is built for `g` and `shortcut` is
-    restricted to `t`."""
+    detail; raises GraphError unless `p` is built for `g` and `shortcut`, with
+    entries for parts of `p` only, is restricted to `t`."""
     _check_node_count(g, p)
-    edge_map = as_edge_map(shortcut)
+    edge_map = _part_edge_map(shortcut, p)
     check_tree_restricted(edge_map, t)
     per_part = []
     worst_dilation: int | float = 0
@@ -163,10 +172,11 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
 def validate_minor(g: Graph, cert) -> None:
     """Check a minor certificate against its host graph; raise GraphError on its first flaw.
 
-    Verifies that every vertex and witness is an in-range int (a bool is
-    not), set disjointness, per-set connectivity (as `validate_partition`
-    does), witness-edge realization of every minor edge, simplicity and the
-    exact rational density; its owner list of n entries costs O(n).
+    Verifies that every vertex, minor-edge endpoint and witness is an
+    in-range int (a bool is not), set disjointness, per-set connectivity (as
+    `validate_partition` does), witness-edge realization of every minor edge,
+    simplicity and the exact rational density; its owner list of n entries
+    costs O(n).
     """
     owner: list[int | None] = [None] * g.n
     for idx, mnode in enumerate(cert.nodes):
@@ -187,8 +197,8 @@ def validate_minor(g: Graph, cert) -> None:
         a, b = medge.a, medge.b
         if a == b:
             raise GraphError(f"minor edge joins node {a} to itself")
-        if not (0 <= a < len(cert.nodes) and 0 <= b < len(cert.nodes)):
-            raise GraphError(f"minor edge ({a}, {b}) out of range")
+        if not (type(a) is type(b) is int and 0 <= min(a, b) and max(a, b) < len(cert.nodes)):
+            raise GraphError(f"minor edge ({a!r}, {b!r}) out of range")
         key = (min(a, b), max(a, b))
         if key in seen_pairs:
             raise GraphError(f"minor edge {key} listed twice")

@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 from . import apps, audit, engine, generators, sim
@@ -109,12 +110,11 @@ def _load_instance(graph_path: str, parts_path: str) -> tuple[Graph, Partition]:
 
 def _instance(family: str, params: list[int], seed, parts_count):
     """Graph, partition (its own, `parts_count` random ones or None) and
-    lower-bound record (or None) of one instance of `family`."""
-    built = generators.FAMILIES[family].build(params, seed)
-    if isinstance(built, generators.LowerBoundInstance):
-        return built.graph, built.parts, built
-    parts = None if parts_count is None else generators.gen_parts_random(built, parts_count, seed)
-    return built, parts, None
+    meta of one instance of `family`."""
+    g, parts, meta = generators.FAMILIES[family].build(params, seed)
+    if parts_count is not None:
+        parts = generators.gen_parts_random(g, parts_count, seed)
+    return g, parts, meta
 
 
 def _cmd_gen(args) -> int:
@@ -135,18 +135,8 @@ def _cmd_gen(args) -> int:
         paths.insert(1, out / "parts.txt")
     out.mkdir(parents=True, exist_ok=True)
     with _claimed(*paths):
-        g, parts, inst = _instance(family, args.params, args.seed, args.parts)
-        meta: dict = {"family": family, "params": args.params, "seed": args.seed}
-        if inst is not None:
-            meta.update(
-                delta_prime=inst.delta_prime,
-                D_prime=inst.D_prime,
-                delta=inst.delta,
-                D=inst.D,
-                top_path_nodes=inst.top_path_nodes,
-                grid_side=inst.grid_side,
-                quality_floor=f"{inst.quality_floor.numerator}/{inst.quality_floor.denominator}",
-            )
+        g, parts, own = _instance(family, args.params, args.seed, args.parts)
+        meta = {"family": family, "params": args.params, "seed": args.seed, **own}
         if args.weights:
             g = generators.assign_weights(g, args.seed)
         meta.update(n=g.n, m=g.m, diameter=diameter(g))
@@ -346,13 +336,12 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
     )
     fields = [name, run["family"]]
     try:
-        g, parts, inst = _instance(run["family"], run["params"], run["seed"], run.get("parts"))
+        g, parts, meta = _instance(run["family"], run["params"], run["seed"], run.get("parts"))
         tree, result = _construct(g, parts, run["seed"], max_delta)
         report = audit.audit_shortcut(g, tree, parts, result.shortcut)
         task = sim.AggregationTask(values={v: 1 for v in range(g.n)}, op="sum", parts=parts)
         cfg = sim.SimConfig(seed=f"{run['seed']}:agg")
         _, trace = sim.partwise_aggregate(g, parts, result.shortcut, task, cfg)
-        floor_txt = "" if inst is None else f"{float(inst.quality_floor):g}"
         fields += [
             str(g.n),
             str(parts.k),
@@ -362,7 +351,7 @@ def _bench_row(run: dict, max_delta) -> tuple[str, bool]:
             str(report.dilation),
             str(report.blocks),
             str(report.quality),
-            floor_txt,
+            f"{float(Fraction(meta['quality_floor'])):g}" if "quality_floor" in meta else "",
             str(trace.rounds_used),
             str(trace.messages_sent),
             "ok",

@@ -180,14 +180,26 @@ def assign_weights(g: Graph, seed: int) -> Graph:
     return Graph(g.n, g.edges, rng.sample(range(1, 2**31), g.m))
 
 
+def _lower_bound_family(params: list[int], seed: int | None) -> tuple[Graph, Partition, dict]:
+    """`gen_lower_bound` in the `Family.build` shape: meta is every other field."""
+    inst = gen_lower_bound(*params)
+    return inst.graph, inst.parts, dict(
+        delta_prime=inst.delta_prime, D_prime=inst.D_prime, delta=inst.delta, D=inst.D,
+        top_path_nodes=inst.top_path_nodes, grid_side=inst.grid_side,
+        quality_floor=f"{inst.quality_floor.numerator}/{inst.quality_floor.denominator}",
+    )
+
+
 @dataclass(frozen=True)
 class Family:
-    """One instance family as `treeshort gen` and `treeshort bench` take it."""
+    """One instance family as `treeshort gen` and `treeshort bench` take it.
+    `build(params, seed)` returns (graph, own partition or None, meta): meta
+    holds what `gen` writes to meta.json beside the fields every family has."""
 
     params: tuple[str, ...]  # names, for the arity check and the usage text
     valid: Callable[..., bool]  # the parameter ranges
     error: str  # formatted with params that are not valid
-    build: Callable[[list[int], int | None], Graph | LowerBoundInstance]  # (params, seed)
+    build: Callable[[list[int], int | None], tuple[Graph, Partition | None, dict]]
     n: Callable[..., int] | None = None  # node count; None for a family with its own parts
     seeded: bool = False  # draws randomness, so needs a seed
 
@@ -199,18 +211,18 @@ class Family:
 FAMILIES = {
     "lowerbound": Family(
         ("DELTA'", "D'"), lambda dp, Dp: 5 <= dp and 2 * dp <= Dp,
-        "need 5 <= delta' <= D'/2, got delta'={}, D'={}", lambda p, seed: gen_lower_bound(*p),
+        "need 5 <= delta' <= D'/2, got delta'={}, D'={}", _lower_bound_family,
     ),
     "grid": Family(
         ("W", "H"), lambda w, h: min(w, h) >= 1, "grid dimensions must be positive, got [{}, {}]",
-        lambda p, seed: gen_grid(*p), n=lambda w, h: w * h,
+        lambda p, seed: (gen_grid(*p), None, {}), n=lambda w, h: w * h,
     ),
     "wheel": Family(
         ("N",), lambda n: n >= 4, "wheel needs at least 4 nodes, got {}",
-        lambda p, seed: gen_wheel(*p), n=lambda n: n,
+        lambda p, seed: (gen_wheel(*p), None, {}), n=lambda n: n,
     ),
     "ktree": Family(
         ("N", "K"), lambda n, k: 1 <= k < n, "ktree needs k >= 1 and n >= k+1, got n={}, k={}",
-        lambda p, seed: gen_ktree(*p, seed), n=lambda n, k: n, seeded=True,
+        lambda p, seed: (gen_ktree(*p, seed), None, {}), n=lambda n, k: n, seeded=True,
     ),
 }

@@ -44,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .audit import _merged_subgraph, as_edge_map
+from .audit import _merged_subgraph, _part_edge_map
 from .graph import Graph, GraphError, Partition, _check_node_count
 
 
@@ -454,9 +454,11 @@ def partwise_aggregate(
     """Every node of every part learns the exact aggregate of its part.
 
     Returns (results, trace) where results maps each node belonging to a part
-    to the aggregate of that part's values.  Node count, values and edge ids are checked here.
+    to the aggregate of that part's values.  Node count, shortcut entries,
+    values and edge ids are checked here.
     """
     _check_node_count(g, parts)
+    edge_map = _part_edge_map(shortcut, parts)
     if task.op not in _OPS:
         raise SimError(f"unsupported op {task.op!r}")
     if task.parts.parts != parts.parts:
@@ -480,7 +482,6 @@ def partwise_aggregate(
         raise SimError(
             f"value of node {v} needs {int_bits(x)} bits; only {budget} available after the header"
         )
-    edge_map = as_edge_map(shortcut)
     m = g.m
     unknown = [e for es in edge_map.values() for e in es if not 0 <= e < m]
     if unknown:

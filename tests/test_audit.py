@@ -16,6 +16,7 @@ from treeshort.audit import (
 from treeshort.engine import MinorCertificate, MinorEdge, MinorNode, PartialShortcut
 from treeshort.graph import INFINITE, Graph, GraphError, Partition, bfs_tree
 from treeshort.generators import gen_grid, gen_wheel
+from treeshort.sim import AggregationTask, SimConfig, partwise_aggregate
 
 from conftest import merged_diameter
 from oracles import thomason_bounds
@@ -228,6 +229,9 @@ class TestValidateMinor:
             (((None,), (1,)), (), "minor node 0 contains invalid node None"),
             (((0,), (True,)), (), "minor node 1 contains invalid node True"),
             (((0,), (1,)), ((0, 1, 0.0),), "witness edge id 0.0 unknown"),
+            (((0,), (1,)), ((0, 1.0, 0),), "minor edge (0, 1.0) out of range"),
+            (((0,), (1,)), ((0, "1", 0),), "minor edge (0, '1') out of range"),
+            (((0,), (1,)), ((True, 0, 0),), "minor edge (True, 0) out of range"),
         ],
         ids=[
             "empty-set",
@@ -240,6 +244,9 @@ class TestValidateMinor:
             "none-vertex",
             "bool-vertex",
             "float-witness",
+            "float-endpoint",
+            "str-endpoint",
+            "bool-endpoint",
         ],
     )
     def test_malformed_certificate(self, vertices, edges, message):
@@ -272,3 +279,32 @@ class TestAuditReport:
         assert first.congestion == 1
         assert first.dilation == 2
         assert first.blocks == 1
+
+
+class TestShortcutEntries:
+    """A shortcut entry for a part index outside range(p.k) names no part;
+    both entry points reject it, naming the smallest such index, rather than
+    count it in the congestion or drop it."""
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda g, p, shortcut: audit_shortcut(g, bfs_tree(g, 0), p, shortcut),
+            lambda g, p, shortcut: partwise_aggregate(
+                g, p, shortcut, AggregationTask({v: 1 for v in range(g.n)}, "sum", p), SimConfig()
+            ),
+        ],
+        ids=["audit", "aggregate"],
+    )
+    @pytest.mark.parametrize(
+        "shortcut, index",
+        [(lambda e: [frozenset({e})] * 7, 3), (lambda e: {5: {e}, 9: {e}}, 5)],
+        ids=["long-sequence", "mapping"],
+    )
+    def test_entry_for_no_part_rejected(self, entry_point, shortcut, index):
+        g = gen_grid(4, 4)
+        p = Partition(g.n, [[0, 1], [5, 6], [10, 11]])
+        e = next(iter(bfs_tree(g, 0).tree_edges))
+        message = f"shortcut has an entry for part {index}; partition has 3 parts"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            entry_point(g, p, shortcut(e))

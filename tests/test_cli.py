@@ -3,13 +3,22 @@ import hashlib
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from treeshort import apps, cli, engine
+from treeshort import apps, cli, engine, generators
 from treeshort.cli import main
-from treeshort.graph import bfs_tree, dumps_graph, dumps_partition, loads_graph, loads_partition
+from treeshort.graph import (
+    Graph,
+    Partition,
+    bfs_tree,
+    dumps_graph,
+    dumps_partition,
+    loads_graph,
+    loads_partition,
+)
 
 from conftest import build_fan
 from test_package import readme_block_outputs, readme_library_block
@@ -55,6 +64,27 @@ class TestGen:
     def test_bad_params_usage_error(self, tmp_path):
         assert main(["gen", "grid", "5", "--out", str(tmp_path)]) == 1
         assert main(["gen", "nosuch", "5"]) == 1
+
+    SMALL = {"lowerbound": [5, 10], "grid": [3, 2], "wheel": [5], "ktree": [6, 2]}
+
+    @pytest.mark.parametrize("family", list(generators.FAMILIES))
+    def test_every_family_builds_one_shape(self, tmp_path, family):
+        """`build` returns (graph, own partition or None, meta), the partition
+        None exactly when `Family.n` is set; gen's meta.json holds the base
+        keys, the build's meta keys, and k when it writes a partition."""
+        spec, params = generators.FAMILIES[family], self.SMALL[family]
+        g, parts, meta = spec.build(params, 1)
+        assert type(g) is Graph and type(meta) is dict
+        assert type(parts) is (Partition if spec.n is None else type(None))
+        base = {"family", "params", "seed", "n", "m", "diameter"}
+        for extra in [[]] if spec.n is None else [[], ["--parts", "2"]]:
+            out = tmp_path / str(len(extra))
+            argv = ["gen", family, *map(str, params), "--seed", "1", "--out", str(out), *extra]
+            assert main(argv) == 0
+            with_parts = spec.n is None or extra != []
+            assert (out / "parts.txt").exists() == with_parts
+            written = json.loads((out / "meta.json").read_text())
+            assert set(written) == base | set(meta) | ({"k"} if with_parts else set())
 
 
 class TestShortcut:
@@ -457,6 +487,16 @@ class TestBench:
             vals = dict(zip(cols, row.split(",")))
             assert vals["status"] == "ok"
             assert float(vals["quality"]) >= float(vals["quality_floor"])
+
+    @pytest.mark.parametrize("params", [[5, 12], [6, 16]])
+    def test_quality_floor_is_the_gen_meta_floor(self, tmp_path, params):
+        assert main(["gen", "lowerbound", *map(str, params), "--out", str(tmp_path / "g")]) == 0
+        meta = json.loads((tmp_path / "g" / "meta.json").read_text())
+        runs = [{"family": "lowerbound", "params": params, "seed": 1}]
+        spec = write(tmp_path / "spec.json", json.dumps({"runs": runs}))
+        assert main(["bench", spec, "--out", str(tmp_path / "r.csv")]) == 0
+        (row,) = csv.DictReader((tmp_path / "r.csv").read_text().splitlines()[1:])
+        assert float(row["quality_floor"]) == float(Fraction(meta["quality_floor"]))
 
     def test_failed_run_reported_and_nonzero_exit(self, tmp_path, monkeypatch):
         # no valid run is known to fail at run time, so the second run is made to

@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import treeshort
+from treeshort.generators import FAMILIES
 from treeshort.sim import NodeContext, NodeProgram
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,6 +53,14 @@ def test_readme_python_blocks_run():
     """Every README Python block runs, so an API change cannot leave an
     example broken; the "Library use" block is among them."""
     assert readme_library_block() in readme_block_outputs()
+
+
+def test_readme_family_table_lists_every_family():
+    """README's family table has one row per `FAMILIES` entry, in order,
+    with the family's param names, so a new family cannot land without one."""
+    readme = (SRC.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, re.M)
+    assert rows == [(name, " ".join(spec.params)) for name, spec in FAMILIES.items()]
 
 
 def attributes(trees, outside=None):
