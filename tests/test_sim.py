@@ -9,7 +9,7 @@ from conftest import build_fan
 from treeshort import sim
 from treeshort.audit import audit_shortcut
 from treeshort.engine import EngineConfig, construct_full
-from treeshort.generators import gen_grid, gen_parts_random, gen_wheel
+from treeshort.generators import gen_grid, gen_lower_bound, gen_parts_random, gen_wheel
 from treeshort.graph import Graph, GraphError, Partition, bfs_tree
 from treeshort.sim import (
     AggregationTask,
@@ -433,6 +433,16 @@ class TestGoldenLogs:
         assert (trace.rounds_used, trace.messages_sent) == (28, 540)
         assert log_digest(trace.log) == (
             "6e35ba86f462c9add469e9dec2e8b8d517a8bf9e1ee77fe4393ba70828e38b79"
+        )
+
+    def test_lower_bound(self):
+        # nodes hold roles in several parts and some start delays open late,
+        # so 71 steps end with a message still held back for a busy edge
+        inst = gen_lower_bound(6, 16)
+        trace = self.aggregate_log(inst.graph, inst.parts, 1)
+        assert (trace.rounds_used, trace.messages_sent) == (57, 1862)
+        assert log_digest(trace.log) == (
+            "d8c0c59f16e8c64586886b20da7b953c58496cb58726a2377d0435aab42b0ec0"
         )
 
     def test_wheel_hub_relays_four_parts(self):
