@@ -75,8 +75,12 @@ def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
 
 
 def _part_edge_map(shortcut, p: Partition) -> Mapping[int, frozenset[int]]:
-    """`as_edge_map(shortcut)`; raises GraphError on an entry for no part of `p`."""
+    """`as_edge_map(shortcut)`; raises GraphError on an entry keyed by anything
+    but an int (a bool is not one) or for no part of `p`."""
     edge_map = as_edge_map(shortcut)
+    for i in edge_map:
+        if type(i) is not int:
+            raise GraphError(f"shortcut has an entry keyed {i!r}, not a part index")
     stray = [i for i in edge_map if not 0 <= i < p.k]
     if stray:
         raise GraphError(f"shortcut has an entry for part {min(stray)}; partition has {p.k} parts")

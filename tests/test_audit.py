@@ -281,21 +281,21 @@ class TestAuditReport:
         assert first.blocks == 1
 
 
+# the two entry points that take a shortcut from a caller
+ENTRY_POINTS = [
+    lambda g, p, shortcut: audit_shortcut(g, bfs_tree(g, 0), p, shortcut),
+    lambda g, p, shortcut: partwise_aggregate(
+        g, p, shortcut, AggregationTask({v: 1 for v in range(g.n)}, "sum", p), SimConfig()
+    ),
+]
+
+
 class TestShortcutEntries:
     """A shortcut entry for a part index outside range(p.k) names no part;
     both entry points reject it, naming the smallest such index, rather than
     count it in the congestion or drop it."""
 
-    @pytest.mark.parametrize(
-        "entry_point",
-        [
-            lambda g, p, shortcut: audit_shortcut(g, bfs_tree(g, 0), p, shortcut),
-            lambda g, p, shortcut: partwise_aggregate(
-                g, p, shortcut, AggregationTask({v: 1 for v in range(g.n)}, "sum", p), SimConfig()
-            ),
-        ],
-        ids=["audit", "aggregate"],
-    )
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
     @pytest.mark.parametrize(
         "shortcut, index",
         [(lambda e: [frozenset({e})] * 7, 3), (lambda e: {5: {e}, 9: {e}}, 5)],
@@ -308,3 +308,14 @@ class TestShortcutEntries:
         message = f"shortcut has an entry for part {index}; partition has 3 parts"
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             entry_point(g, p, shortcut(e))
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
+    @pytest.mark.parametrize("key", ["a", 1.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_key_that_is_not_an_int_rejected(self, entry_point, key):
+        """A mapping key must be an int: a str or None is no part index, and a
+        float or a bool equal to one is not taken for it."""
+        g = gen_grid(4, 4)
+        p = Partition(g.n, [[0, 1], [5, 6], [10, 11]])
+        message = f"shortcut has an entry keyed {key!r}, not a part index"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            entry_point(g, p, {0: set(), key: set()})
