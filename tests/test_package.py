@@ -187,3 +187,21 @@ def test_only_graph_reads_the_adjacency_tuples():
             found = attributes([ast.parse(path.read_text())]) & {"_nbrs", "_eids"}
             readers += [f"{path.name}: {name}" for name in sorted(found)]
     assert readers == []
+
+
+def test_no_module_imports_gc():
+    """No module in `src/treeshort/` imports `gc`: the library keeps out of
+    its caller's collector settings, so a cut in collections has to come from
+    allocating fewer container objects."""
+    importers = []
+    for path in sorted((SRC / "treeshort").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "gc" for name in names):
+                importers.append(path.name)
+    assert importers == []
