@@ -24,21 +24,27 @@ smaller delay first, then smaller part index; losers retry next round.
 Only data-plane messages on graph edges are counted in the trace.
 
 Cost model: the control plane is linear in the merged subgraphs, besides
-sorting each merged node's neighbour list (one BFS of each from min(P_i),
-kept to the paths from the part's nodes up to it, then re-rooted at the
-kept tree's centre by a walk over the heights recorded by the pass that
-links children).  A send bisects the sender's neighbour tuple.  An
-aggregation step is one `on_round` call and costs its inbox plus its sends,
-not the number of roles its node holds; a payload, an int or a flat tuple of
-ints, is sized in one pass.  Part-tree congestion is counted under an integer
-key per tree edge, min(v,c)*n + max(v,c), and the value checks (a type test
-and two comparisons each) and the results walk the parts' nodes.
+sorting the merged nodes' neighbour lists of a part with H_i edges (one BFS
+of each from min(P_i), kept to the paths from the part's nodes up to it,
+then re-rooted at the kept tree's centre by a walk over the heights
+recorded by the pass that links children).  A send bisects the sender's
+neighbour tuple.  An aggregation step is one `on_round` call and costs its
+inbox plus its sends, not the number of roles its node holds.  One program
+object serves every node, with the per-node state in flat containers (a
+role keyed part*n + node); a heap exists only for a node whose ready role
+waits on its start delay and for a destination with two or more messages
+waiting, so a step with one message per destination sends it straight.  A
+payload, an int or a flat tuple of ints, is sized in one pass.  Part-tree
+congestion is counted under an integer key per tree edge,
+min(v,c)*n + max(v,c), and the value checks (a type test and two
+comparisons each) and the results walk the parts' nodes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -283,101 +289,168 @@ def run(g: Graph, programs: Sequence[NodeProgram], cfg: SimConfig) -> RoundTrace
 # Partwise aggregation on a shortcut.
 # ---------------------------------------------------------------------------
 
-_OPS = {"min": min, "max": max, "sum": lambda a, b: a + b}
+_OPS = {"min": min, "max": max, "sum": operator.add}
 
 _UP, _DOWN = 0, 1
 _TAGS = ("up", "down")  # message tag by kind
 
 
-class _Role:
-    """One node's participation in one part tree."""
-
-    __slots__ = ("part", "parent", "children", "in_part", "delay", "acc", "pending_children")
-
-    def __init__(self, part, parent, children, in_part, delay, value):
-        self.part = part
-        self.parent = parent
-        self.children = children
-        self.in_part = in_part
-        self.delay = delay
-        self.acc = value  # None on pure relay nodes until children report
-        self.pending_children = len(children)
-
-
 class _AggregateProgram(NodeProgram):
-    __slots__ = ("op", "roles", "ready", "unresolved", "pending", "backlog")
+    """The aggregation protocol of one run: one object, handed to `run` once
+    per node.
 
-    def __init__(self, op: str):
+    A step reads and writes only the entries of `ctx.node`, so each node is
+    still its own state machine.  The state sits in flat containers: a list
+    entry per node, and a dict entry per role (a node's place in part i's
+    tree) under the key `i * n + node`.  Heaps and rank tables are made only
+    for the nodes that need them: a ready role waits in its node's gate heap
+    only while its start delay is ahead, a message waits in its
+    destination's heap only while another message for the same edge goes
+    first, and only a node with two or more roles ranks its destinations."""
+
+    __slots__ = ("op", "n", "delays", "part_of", "parent", "children", "acc", "waiting",
+                 "unresolved", "gated", "held", "ranks")
+
+    def __init__(self, op: str, n: int, trees, delays: list[int], part_of, values):
         self.op = _OPS[op]
-        self.roles: dict[int, _Role] = {}
-        # heap of (delay, part) over the roles whose children have all
-        # reported and that have not sent up yet
-        self.ready: list[tuple[int, int]] = []
-        self.unresolved = 0  # roles still waiting for their part's result
-        # per destination, a heap of queued messages keyed (delay, part); the
-        # destinations' first-use order fixes the send order
-        self.pending: dict[int, list[tuple[int, int, int, int]]] = {}
-        self.backlog = 0  # messages held in `pending`
+        self.n = n
+        self.delays = delays
+        self.part_of = part_of
+        self.parent: dict[int, int | None] = {}  # role -> parent in its tree, None at the root
+        self.children: dict[int, tuple[int, ...]] = {}  # role -> children in its tree
+        self.acc: dict[int, int | None] = {}  # role -> partial aggregate, None on a relay
+        self.waiting: dict[int, int] = {}  # role -> children that have not reported
+        self.unresolved = [0] * n  # per node, roles still waiting for their part's result
+        # per node, None or a heap of (delay, part) over ready roles gated by their delay
+        self.gated: list[list[tuple[int, int]] | None] = [None] * n
+        # per node, None or dst -> heap of (delay, payload) over held-back messages
+        self.held: list[dict[int, list] | None] = [None] * n
+        for i, (parent, children) in enumerate(trees):
+            for v, cs in children.items():
+                key = i * n + v
+                self.parent[key] = parent[v]
+                self.children[key] = cs
+                self.acc[key] = values[v] if part_of[v] == i else None
+                self.waiting[key] = len(cs)
+                self.unresolved[v] += 1
+                if not cs:  # ready, and every delay is ahead of the clock's start
+                    self._gate(v, i)
+        # per node, None or dst -> rank of the node's first message to dst, the
+        # order in which a step sends.  A node with one role sends to each
+        # neighbour at most once, its parent before its children, so nothing
+        # is held back and the order it queues in is already its rank order.
+        self.ranks: list[dict[int, int] | None] = [{} if r > 1 else None for r in self.unresolved]
 
-    def add_role(self, role: _Role) -> None:
-        self.roles[role.part] = role
-        self.unresolved += 1
-        if not role.children:
-            heapq.heappush(self.ready, (role.delay, role.part))
+    def _gate(self, v: int, part: int) -> None:
+        """Hold node v's ready role in part `part` until its start delay."""
+        gate = self.gated[v]
+        if gate is None:
+            self.gated[v] = [(self.delays[part], part)]
+        else:
+            heapq.heappush(gate, (self.delays[part], part))
 
-    def _queue(self, role: _Role, dst: int, kind: int, value: int) -> None:
-        # (delay, part) is the contention priority and unique per queue
-        heapq.heappush(self.pending.setdefault(dst, []), (role.delay, role.part, kind, value))
-        self.backlog += 1
-
-    def _deliver_result(self, ctx: NodeContext, role: _Role, value: int) -> None:
-        self.unresolved -= 1
-        if role.in_part:
+    def _resolve(self, ctx: NodeContext, key: int, part: int, value: int, out):
+        """The role `key` of `ctx.node` learns its part's result: output it
+        on a part node and queue it down to the role's children."""
+        v = ctx.node
+        self.unresolved[v] -= 1
+        if self.part_of[v] == part:
             ctx.set_output(value)
-        for ch in role.children:
-            self._queue(role, ch, _DOWN, value)
+        cs = self.children[key]
+        if cs:
+            payload = (part, _DOWN, value)
+            if out is None:
+                out = []
+            out += [(c, payload) for c in cs]
+        return out
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
         """One step: take the mail in; send up (or, at a root, resolve) every
         ready role whose delay gate is open, in part order; send the
-        highest-priority queued message to each destination; then, with
-        nothing queued, halt once every role has its result, else sleep until
-        mail or the next delay gate opens."""
-        roles, ready = self.roles, self.ready
+        highest-priority message waiting for each destination, in the order
+        the node first used the destinations; then, with nothing held back,
+        halt once every role has its result, else sleep until mail or the
+        next delay gate opens."""
+        v, rnd, n = ctx.node, ctx.round, self.n
+        acc, waiting, delays = self.acc, self.waiting, self.delays
+        due = out = None
         for part, kind, value in inbox.values():
-            role = roles[part]
+            key = part * n + v
             if kind == _UP:
-                role.acc = value if role.acc is None else self.op(role.acc, value)
-                role.pending_children -= 1
-                if not role.pending_children:
-                    heapq.heappush(ready, (role.delay, part))
+                a = acc[key]
+                acc[key] = value if a is None else self.op(a, value)
+                left = waiting[key] - 1
+                waiting[key] = left
+                if not left:
+                    if delays[part] > rnd:
+                        self._gate(v, part)
+                    elif due is None:
+                        due = [part]
+                    else:
+                        due.append(part)
             else:
-                self._deliver_result(ctx, role, value)
-        rnd = ctx.round
-        if ready and ready[0][0] <= rnd:
-            due = []
-            while ready and ready[0][0] <= rnd:
-                due.append(heapq.heappop(ready)[1])
-            due.sort()  # part order fixes the order of the sends
+                out = self._resolve(ctx, key, part, value, out)
+        gate = self.gated[v]
+        if gate and gate[0][0] <= rnd:
+            if due is None:
+                due = []
+            while gate and gate[0][0] <= rnd:
+                due.append(heapq.heappop(gate)[1])
+        if due is not None:
+            due.sort()  # part order fixes the order in which the roles queue
             for part in due:
-                role = roles[part]
-                if role.parent is None:
-                    self._deliver_result(ctx, role, role.acc)
+                key = part * n + v
+                up = self.parent[key]
+                if up is None:
+                    out = self._resolve(ctx, key, part, acc[key], out)
+                elif out is None:
+                    out = [(up, (part, _UP, acc[key]))]
                 else:
-                    self._queue(role, role.parent, _UP, role.acc)
-        if self.backlog:
-            for dst, queue in self.pending.items():
-                if not queue:
-                    continue  # an emptied queue stays: first-use order fixes the send order
-                _, part, kind, value = heapq.heappop(queue)
-                self.backlog -= 1
-                ctx.send(dst, (part, kind, value), tag=_TAGS[kind])
-            if self.backlog:
-                return
-        if not self.unresolved:
+                    out.append((up, (part, _UP, acc[key])))
+        ranks = self.ranks[v]
+        if self.held[v] is not None or out is not None and len(out) > 1 and ranks is not None:
+            self._send(ctx, out)
+            if self.held[v] is not None:
+                return  # stay awake for the held-back messages
+        elif out is not None:  # each destination holds nothing else, and out is in rank order
+            for dst, payload in out:
+                if ranks is not None:
+                    ranks.setdefault(dst, len(ranks))
+                ctx.send(dst, payload, tag=_TAGS[payload[1]])
+        if not self.unresolved[v]:
             ctx.halt()
         else:
-            ctx.sleep(ready[0][0] if ready else None)
+            ctx.sleep(gate[0][0] if gate else None)
+
+    def _send(self, ctx: NodeContext, out: list | None) -> None:
+        """Send the step's messages `out`, (dst, payload) in the order they
+        were queued, together with those held back: to each destination its
+        highest-priority message, in the order the node first used the
+        destinations."""
+        v = ctx.node
+        ranks, held = self.ranks[v], self.held[v]
+        sends = {}
+        if held is None:
+            held = {}
+        for dst, payload in out or ():
+            ranks.setdefault(dst, len(ranks))
+            heap = held.get(dst)
+            if heap is not None:
+                heapq.heappush(heap, (self.delays[payload[0]], payload))
+            elif dst in sends:
+                first = sends.pop(dst)
+                held[dst] = sorted([(self.delays[first[0]], first), (self.delays[payload[0]], payload)])
+            else:
+                sends[dst] = payload
+        for dst in list(held):
+            heap = held[dst]
+            sends[dst] = heapq.heappop(heap)[1]
+            if not heap:
+                del held[dst]
+        self.held[v] = held or None
+        for dst in sorted(sends, key=ranks.__getitem__):
+            payload = sends[dst]
+            ctx.send(dst, payload, tag=_TAGS[payload[1]])
 
 
 def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):
@@ -396,8 +469,9 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
     disconnected.
     """
     nodes, adj = _merged_subgraph(g, part, edges)
-    for nbrs in adj.values():
-        nbrs.sort()  # no duplicates: the merged subgraph lists each edge once
+    if edges:  # only H_i's edges are appended out of order; without them all lists ascend
+        for nbrs in adj.values():
+            nbrs.sort()  # no duplicates: the merged subgraph lists each edge once
     root = min(part)
     parent: dict[int, int | None] = {root: None}
     order = [root]
@@ -501,16 +575,8 @@ def partwise_aggregate(
     delay_range = max(congestion, 1)
     control_rng = random.Random(f"{cfg.seed}:delays")
     delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
-    programs = [_AggregateProgram(task.op) for _ in range(g.n)]
-    part_of = parts.part_of
-    for i, (parent, children) in enumerate(trees):
-        delay = delays[i]
-        for v, cs in children.items():
-            in_part = part_of[v] == i
-            programs[v].add_role(
-                _Role(i, parent[v], cs, in_part, delay, values[v] if in_part else None)
-            )
-    trace = run(g, programs, cfg)
+    program = _AggregateProgram(task.op, n, trees, delays, parts.part_of, values)
+    trace = run(g, [program] * n, cfg)
     trace.meta.update(
         charged="data plane only: aggregate payloads on graph edges",
         control_plane="part trees, delays, and priorities computed centrally",

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -383,6 +385,26 @@ class TestScheduler:
         task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
         _, trace = partwise_aggregate(g, p, shortcut, task, SimConfig(seed=1))
         assert 0 < steps <= trace.messages_sent + g.n
+
+    def test_aggregation_peaks_below_1000_bytes_per_node(self):
+        """One aggregation keeps its per-node state in flat containers and
+        makes a heap only for a node that needs one: no program, role object
+        or send queue per node (objects per node peak at about 1,300 B per
+        node on this fan, the flat layout at about 710)."""
+        g, p = build_fan(33, 150, 33)
+        t = bfs_tree(g, 0)
+        shortcut = construct_full(g, t, p, EngineConfig(), random.Random(1)).shortcut
+        task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+        cfg = SimConfig(seed=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            partwise_aggregate(g, p, shortcut, task, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1000 * g.n
 
 
 class Gossip(NodeProgram):
