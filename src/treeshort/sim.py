@@ -407,16 +407,13 @@ class _AggregateProgram(NodeProgram):
                     out = [(up, (part, _UP, acc[key]))]
                 else:
                     out.append((up, (part, _UP, acc[key])))
-        ranks = self.ranks[v]
-        if self.held[v] is not None or out is not None and len(out) > 1 and ranks is not None:
+        if self.ranks[v] is None:  # one role: nothing is held back, and out is in rank order
+            for dst, payload in out or ():
+                ctx.send(dst, payload, tag=_TAGS[payload[1]])
+        elif out is not None or self.held[v] is not None:
             self._send(ctx, out)
             if self.held[v] is not None:
                 return  # stay awake for the held-back messages
-        elif out is not None:  # each destination holds nothing else, and out is in rank order
-            for dst, payload in out:
-                if ranks is not None:
-                    ranks.setdefault(dst, len(ranks))
-                ctx.send(dst, payload, tag=_TAGS[payload[1]])
         if not self.unresolved[v]:
             ctx.halt()
         else:
@@ -424,22 +421,19 @@ class _AggregateProgram(NodeProgram):
 
     def _send(self, ctx: NodeContext, out: list | None) -> None:
         """Send the step's messages `out`, (dst, payload) in the order they
-        were queued, together with those held back: to each destination its
+        were queued, and those held back: to each destination its
         highest-priority message, in the order the node first used the
-        destinations."""
+        destinations.  A destination's heap exists only while two or more
+        messages for it wait."""
         v = ctx.node
-        ranks, held = self.ranks[v], self.held[v]
-        sends = {}
-        if held is None:
-            held = {}
+        ranks, held, delays = self.ranks[v], self.held[v] or {}, self.delays
+        sends = {}  # dst -> the one message it gets this step
         for dst, payload in out or ():
             ranks.setdefault(dst, len(ranks))
-            heap = held.get(dst)
-            if heap is not None:
-                heapq.heappush(heap, (self.delays[payload[0]], payload))
+            if dst in held:
+                heapq.heappush(held[dst], (delays[payload[0]], payload))
             elif dst in sends:
-                first = sends.pop(dst)
-                held[dst] = sorted([(self.delays[first[0]], first), (self.delays[payload[0]], payload)])
+                held[dst] = sorted((delays[p[0]], p) for p in (sends.pop(dst), payload))
             else:
                 sends[dst] = payload
         for dst in list(held):
