@@ -391,11 +391,10 @@ class _AggregateProgram(NodeProgram):
             else:
                 out = self._resolve(ctx, key, part, value, out)
         gate = self.gated[v]
-        if gate and gate[0][0] <= rnd:
+        while gate and gate[0][0] <= rnd:
             if due is None:
                 due = []
-            while gate and gate[0][0] <= rnd:
-                due.append(heapq.heappop(gate)[1])
+            due.append(heapq.heappop(gate)[1])
         if due is not None:
             due.sort()  # part order fixes the order in which the roles queue
             for part in due:
