@@ -467,6 +467,15 @@ class TestGoldenLogs:
             "d8c0c59f16e8c64586886b20da7b953c58496cb58726a2377d0435aab42b0ec0"
         )
 
+    def test_contended_fan(self):
+        # 611 steps of nodes with several roles end with a message still
+        # waiting, as many as 9 of them for one destination
+        trace = self.aggregate_log(*build_fan(17, 50, 17), 1)
+        assert (trace.rounds_used, trace.messages_sent) == (59, 3100)
+        assert log_digest(trace.log) == (
+            "b8d69ee2c1f63c6c66db0e9ae2d562f782dc07ea7d2fe9da8f69e2cde7af40b0"
+        )
+
     def test_wheel_hub_relays_four_parts(self):
         # the hub holds one role per rim arc, all ready in the same round, so
         # the log pins the order in which one node's roles send
