@@ -76,7 +76,8 @@ def as_edge_map(shortcut) -> Mapping[int, frozenset[int]]:
 
 def _part_edge_map(shortcut, p: Partition) -> Mapping[int, frozenset[int]]:
     """`as_edge_map(shortcut)`; raises GraphError on an entry keyed by anything
-    but an int (a bool is not one) or for no part of `p`."""
+    but an int (a bool is not one) or for no part of `p`, and on a sequence
+    with fewer entries than `p` has parts."""
     edge_map = as_edge_map(shortcut)
     for i in edge_map:
         if type(i) is not int:
@@ -84,6 +85,8 @@ def _part_edge_map(shortcut, p: Partition) -> Mapping[int, frozenset[int]]:
     stray = [i for i in edge_map if not 0 <= i < p.k]
     if stray:
         raise GraphError(f"shortcut has an entry for part {min(stray)}; partition has {p.k} parts")
+    if not isinstance(shortcut, Mapping) and len(edge_map) < p.k:
+        raise GraphError(f"shortcut covers {len(edge_map)} parts, partition has {p.k}")
     return edge_map
 
 

@@ -310,6 +310,17 @@ class TestShortcutEntries:
             entry_point(g, p, shortcut(e))
 
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
+    @pytest.mark.parametrize("shortcut", [(), [frozenset()]], ids=["empty", "one-entry"])
+    def test_short_sequence_rejected(self, entry_point, shortcut):
+        """A sequence is indexed by part, so one with fewer than p.k entries
+        leaves parts out rather than giving them no edges."""
+        g = gen_grid(4, 4)
+        p = Partition(g.n, [[0, 1], [5, 6], [10, 11]])
+        message = f"shortcut covers {len(shortcut)} parts, partition has 3"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            entry_point(g, p, shortcut)
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
     @pytest.mark.parametrize("key", ["a", 1.0, True, None], ids=["str", "float", "bool", "none"])
     def test_key_that_is_not_an_int_rejected(self, entry_point, key):
         """A mapping key must be an int: a str or None is no part index, and a
