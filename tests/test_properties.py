@@ -1,8 +1,9 @@
 """Randomised checks of the shared diameter routine, the merged-subgraph
 builder, the aggregation part tree, the audit's block count, the case-I edge
 sets and the connectivity check of both validators against the brute-force
-oracles, and of the simulator's message-size accounting against its
-element-wise definition.
+oracles, of the simulator's message-size accounting against its
+element-wise definition, and of the order in which an aggregating node
+sends.
 
 Examples are derandomised so that every run of the suite tries the same
 inputs.  The diameter routine peels pendant trees and contracts degree-2
@@ -30,7 +31,14 @@ from hypothesis import strategies as st
 
 import treeshort.graph
 from treeshort.audit import _merged_subgraph, audit_shortcut, validate_minor
-from treeshort.engine import MinorCertificate, MinorNode, case_one_partial, mark_overcongested
+from treeshort.engine import (
+    EngineConfig,
+    MinorCertificate,
+    MinorNode,
+    case_one_partial,
+    construct_full,
+    mark_overcongested,
+)
 from treeshort.generators import (
     gen_grid,
     gen_ktree,
@@ -676,6 +684,49 @@ def test_trimmed_case_one_sets_cost_no_more_and_aggregate_alike(inst, delta):
     )
     assert results == full_results
     assert trace.log == full_trace.log
+
+
+@st.composite
+def aggregation_instances(draw):
+    """A random grid, k-tree or fan with random parts, a BFS tree from a
+    random root, and as the shortcut either the engine's or every tree edge
+    in every H_i, the most contended."""
+    seed = draw(st.integers(0, 2**32))
+    family = draw(st.sampled_from(["grid", "ktree", "fan"]))
+    if family == "fan":
+        mids = draw(st.integers(2, 6))
+        g, p = build_fan(mids, draw(st.integers(2, 12)), mids)
+    else:
+        if family == "grid":
+            g = gen_grid(draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+        else:
+            k = draw(st.integers(1, 4))
+            g = gen_ktree(draw(st.integers(k + 1, 60)), k, seed)
+        p = gen_parts_random(g, draw(st.integers(1, min(g.n, 12))), seed)
+    tree = bfs_tree(g, draw(st.integers(0, g.n - 1)))
+    if draw(st.booleans()):
+        shortcut = construct_full(g, tree, p, EngineConfig(), random.Random(seed)).shortcut
+    else:
+        shortcut = [tree.tree_edges] * p.k
+    return g, p, shortcut, seed
+
+
+@SETTINGS
+@given(aggregation_instances())
+def test_aggregation_sends_in_first_use_order(inst):
+    """Within one round, a node sends to its destinations in the order of
+    its first message to each, over the whole run."""
+    g, p, shortcut, seed = inst
+    task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+    _, trace = partwise_aggregate(g, p, shortcut, task, SimConfig(seed=seed, log_messages=True))
+    first_use: dict[int, dict[int, int]] = {}
+    last: dict[tuple[int, int], int] = {}  # (round, src) -> first-use rank of its last dst
+    for record in trace.log:
+        ranks = first_use.setdefault(record.src, {})
+        rank = ranks.setdefault(record.dst, len(ranks))
+        step = (record.round, record.src)
+        assert last.get(step, -1) < rank, step
+        last[step] = rank
 
 
 @st.composite
