@@ -28,13 +28,13 @@ sorting the merged nodes' neighbour lists of a part with H_i edges (one BFS
 of each from min(P_i), kept to the paths from the part's nodes up to it,
 then re-rooted at the kept tree's centre by a walk over the heights
 recorded by the pass that links children).  A send bisects the sender's
-neighbour tuple.  An aggregation step is one `on_round` call and costs its
-inbox plus its sends, not the number of roles its node holds.  One program
+neighbour tuple.  An aggregation step is one `on_round` call.  One program
 object serves every node, with the per-node state in flat containers (a
-role keyed part*n + node); a heap exists only for a node whose ready role
-waits on its start delay and for a destination with two or more messages
-waiting, so a step with one message per destination sends it straight.  A
-payload, an int or a flat tuple of ints, is sized in one pass.  Part-tree
+role keyed part*n + node).  A node with one role sends straight; a node
+with two or more keeps a queue per destination, in first-use order, and
+its step also scans those queues.  A gate heap exists only for a node whose
+ready role waits on its start delay.  A payload, an int or a flat tuple of
+ints, is sized in one pass.  Part-tree
 congestion is counted under an integer key per tree edge,
 min(v,c)*n + max(v,c), and the value checks (a type test and two
 comparisons each) and the results walk the parts' nodes.
@@ -302,14 +302,13 @@ class _AggregateProgram(NodeProgram):
     A step reads and writes only the entries of `ctx.node`, so each node is
     still its own state machine.  The state sits in flat containers: a list
     entry per node, and a dict entry per role (a node's place in part i's
-    tree) under the key `i * n + node`.  Heaps and rank tables are made only
-    for the nodes that need them: a ready role waits in its node's gate heap
-    only while its start delay is ahead, a message waits in its
-    destination's heap only while another message for the same edge goes
-    first, and only a node with two or more roles ranks its destinations."""
+    tree) under the key `i * n + node`.  A ready role waits in its node's
+    gate heap only while its start delay is ahead.  A node with two or more
+    roles queues each message in its destination's heap, and its queues keep
+    the order in which it first used the destinations."""
 
     __slots__ = ("op", "n", "delays", "part_of", "parent", "children", "acc", "waiting",
-                 "unresolved", "gated", "held", "ranks")
+                 "unresolved", "gated", "queues")
 
     def __init__(self, op: str, n: int, trees, delays: list[int], part_of, values):
         self.op = _OPS[op]
@@ -323,8 +322,6 @@ class _AggregateProgram(NodeProgram):
         self.unresolved = [0] * n  # per node, roles still waiting for their part's result
         # per node, None or a heap of (delay, part) over ready roles gated by their delay
         self.gated: list[list[tuple[int, int]] | None] = [None] * n
-        # per node, None or dst -> heap of (delay, payload) over held-back messages
-        self.held: list[dict[int, list] | None] = [None] * n
         for i, (parent, children) in enumerate(trees):
             for v, cs in children.items():
                 key = i * n + v
@@ -335,11 +332,10 @@ class _AggregateProgram(NodeProgram):
                 self.unresolved[v] += 1
                 if not cs:  # ready, and every delay is ahead of the clock's start
                     self._gate(v, i)
-        # per node, None or dst -> rank of the node's first message to dst, the
-        # order in which a step sends.  A node with one role sends to each
-        # neighbour at most once, its parent before its children, so nothing
-        # is held back and the order it queues in is already its rank order.
-        self.ranks: list[dict[int, int] | None] = [{} if r > 1 else None for r in self.unresolved]
+        # per node, None on one role (it messages each neighbour once, parent
+        # first, so it sends straight), else dst -> heap of (delay, payload);
+        # no key is deleted, so the keys keep the order a step sends in
+        self.queues: list[dict[int, list] | None] = [{} if r > 1 else None for r in self.unresolved]
 
     def _gate(self, v: int, part: int) -> None:
         """Hold node v's ready role in part `part` until its start delay."""
@@ -366,9 +362,9 @@ class _AggregateProgram(NodeProgram):
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
         """One step: take the mail in; send up (or, at a root, resolve) every
-        ready role whose delay gate is open, in part order; send the
-        highest-priority message waiting for each destination, in the order
-        the node first used the destinations; then, with nothing held back,
+        ready role whose delay gate is open, in part order; send each
+        destination its highest-priority queued message, in the order the
+        node first used the destinations; then, with nothing left queued,
         halt once every role has its result, else sleep until mail or the
         next delay gate opens."""
         v, rnd, n = ctx.node, ctx.round, self.n
@@ -406,44 +402,32 @@ class _AggregateProgram(NodeProgram):
                     out = [(up, (part, _UP, acc[key]))]
                 else:
                     out.append((up, (part, _UP, acc[key])))
-        if self.ranks[v] is None:  # one role: nothing is held back, and out is in rank order
+        queues = self.queues[v]
+        if queues is None:  # one role: out has one message per dst, in first-use order
             for dst, payload in out or ():
                 ctx.send(dst, payload, tag=_TAGS[payload[1]])
-        elif out is not None or self.held[v] is not None:
-            self._send(ctx, out)
-            if self.held[v] is not None:
-                return  # stay awake for the held-back messages
+        elif self._send(ctx, queues, out):
+            return  # stay awake for the queued messages
         if not self.unresolved[v]:
             ctx.halt()
         else:
             ctx.sleep(gate[0][0] if gate else None)
 
-    def _send(self, ctx: NodeContext, out: list | None) -> None:
-        """Send the step's messages `out`, (dst, payload) in the order they
-        were queued, and those held back: to each destination its
-        highest-priority message, in the order the node first used the
-        destinations.  A destination's heap exists only while two or more
-        messages for it wait."""
-        v = ctx.node
-        ranks, held, delays = self.ranks[v], self.held[v] or {}, self.delays
-        sends = {}  # dst -> the one message it gets this step
+    def _send(self, ctx: NodeContext, queues: dict[int, list], out: list | None) -> bool:
+        """Queue the step's messages `out`, (dst, payload), then send each
+        destination its highest-priority queued message, in the order the
+        node first used the destinations; returns whether any is left."""
+        delays = self.delays
         for dst, payload in out or ():
-            ranks.setdefault(dst, len(ranks))
-            if dst in held:
-                heapq.heappush(held[dst], (delays[payload[0]], payload))
-            elif dst in sends:
-                held[dst] = sorted((delays[p[0]], p) for p in (sends.pop(dst), payload))
-            else:
-                sends[dst] = payload
-        for dst in list(held):
-            heap = held[dst]
-            sends[dst] = heapq.heappop(heap)[1]
-            if not heap:
-                del held[dst]
-        self.held[v] = held or None
-        for dst in sorted(sends, key=ranks.__getitem__):
-            payload = sends[dst]
-            ctx.send(dst, payload, tag=_TAGS[payload[1]])
+            heap = queues.get(dst)
+            if heap is None:
+                heap = queues[dst] = []
+            heapq.heappush(heap, (delays[payload[0]], payload))
+        for dst, heap in queues.items():
+            if heap:
+                payload = heapq.heappop(heap)[1]
+                ctx.send(dst, payload, tag=_TAGS[payload[1]])
+        return any(queues.values())
 
 
 def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):
