@@ -32,12 +32,12 @@ neighbour tuple.  An aggregation step is one `on_round` call.  One program
 object serves every node, with the per-node state in flat containers (a
 role keyed part*n + node).  A node with one role sends straight; a node
 with two or more keeps a queue per destination, in first-use order, and
-its step also scans those queues.  A gate heap exists only for a node whose
-ready role waits on its start delay.  A payload, an int or a flat tuple of
-ints, is sized in one pass.  Part-tree
-congestion is counted under an integer key per tree edge,
-min(v,c)*n + max(v,c), and the value checks (a type test and two
-comparisons each) and the results walk the parts' nodes.
+its step also scans those queues.  A gate heap exists only for a node
+whose ready role waits on its start delay.  A payload, an int or a flat
+tuple of ints, is sized in one pass.  Part-tree congestion is counted
+under an integer key per tree edge, min(v,c)*n + max(v,c), and the value
+checks (a type test and two comparisons each) and the results walk the
+parts' nodes.
 """
 
 from __future__ import annotations
