@@ -43,8 +43,9 @@ def gen_lower_bound(delta_prime: int, D_prime: int) -> LowerBoundInstance:
 
     Requires 5 <= delta' <= D'/2.  Node count is
     ((delta-1)k + 1) + ((delta-1)D + 1)^2 for delta = delta'-2,
-    k = floor(D'/(2 delta)), D = k*delta; the diameter is at most 1.5D+1 <= D'
-    and every minor has density below delta'.
+    k = floor(D'/(2 delta)), D = k*delta.  The radius, the eccentricity of the
+    central top-path node, is at most 1.5D+1 <= D'; the diameter is about
+    2.5D.  Every minor has density below delta'.
     """
     FAMILIES["lowerbound"].check(delta_prime, D_prime)
     delta = delta_prime - 2
@@ -159,10 +160,7 @@ def gen_parts_random(g: Graph, count: int, seed: int) -> Partition:
     for i, r in enumerate(roots):
         part_of[r] = i
         queue.append(r)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:  # the list grows as it is walked
         for u in g.neighbors(v):
             if part_of[u] < 0:
                 part_of[u] = part_of[v]

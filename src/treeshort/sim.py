@@ -32,12 +32,12 @@ neighbour tuple.  An aggregation step is one `on_round` call.  One program
 object serves every node, with the per-node state in flat containers (a
 role keyed part*n + node).  A node with one role sends straight; a node
 with two or more keeps a queue per destination, in first-use order, and
-its step also scans those queues.  A gate heap exists only for a node
-whose ready role waits on its start delay.  A payload, an int or a flat
-tuple of ints, is sized in one pass.  Part-tree congestion is counted
-under an integer key per tree edge, min(v,c)*n + max(v,c), and the value
-checks (a type test and two comparisons each) and the results walk the
-parts' nodes.
+its step also scans those queues.  A node keeps one start round, for its
+own part's role while that is a leaf that has not sent.  A payload, an int
+or a flat tuple of ints, is sized in one pass.  Part-tree congestion is
+counted under an integer key per tree edge, min(v,c)*n + max(v,c), and the
+value checks (a type test and two comparisons each) and the results walk
+the parts' nodes.
 """
 
 from __future__ import annotations
@@ -302,13 +302,15 @@ class _AggregateProgram(NodeProgram):
     A step reads and writes only the entries of `ctx.node`, so each node is
     still its own state machine.  The state sits in flat containers: a list
     entry per node, and a dict entry per role (a node's place in part i's
-    tree) under the key `i * n + node`.  A ready role waits in its node's
-    gate heap only while its start delay is ahead.  A node with two or more
-    roles queues each message in its destination's heap, and its queues keep
-    the order in which it first used the destinations."""
+    tree) under the key `i * n + node`.  Only a leaf waits for its part's
+    start delay: every leaf of a pruned part tree is a node of the part, so a
+    node has at most one, and an inner role's last report leaves at or after
+    the delay, so it is ready after it.  A node with two or more roles queues
+    each message in its destination's heap, and its queues keep the order in
+    which it first used the destinations."""
 
     __slots__ = ("op", "n", "delays", "part_of", "parent", "children", "acc", "waiting",
-                 "unresolved", "gated", "queues")
+                 "unresolved", "start", "queues")
 
     def __init__(self, op: str, n: int, trees, delays: list[int], part_of, values):
         self.op = _OPS[op]
@@ -320,8 +322,9 @@ class _AggregateProgram(NodeProgram):
         self.acc: dict[int, int | None] = {}  # role -> partial aggregate, None on a relay
         self.waiting: dict[int, int] = {}  # role -> children that have not reported
         self.unresolved = [0] * n  # per node, roles still waiting for their part's result
-        # per node, None or a heap of (delay, part) over ready roles gated by their delay
-        self.gated: list[list[tuple[int, int]] | None] = [None] * n
+        # per node, its part's start delay while its role there is a leaf that
+        # has not sent, else None
+        self.start: list[int | None] = [None] * n
         for i, (parent, children) in enumerate(trees):
             for v, cs in children.items():
                 key = i * n + v
@@ -330,20 +333,12 @@ class _AggregateProgram(NodeProgram):
                 self.acc[key] = values[v] if part_of[v] == i else None
                 self.waiting[key] = len(cs)
                 self.unresolved[v] += 1
-                if not cs:  # ready, and every delay is ahead of the clock's start
-                    self._gate(v, i)
+                if not cs:  # a leaf, so a node of part i
+                    self.start[v] = delays[i]
         # per node, None on one role (it messages each neighbour once, parent
         # first, so it sends straight), else dst -> heap of (delay, payload);
         # no key is deleted, so the keys keep the order a step sends in
         self.queues: list[dict[int, list] | None] = [{} if r > 1 else None for r in self.unresolved]
-
-    def _gate(self, v: int, part: int) -> None:
-        """Hold node v's ready role in part `part` until its start delay."""
-        gate = self.gated[v]
-        if gate is None:
-            self.gated[v] = [(self.delays[part], part)]
-        else:
-            heapq.heappush(gate, (self.delays[part], part))
 
     def _resolve(self, ctx: NodeContext, key: int, part: int, value: int, out):
         """The role `key` of `ctx.node` learns its part's result: output it
@@ -362,14 +357,18 @@ class _AggregateProgram(NodeProgram):
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, object]) -> None:
         """One step: take the mail in; send up (or, at a root, resolve) every
-        ready role whose delay gate is open, in part order; send each
-        destination its highest-priority queued message, in the order the
-        node first used the destinations; then, with nothing left queued,
-        halt once every role has its result, else sleep until mail or the
-        next delay gate opens."""
+        role made ready by mail and the node's leaf once its start delay has
+        come, in part order; send each destination its highest-priority
+        queued message, in the order the node first used the destinations;
+        then, with nothing left queued, halt once every role has its result,
+        else sleep until mail or the leaf's start round."""
         v, rnd, n = ctx.node, ctx.round, self.n
-        acc, waiting, delays = self.acc, self.waiting, self.delays
+        acc, waiting = self.acc, self.waiting
         due = out = None
+        start = self.start[v]
+        if start is not None and start <= rnd:  # the leaf's delay has come
+            start = self.start[v] = None
+            due = [self.part_of[v]]
         for part, kind, value in inbox.values():
             key = part * n + v
             if kind == _UP:
@@ -378,19 +377,12 @@ class _AggregateProgram(NodeProgram):
                 left = waiting[key] - 1
                 waiting[key] = left
                 if not left:
-                    if delays[part] > rnd:
-                        self._gate(v, part)
-                    elif due is None:
+                    if due is None:
                         due = [part]
                     else:
                         due.append(part)
             else:
                 out = self._resolve(ctx, key, part, value, out)
-        gate = self.gated[v]
-        while gate and gate[0][0] <= rnd:
-            if due is None:
-                due = []
-            due.append(heapq.heappop(gate)[1])
         if due is not None:
             due.sort()  # part order fixes the order in which the roles queue
             for part in due:
@@ -411,7 +403,7 @@ class _AggregateProgram(NodeProgram):
         if not self.unresolved[v]:
             ctx.halt()
         else:
-            ctx.sleep(gate[0][0] if gate else None)
+            ctx.sleep(start)
 
     def _send(self, ctx: NodeContext, queues: dict[int, list], out: list | None) -> bool:
         """Queue the step's messages `out`, (dst, payload), then send each

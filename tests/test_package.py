@@ -78,15 +78,21 @@ def attributes(trees, outside=None):
 
 
 @functools.cache
-def caller_trees():
-    """The syntax trees of every library module but `__init__`, of
-    perfbench's modules and of the README Python blocks: the code that
-    counts as a caller outside the tests."""
+def program_trees():
+    """The syntax trees of every library module but `__init__` and of
+    perfbench's modules."""
     root = SRC.parent
     sources = [p.read_text() for p in (SRC / "treeshort").glob("*.py") if p.name != "__init__.py"]
     sources += [p.read_text() for p in (root / "perfbench").glob("*.py")]
-    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
     return [ast.parse(source) for source in sources]
+
+
+@functools.cache
+def caller_trees():
+    """`program_trees` and the syntax trees of the README Python blocks: the
+    code that counts as a caller outside the tests."""
+    blocks = re.findall(r"```python\n(.*?)```", (SRC.parent / "README.md").read_text(), re.S)
+    return program_trees() + [ast.parse(code) for code in blocks]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -124,6 +130,27 @@ def test_every_dataclass_field_is_read_outside_the_tests():
             if name[0] != "_" and cls.__module__ == module.__name__:
                 fields = {f.name for f in dataclasses.fields(cls)}
                 unread += sorted(f"{name}.{field}" for field in fields - read)
+    assert unread == []
+
+
+def test_every_slot_is_read():
+    """No slot is only written: each `__slots__` entry of each class in
+    `src/treeshort/`, private classes included, is loaded as an attribute in
+    the library or in perfbench.  The check goes by name, as the dataclass
+    lint does."""
+    read = {
+        node.attr
+        for tree in program_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in sorted((SRC / "treeshort").glob("[!_]*.py")):
+        module = importlib.import_module(f"treeshort.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                slots = vars(cls).get("__slots__", ())
+                unread += sorted(f"{name}.{slot}" for slot in set(slots) - read)
     assert unread == []
 
 

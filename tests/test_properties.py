@@ -494,6 +494,8 @@ def test_part_tree_spans_part_inside_merged_subgraph(inst):
     nodes, edges = merged_edges(g, part, h)
     parent, children, height = _part_tree(g, part, h, 5)
     live = children.keys()
+    # every leaf is a part node: aggregation holds one leaf per node to its delay
+    assert {v for v in live if not children[v]} <= set(part)
     want_parent, want_children, want_live = oracles.pruned_part_tree(g.n, edges, part)
     assert live == want_live
     assert {v: parent[v] for v in live} == {v: want_parent[v] for v in live}

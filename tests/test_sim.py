@@ -368,7 +368,7 @@ class TestScheduler:
         assert all(g.neighbors(v) is g.neighbors(v) for v in range(g.n))
 
     def test_aggregation_steps_only_nodes_with_work(self, monkeypatch):
-        """Steps are bounded by one per message plus one delay-gate wake per
+        """Steps are bounded by one per message plus one start-round wake per
         node, not by rounds times nodes."""
         g, p = build_fan(9, 18, 9)
         t = bfs_tree(g, 0)
@@ -387,10 +387,10 @@ class TestScheduler:
         assert 0 < steps <= trace.messages_sent + g.n
 
     def test_aggregation_peaks_below_1000_bytes_per_node(self):
-        """One aggregation keeps its per-node state in flat containers and
-        makes a heap only for a node that needs one: no program, role object
-        or send queue per node (objects per node peak at about 1,300 B per
-        node on this fan, the flat layout at about 710)."""
+        """One aggregation keeps its per-node state in flat containers, and
+        only a node with two or more roles makes heaps: no program, role
+        object or send queue per node (objects per node peak at about 1,300 B
+        per node on this fan, the flat layout at about 690)."""
         g, p = build_fan(33, 150, 33)
         t = bfs_tree(g, 0)
         shortcut = construct_full(g, t, p, EngineConfig(), random.Random(1)).shortcut
