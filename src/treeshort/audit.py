@@ -3,11 +3,12 @@
 Everything here recomputes from scratch: congestion, dilation, block counts,
 tree-restriction, and certificate soundness are derived only from the graph,
 the partition, and the candidate object, never trusted from producer
-bookkeeping.  `audit_shortcut` checks the edge ids once, at its entry; the
-helpers it calls trust them.  Each part's merged subgraph G[P_i] + H_i is
-built once and yields both measures: dilation is its diameter, and blocks,
-the components of the forest (P_i ∪ V(H_i), H_i), are its node count minus
-|H_i|.
+bookkeeping.  `audit_shortcut` checks the edge ids once, at its entry (each
+an int and a tree edge); the helpers it calls trust them.  Each part's
+merged subgraph G[P_i] + H_i is built once and yields both measures:
+dilation is its diameter, and blocks, the components of the forest
+(P_i ∪ V(H_i), H_i), are its node count minus |H_i|.  A one-node part with
+an empty H_i costs O(1): dilation 0 and one block, with no subgraph built.
 Closed-form bounds are exposed as pure functions so tests can compare
 measured values against formula values explicitly.
 """
@@ -121,17 +122,36 @@ def part_blocks(nodes, edges: frozenset[int]) -> int:
     return len(nodes) - len(edges)
 
 
+def _check_edge_types(bad) -> None:
+    """Raise GraphError if an id among `bad`, (part, edge id) pairs, is not
+    an int (a bool is not one), naming the smallest such part and its id
+    first in repr order, so ids of different types are never compared."""
+    wrong = [(i, repr(e)) for i, e in bad if type(e) is not int]
+    if wrong:
+        i, e = min(wrong)
+        raise GraphError(f"shortcut of part {i} has edge id {e}, not an int")
+
+
 def check_tree_restricted(shortcut, t: RootedTree) -> None:
-    """Raise GraphError unless every edge id of `shortcut` is an edge of `t`,
-    hence also a known edge; on failure name the smallest unknown id, if
-    any, else the smallest non-tree edge."""
+    """Raise GraphError unless every edge id of `shortcut` is an int and an
+    edge of `t`, hence also a known edge; on failure name an id that is not
+    an int, if any, else the smallest unknown id, else the smallest
+    non-tree edge."""
     tree_edges = t.tree_edges
-    bad = [e for es in as_edge_map(shortcut).values() for e in es if e not in tree_edges]
+    bad = [
+        (i, e)
+        for i, es in as_edge_map(shortcut).items()
+        for e in es
+        if type(e) is not int or e not in tree_edges
+    ]
     if bad:
-        unknown = [e for e in bad if not 0 <= e < t.graph.m]
+        _check_edge_types(bad)
+        unknown = [e for _, e in bad if not 0 <= e < t.graph.m]
         if unknown:
             raise GraphError(f"unknown edge id {min(unknown)}")
-        raise GraphError(f"edge {min(bad)} is not a tree edge; shortcut is not tree-restricted")
+        raise GraphError(
+            f"edge {min(e for _, e in bad)} is not a tree edge; shortcut is not tree-restricted"
+        )
 
 
 def block_dilation_bound(b: int, D: int) -> int:
@@ -159,10 +179,13 @@ def audit_shortcut(g: Graph, t: RootedTree, p: Partition, shortcut) -> QualityRe
     worst_dilation: int | float = 0
     worst_blocks = 0
     for i in range(p.k):
-        edges = edge_map.get(i, frozenset())
-        nodes, adj = _merged_subgraph(g, p.parts[i], edges)
-        blocks = part_blocks(nodes, edges)
-        dil = _diameter_of(adj, nodes)
+        part, edges = p.parts[i], edge_map.get(i, frozenset())
+        if not edges and len(part) == 1:  # a lone node: one block, no distance
+            dil, blocks = 0, 1
+        else:
+            nodes, adj = _merged_subgraph(g, part, edges)
+            blocks = part_blocks(nodes, edges)
+            dil = _diameter_of(adj, nodes)
         per_part.append(PartQuality(i, dil, blocks))
         worst_dilation = max(worst_dilation, dil)
         worst_blocks = max(worst_blocks, blocks)

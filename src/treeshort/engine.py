@@ -9,7 +9,8 @@ edges and parts, and then either
     their ancestor tree edges in the forest obtained by cutting the marked
     edges, trimmed to each part's Steiner forest, found by walking up from
     each covered part's nodes in O(sum |P_i| + |H_i| + D*r_i) steps, r_i
-    the number of forest components part i meets (case I), or
+    the number of forest components part i meets, and O(1) for a one-node
+    part, whose set is empty (case I), or
   * samples a bipartite minor of the host graph whose exact rational density
     exceeds delta, certifying that no such shortcut family exists at this
     delta (case II).
@@ -194,7 +195,9 @@ def case_one_partial(
     dropped, and is up to D edges long per component the part meets.  A
     covered part meets at most 8*delta + 1 components (one below each marked
     edge above it, and the root's), so the cost is O(|P_i| + |H_i| + D*r_i)
-    per part, r_i the number of components it meets.
+    per part, r_i the number of components it meets.  A one-node part has
+    no two nodes to separate, so it gets the empty set, without a walk, in
+    O(1).
     """
     k = p.k
     deg = Counter(i for parts in marking.parts_below.values() for i in parts)
@@ -205,11 +208,15 @@ def case_one_partial(
     parent, parent_edge, root, part_of = t.parent, t.parent_edge, t.root, p.part_of
     edge_sets: dict[int, frozenset[int]] = {}
     for i in eligible:
+        part = p.parts[i]
+        if len(part) == 1:  # a lone node's Steiner forest is empty: no walk
+            edge_sets[i] = frozenset()
+            continue
         edges: set[int] = set()
         walked: list[int] = []  # every walk's nodes, bottom-up, walks in order
         tops: dict[int, int | None] = {}  # top -> its index in walked, None if reached twice
         joins: set[int] = set()  # nodes where a walk met an earlier one
-        for v in p.parts[i]:
+        for v in part:
             walked.append(v)
             while v != root and (eid := parent_edge[v]) not in blocked:
                 if eid in edges:

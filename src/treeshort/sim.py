@@ -27,17 +27,19 @@ Cost model: the control plane is linear in the merged subgraphs, besides
 sorting the merged nodes' neighbour lists of a part with H_i edges (one BFS
 of each from min(P_i), kept to the paths from the part's nodes up to it,
 then re-rooted at the kept tree's centre by a walk over the heights
-recorded by the pass that links children).  A send bisects the sender's
-neighbour tuple.  An aggregation step is one `on_round` call.  One program
-object serves every node, with the per-node state in flat containers (a
-role keyed part*n + node).  A node with one role sends straight; a node
-with two or more keeps a queue per destination, in first-use order, and
-its step also scans those queues.  A node keeps one start round, for its
-own part's role while that is a leaf that has not sent.  A payload, an int
-or a flat tuple of ints, is sized in one pass.  Part-tree congestion is
-counted under an integer key per tree edge, min(v,c)*n + max(v,c), and the
-value checks (a type test and two comparisons each) and the results walk
-the parts' nodes.
+recorded by the pass that links children).  A one-node part with an empty
+H_i is its own tree, in O(1) and with no merged subgraph; when no two part
+trees share an edge, every start delay is 0 and none is drawn.  A send
+bisects the sender's neighbour tuple.  An aggregation step is one
+`on_round` call.  One program object serves every node, with the per-node
+state in flat containers (a role keyed part*n + node).  A node with one
+role sends straight; a node with two or more keeps a queue per
+destination, in first-use order, and its step also scans those queues.  A
+node keeps one start round, for its own part's role while that is a leaf
+that has not sent.  A payload, an int or a flat tuple of ints, is sized in
+one pass.  Part-tree congestion is counted under an integer key per tree
+edge, min(v,c)*n + max(v,c), and the value checks (a type test and two
+comparisons each) and the results walk the parts' nodes.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .audit import _merged_subgraph, _part_edge_map
+from .audit import _check_edge_types, _merged_subgraph, _part_edge_map
 from .graph import Graph, GraphError, Partition, _check_node_count
 
 
@@ -435,8 +437,11 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
     merged node (None at the root), the children of every live node as a
     tuple in BFS order, a former parent last, keyed by exactly the live
     nodes, and the tree's height; raises if the merged subgraph is
-    disconnected.
+    disconnected.  A one-node part with an empty H_i is its own tree, built
+    in O(1) with no merged subgraph.
     """
+    if not edges and len(part) == 1:  # a lone node is its own tree
+        return {part[0]: None}, {part[0]: ()}, 0
     nodes, adj = _merged_subgraph(g, part, edges)
     if edges:  # only H_i's edges are appended out of order; without them all lists ascend
         for nbrs in adj.values():
@@ -526,9 +531,12 @@ def partwise_aggregate(
             f"value of node {v} needs {int_bits(x)} bits; only {budget} available after the header"
         )
     m = g.m
-    unknown = [e for es in edge_map.values() for e in es if not 0 <= e < m]
+    unknown = [
+        (i, e) for i, es in edge_map.items() for e in es if type(e) is not int or not 0 <= e < m
+    ]
     if unknown:
-        raise GraphError(f"unknown edge id {min(unknown)}")
+        _check_edge_types(unknown)
+        raise GraphError(f"unknown edge id {min(e for _, e in unknown)}")
     trees = []
     edge_use: dict[int, int] = {}  # keyed min(v, c) * n + max(v, c)
     n, depth = g.n, 0
@@ -542,8 +550,11 @@ def partwise_aggregate(
                 edge_use[key] = edge_use.get(key, 0) + 1
     congestion = max(edge_use.values(), default=0)
     delay_range = max(congestion, 1)
-    control_rng = random.Random(f"{cfg.seed}:delays")
-    delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
+    if delay_range == 1:  # every delay is 0: no draw
+        delays = [0] * parts.k
+    else:
+        control_rng = random.Random(f"{cfg.seed}:delays")
+        delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
     program = _AggregateProgram(task.op, n, trees, delays, parts.part_of, values)
     trace = run(g, [program] * n, cfg)
     trace.meta.update(

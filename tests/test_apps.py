@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from treeshort import apps
+from treeshort import apps, audit, sim
 from treeshort.apps import boruvka_mst, kruskal_oracle
 from treeshort.engine import EngineConfig, construct_full
 from treeshort.generators import (
@@ -118,6 +120,43 @@ class TestBoruvka:
         assert result.per_phase[0].fragments == g.n
         fragments = [ph.fragments for ph in result.per_phase]
         assert fragments == sorted(fragments, reverse=True)
+
+    def test_first_phase_skips_per_part_machinery(self, monkeypatch):
+        """Phase 1 has n one-node fragments, each with an empty H_i: the
+        aggregation and the audit build no merged subgraph for them, and the
+        aggregation draws no start delay, since each can only be 0."""
+        events = []
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        class CountedRandom(random.Random):
+            def randrange(self, *args):
+                events.append("draw")
+                return super().randrange(*args)
+
+        monkeypatch.setattr(apps, "construct_full", counted(apps.construct_full, "phase"))
+        monkeypatch.setattr(audit, "_merged_subgraph", counted(audit._merged_subgraph, "merged"))
+        monkeypatch.setattr(sim, "_merged_subgraph", counted(sim._merged_subgraph, "merged"))
+        monkeypatch.setattr(sim, "random", SimpleNamespace(Random=CountedRandom))
+        g = assign_weights(gen_ktree(120, 3, 2), 11)
+        result = boruvka_mst(g, SimConfig(seed=11))
+        assert result.per_phase[0].fragments == g.n
+        phases = []  # per phase, the calls from its construction to the next
+        for name in events:
+            if name == "phase":
+                phases.append(Counter())
+            else:
+                phases[-1][name] += 1
+        assert len(phases) == result.phases
+        assert (phases[0]["merged"], phases[0]["draw"]) == (0, 0)
+        # the later phases still build and draw, so the counters see them
+        assert all(phase["merged"] for phase in phases[1:])
+        assert any(phase["draw"] for phase in phases[1:])
 
     def test_deterministic(self):
         g = assign_weights(gen_grid(7, 7), 5)

@@ -321,6 +321,30 @@ class TestShortcutEntries:
             entry_point(g, p, shortcut)
 
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
+    @pytest.mark.parametrize(
+        "eid", [1.0, "1", 1.5, True], ids=["int-valued-float", "str", "float", "bool"]
+    )
+    def test_edge_id_that_is_not_an_int_rejected(self, entry_point, eid):
+        """An edge id must be an int: a float or a bool equal to a tree edge
+        is not taken for it, and a str or a fraction is no edge id."""
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        p = Partition(g.n, [[0], [3]])
+        message = f"shortcut of part 1 has edge id {eid!r}, not an int"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            entry_point(g, p, {1: {eid}})
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
+    def test_mixed_edge_ids_named_without_comparing_them(self, entry_point):
+        """Ids of different types are never compared: the smallest part with
+        an id that is not an int is named, with its id first in repr order,
+        ahead of an unknown int id."""
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        p = Partition(g.n, [[0], [3]])
+        message = "shortcut of part 0 has edge id '1', not an int"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            entry_point(g, p, [{99, "1", 1.5}, {"0", 2}])
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=["audit", "aggregate"])
     @pytest.mark.parametrize("key", ["a", 1.0, True, None], ids=["str", "float", "bool", "none"])
     def test_key_that_is_not_an_int_rejected(self, entry_point, key):
         """A mapping key must be an int: a str or None is no part index, and a

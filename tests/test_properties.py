@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeshort.graph
-from treeshort.audit import _merged_subgraph, audit_shortcut, validate_minor
+from treeshort.audit import _merged_subgraph, audit_shortcut, part_blocks, validate_minor
 from treeshort.engine import (
     EngineConfig,
     MinorCertificate,
@@ -51,6 +51,7 @@ from treeshort.graph import (
     Graph,
     GraphError,
     Partition,
+    _diameter_of,
     bfs_tree,
     diameter,
     validate_partition,
@@ -521,6 +522,73 @@ def test_part_tree_spans_part_inside_merged_subgraph(inst):
             steps += 1
             assert steps <= len(live)
         assert v == root
+
+
+@st.composite
+def lone_node_instances(draw):
+    """A random grid, k-tree, wheel or fan, a BFS tree from a random root
+    and random parts, a non-empty set of them cut down to their smallest
+    node.  H_i is empty on a one-node part, except that the first one-node
+    part below the root gets its parent tree edge, and on a larger part
+    either empty or its ancestor edges, so every merged subgraph is
+    connected."""
+    family = draw(st.sampled_from(["grid", "ktree", "wheel", "fan"]))
+    seed = draw(st.integers(0, 2**32))
+    if family == "fan":
+        mids = draw(st.integers(1, 8))
+        g, p = build_fan(mids, draw(st.integers(1, 10)), mids)
+    else:
+        if family == "grid":
+            g = gen_grid(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        elif family == "ktree":
+            g = gen_ktree(draw(st.integers(4, 60)), draw(st.integers(1, 3)), seed)
+        else:
+            g = gen_wheel(draw(st.integers(4, 40)))
+        p = gen_parts_random(g, draw(st.integers(1, min(g.n, 12))), seed)
+    lone = draw(st.sets(st.integers(0, p.k - 1), min_size=1))
+    p = Partition(g.n, [part[:1] if i in lone else part for i, part in enumerate(p.parts)])
+    tree = bfs_tree(g, draw(st.integers(0, g.n - 1)))
+    ancestors = all_ancestor_shortcut(tree, p)
+    shortcut = [
+        frozenset() if len(part) == 1 or not draw(st.booleans()) else ancestors[i]
+        for i, part in enumerate(p.parts)
+    ]
+    below_root = [i for i in sorted(lone) if p.parts[i][0] != tree.root]
+    if below_root:
+        i = below_root[0]
+        shortcut[i] = frozenset({tree.parent_edge[p.parts[i][0]]})
+    return g, tree, p, shortcut
+
+
+@SETTINGS
+@given(lone_node_instances(), st.integers(1, 8))
+def test_lone_node_base_cases_match_the_general_path(inst, threshold):
+    """A one-node part with an empty H_i skips the merged subgraph in the
+    part tree and the audit, and the walk in case I; each answer equals the
+    one the general path gives.  A one-node part whose H_i is its parent
+    tree edge takes the general path: dilation 1, blocks 1."""
+    g, tree, p, shortcut = inst
+    report = audit_shortcut(g, tree, p, shortcut)
+    for i, (part, h) in enumerate(zip(p.parts, shortcut)):
+        nodes, adj = _merged_subgraph(g, part, h)
+        q = report.per_part[i]
+        assert (q.dilation, q.blocks) == (_diameter_of(adj, nodes), part_blocks(nodes, h))
+        if len(part) == 1 and h:
+            assert (q.dilation, q.blocks) == (1, 1)
+        parent, children, height = _part_tree(g, part, h, i)
+        want_parent, want_children, want_live = oracles.pruned_part_tree(
+            g.n, merged_edges(g, part, h)[1], part
+        )
+        assert parent == want_parent  # every merged node, live or not
+        assert children == want_children and children.keys() == want_live
+        (root,) = [v for v in children if parent[v] is None]
+        tree_adj = oracles.adjacency(g.n, [(v, c) for v in children for c in children[v]])
+        assert height == max(oracles.bfs_dist(tree_adj, root).values())
+    partial = case_one_partial(mark_overcongested(tree, p, threshold), tree, p, 1)
+    if partial is not None:
+        for i, edges in partial.edge_sets.items():
+            if len(p.parts[i]) == 1:
+                assert edges == frozenset()
 
 
 @st.composite
