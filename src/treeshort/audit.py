@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import (
     INFINITE,
@@ -33,8 +33,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class PartQuality:
+class PartQuality(NamedTuple):
     part: int
     dilation: int | float
     blocks: int

@@ -15,19 +15,23 @@ an empty inbox.  A step receives the run's one context: `ctx.node` is the
 node being stepped, and the context is valid only during that step.
 
 The partwise-aggregation protocol splits work into an uncharged control
-plane (per-part spanning trees of G[P_i]+H_i pruned to the part and rooted
-at their centres, start delays drawn uniformly from the measured congestion
-range, contention priorities) and a charged data plane (convergecast of
-partial aggregates up each part tree followed by a broadcast of the result
-down).  Contention on a shared edge is resolved by deterministic priority,
-smaller delay first, then smaller part index; losers retry next round.
-Only data-plane messages on graph edges are counted in the trace.
+plane (per-part spanning trees of G[P_i], or of G[P_i]+H_i where that one is
+strictly shorter, pruned to the part and rooted at their centres, start
+delays drawn uniformly from the measured tree congestion range, contention
+priorities) and a charged data plane (convergecast of partial aggregates up
+each part tree followed by a broadcast of the result down).  Contention on
+a shared edge is resolved by deterministic priority, smaller delay first,
+then smaller part index; losers retry next round.  Only data-plane messages
+on graph edges are counted in the trace.
 
 Cost model: the control plane is linear in the merged subgraphs, besides
 sorting the merged nodes' neighbour lists of a part with H_i edges (one BFS
 of each from min(P_i), kept to the paths from the part's nodes up to it,
 then re-rooted at the kept tree's centre by a walk over the heights
-recorded by the pass that links children).  A one-node part with an empty
+recorded by the pass that links children).  Only a part whose merged tree
+keeps a Steiner node has G[P_i]'s tree built as well, one more such pass
+over G[P_i], and the shorter is kept, G[P_i]'s on ties; with no Steiner
+node live, the merged tree is G[P_i]'s tree.  A one-node part with an empty
 H_i is its own tree, in O(1) and with no merged subgraph; when no two part
 trees share an edge, every start delay is 0 and none is drawn.  A send
 bisects the sender's neighbour tuple.  An aggregation step is one
@@ -496,6 +500,27 @@ def _part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int)
     return parent, {v: tuple(cs[::-1]) for v, cs in children.items()}, height[root]
 
 
+def _chosen_part_tree(g: Graph, part: Sequence[int], edges: frozenset[int], index: int):
+    """The part tree aggregation uses: `_part_tree` over G[P_i]+H_i, or over
+    G[P_i] alone where that tree is no taller.
+
+    The merged tree is built first.  Only when it keeps a Steiner node is
+    G[P_i]'s tree built too: with none live it already is that tree.  A tie
+    goes to G[P_i]'s tree, whose edges join two nodes of the part, so no
+    other part's tree shares them.  A part that only H_i connects keeps its
+    merged tree.
+    """
+    tree = _part_tree(g, part, edges, index)
+    if len(tree[1]) > len(part):  # `children` is keyed by the live nodes
+        try:
+            own = _part_tree(g, part, frozenset(), index)
+        except SimError:  # G[P_i] is disconnected
+            return tree
+        if own[2] <= tree[2]:
+            return own
+    return tree
+
+
 def partwise_aggregate(
     g: Graph, parts: Partition, shortcut, task: AggregationTask, cfg: SimConfig
 ) -> tuple[dict[int, int], RoundTrace]:
@@ -503,7 +528,12 @@ def partwise_aggregate(
 
     Returns (results, trace) where results maps each node belonging to a part
     to the aggregate of that part's values.  Node count, shortcut entries,
-    values and edge ids are checked here.
+    values and edge ids are checked here.  A part aggregates over G[P_i]'s
+    tree unless H_i makes its tree strictly shorter (`_chosen_part_tree`).
+    The trace meta splits the rounds: `tree_congestion` is the most part
+    trees on one edge, `critical_path` is max_i(delay_i + 2*height_i), which
+    no run beats, and `contention_rounds` are the rounds beyond it, 0 when
+    no two part trees share an edge.
     """
     _check_node_count(g, parts)
     edge_map = _part_edge_map(shortcut, parts)
@@ -537,19 +567,21 @@ def partwise_aggregate(
     if unknown:
         _check_edge_types(unknown)
         raise GraphError(f"unknown edge id {min(e for _, e in unknown)}")
-    trees = []
+    trees, heights = [], []
     edge_use: dict[int, int] = {}  # keyed min(v, c) * n + max(v, c)
-    n, depth = g.n, 0
+    n = g.n
     for i in range(parts.k):
-        parent, children, height = _part_tree(g, parts.parts[i], edge_map.get(i, frozenset()), i)
+        parent, children, height = _chosen_part_tree(
+            g, parts.parts[i], edge_map.get(i, frozenset()), i
+        )
         trees.append((parent, children))
-        depth = max(depth, height)
+        heights.append(height)
         for v, cs in children.items():
             for c in cs:
                 key = v * n + c if v < c else c * n + v
                 edge_use[key] = edge_use.get(key, 0) + 1
-    congestion = max(edge_use.values(), default=0)
-    delay_range = max(congestion, 1)
+    tree_congestion = max(edge_use.values(), default=0)
+    delay_range = max(tree_congestion, 1)
     if delay_range == 1:  # every delay is 0: no draw
         delays = [0] * parts.k
     else:
@@ -557,14 +589,20 @@ def partwise_aggregate(
         delays = [control_rng.randrange(delay_range) for _ in range(parts.k)]
     program = _AggregateProgram(task.op, n, trees, delays, parts.part_of, values)
     trace = run(g, [program] * n, cfg)
+    critical_path = max((d + 2 * h for d, h in zip(delays, heights)), default=0)
     trace.meta.update(
         charged="data plane only: aggregate payloads on graph edges",
+        contention_rounds=trace.rounds_used - critical_path,
         control_plane="part trees, delays, and priorities computed centrally",
+        critical_path=critical_path,
         delay_range=delay_range,
         op=task.op,
-        part_root="centre of the pruned BFS tree from min(P_i), nearest min(P_i) on ties",
-        part_tree_depth=depth,
+        part_root="centre of the pruned BFS tree from min(P_i) over G[P_i], or over"
+        " G[P_i]+H_i where that tree is strictly shorter or G[P_i] is disconnected;"
+        " nearest min(P_i) on ties",
+        part_tree_depth=max(heights, default=0),
         parts=parts.k,
+        tree_congestion=tree_congestion,
     )
     outputs = trace.outputs
     try:

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from treeshort.audit import _merged_subgraph
+from treeshort.generators import gen_grid
 from treeshort.graph import Graph, Partition, _diameter_of, bfs_tree
 
 
@@ -51,6 +52,28 @@ def build_fan(mids: int, parts_count: int, chain: int):
     g = Graph(1 + mids + parts_count * mids, edges)
     parts = Partition(g.n, [[leaf(i, b) for b in range(mids)] for i in range(parts_count)])
     return g, parts
+
+
+def build_snake(w: int, h: int, r: int):
+    """A w x h grid (`gen_grid` numbering) with h // (2r) snake parts.
+
+    Part j takes rows 2rj, 2rj+2, ..., 2rj+2r-2 and, between rows 2rj+2t
+    and 2rj+2t+2, the one node of row 2rj+2t+1 in column w-1 when t is even
+    and in column 0 when t is odd.  The other nodes of the odd rows belong
+    to no part.  A part is a path of about r*w nodes, which a tree shortcut
+    can cut short.
+    """
+    g = gen_grid(w, h)
+    parts = []
+    for j in range(h // (2 * r)):
+        part = []
+        for t in range(r):
+            row = 2 * r * j + 2 * t
+            part += range(row * w, row * w + w)
+            if t + 1 < r:
+                part.append((row + 1) * w + (w - 1 if t % 2 == 0 else 0))
+        parts.append(sorted(part))
+    return g, Partition(g.n, parts)
 
 
 @pytest.fixture

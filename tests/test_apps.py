@@ -143,8 +143,10 @@ class TestBoruvka:
         monkeypatch.setattr(audit, "_merged_subgraph", counted(audit._merged_subgraph, "merged"))
         monkeypatch.setattr(sim, "_merged_subgraph", counted(sim._merged_subgraph, "merged"))
         monkeypatch.setattr(sim, "random", SimpleNamespace(Random=CountedRandom))
-        g = assign_weights(gen_ktree(120, 3, 2), 11)
-        result = boruvka_mst(g, SimConfig(seed=11))
+        # a weighted fan: its later fragments' part trees share edges, so
+        # start delays are drawn (on k-trees of this size none are)
+        g = assign_weights(build_fan(9, 18, 9)[0], 1)
+        result = boruvka_mst(g, SimConfig(seed=1))
         assert result.per_phase[0].fragments == g.n
         phases = []  # per phase, the calls from its construction to the next
         for name in events:
@@ -211,7 +213,7 @@ class TestGolden:
         g, seed = golden_mst_inputs()[1]
         result = boruvka_mst(g, SimConfig(seed=seed))
         assert json_digest(result.to_json_dict()) == (
-            "2085f023ae63cae2e3f64fc8ee7e0b4bd41174e50f440dd3484c321fc0f9cdf5"
+            "3608f3278ae3985fdcd8164ed5509816b36da4dce2882fa73e72a1a3341f015a"
         )
 
     def test_edges_and_costs_do_not_depend_on_shortcut_shape(self, monkeypatch):
@@ -235,7 +237,7 @@ class TestGolden:
             _, trace = golden_sum_aggregate(g, p, seed)
             pinned.append([trace.rounds_used, trace.messages_sent])
         assert json_digest(pinned) == (
-            "4e38bb82e2ff301f74ed38e7053d6807bfc0a306e244ca7aab22ed5caa7060f5"
+            "bc465020a0071b41a0549afff5f56f88157c826c56806ad5991542df5d814f2f"
         )
 
     def test_results_and_messages_do_not_depend_on_part_tree_root(self):
@@ -250,5 +252,5 @@ class TestGolden:
             result = boruvka_mst(g, SimConfig(seed=seed))
             pinned.append([sorted(result.tree_edges), result.total_weight])
         assert json_digest(pinned) == (
-            "592271e88cd5816bb8be6826c6a13ca330bbd2f5f417720b8ad8d20823917538"
+            "c4bec4076afcea2223f1f3b2ab5e4f0015fa2edacb15b6515dd079286fd0930d"
         )

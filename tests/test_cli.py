@@ -774,7 +774,7 @@ class TestGoldenSession:
             digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
         assert digest.hexdigest() == (
-            "701abae0c95cab004dcb196d1382146ab3232b63ae1c06e20d0d6a059a28f0e6"
+            "851311a633d947bb263149b0bb4e087c0fcbae4d9b83138976752820be735ee8"
         )
 
 

@@ -25,7 +25,7 @@ def test_every_traced_target_is_callable():
 PINS = {
     "grid-audit": ("28ea75adf20de235c2e3902fc6d42303f7e0d55a3ce3c9adf3344ac2c85bcad7", (6, 54)),
     "fan-sim": ("6d6b5adce0f2d17a844a612541203e406ede9c0e0a0ed0b28776206ccd6e97cf", (32, 154)),
-    "mst-ktree": ("ee786a7916d7b4197fc47a6699c5be71ea4d4f992382fb04b7fbf621a8edbe46", (5, 23)),
+    "mst-ktree": ("853189ece14966a5dac09c3b275baea2ce4a9a7a26fa6e102153f4ac431891e4", (5, 23)),
 }
 
 

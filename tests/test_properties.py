@@ -2,8 +2,9 @@
 builder, the aggregation part tree, the audit's block count, the case-I edge
 sets and the connectivity check of both validators against the brute-force
 oracles, of the simulator's message-size accounting against its
-element-wise definition, and of the order in which an aggregating node
-sends.
+element-wise definition, of the order in which an aggregating node sends,
+of the part tree aggregation chooses (never taller than G[P_i]'s) and of a
+run's rounds against its critical path.
 
 Examples are derandomised so that every run of the suite tries the same
 inputs.  The diameter routine peels pendant trees and contracts degree-2
@@ -22,6 +23,7 @@ kernel route.
 import contextlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -56,6 +58,7 @@ from treeshort.graph import (
     diameter,
     validate_partition,
 )
+from treeshort import sim
 from treeshort.sim import (
     AggregationTask,
     SimConfig,
@@ -757,28 +760,92 @@ def test_trimmed_case_one_sets_cost_no_more_and_aggregate_alike(inst, delta):
 
 
 @st.composite
-def aggregation_instances(draw):
-    """A random grid, k-tree or fan with random parts, a BFS tree from a
-    random root, and as the shortcut either the engine's or every tree edge
-    in every H_i, the most contended."""
-    seed = draw(st.integers(0, 2**32))
-    family = draw(st.sampled_from(["grid", "ktree", "fan"]))
+def aggregation_graphs(draw, seed):
+    """A random grid, k-tree, wheel or fan with random parts."""
+    family = draw(st.sampled_from(["grid", "ktree", "wheel", "fan"]))
     if family == "fan":
         mids = draw(st.integers(2, 6))
-        g, p = build_fan(mids, draw(st.integers(2, 12)), mids)
+        return build_fan(mids, draw(st.integers(2, 12)), mids)
+    if family == "grid":
+        g = gen_grid(draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+    elif family == "ktree":
+        k = draw(st.integers(1, 4))
+        g = gen_ktree(draw(st.integers(k + 1, 60)), k, seed)
     else:
-        if family == "grid":
-            g = gen_grid(draw(st.integers(2, 8)), draw(st.integers(2, 8)))
-        else:
-            k = draw(st.integers(1, 4))
-            g = gen_ktree(draw(st.integers(k + 1, 60)), k, seed)
-        p = gen_parts_random(g, draw(st.integers(1, min(g.n, 12))), seed)
+        g = gen_wheel(draw(st.integers(4, 40)))
+    return g, gen_parts_random(g, draw(st.integers(1, min(g.n, 12))), seed)
+
+
+@st.composite
+def aggregation_instances(draw):
+    """A random grid, k-tree, wheel or fan with random parts, a BFS tree
+    from a random root, and as the shortcut either the engine's or every
+    tree edge in every H_i, the most contended."""
+    seed = draw(st.integers(0, 2**32))
+    g, p = draw(aggregation_graphs(seed))
     tree = bfs_tree(g, draw(st.integers(0, g.n - 1)))
     if draw(st.booleans()):
         shortcut = construct_full(g, tree, p, EngineConfig(), random.Random(seed)).shortcut
     else:
         shortcut = [tree.tree_edges] * p.k
     return g, p, shortcut, seed
+
+
+@SETTINGS
+@given(aggregation_instances())
+def test_part_tree_takes_the_shortcut_only_where_it_is_shorter(inst):
+    """Each part's chosen tree is no taller than its G[P_i] tree, and is
+    G[P_i]'s unless the merged tree is strictly shorter; a merged tree with
+    no live Steiner node is G[P_i]'s tree itself, so skipping the second
+    build is exact."""
+    g, p, shortcut, _ = inst
+    adj = oracles.adjacency(g.n, g.edges)
+    for i, part in enumerate(p.parts):
+        h = frozenset(shortcut[i])
+        chosen = sim._chosen_part_tree(g, part, h, i)
+        merged = _part_tree(g, part, h, i)
+        assert connected_in(adj, part)  # the parts are connected in G
+        own = _part_tree(g, part, frozenset(), i)
+        assert chosen[2] <= own[2]
+        if len(merged[1]) == len(part):  # no Steiner node is live
+            parent, children, height = chosen
+            assert chosen == merged
+            assert children == own[1] and height == own[2]
+            assert {v: parent[v] for v in children} == own[0]
+        else:
+            assert chosen == (merged if merged[2] < own[2] else own)
+
+
+@st.composite
+def bridged_instances(draw):
+    """Random parts on a random grid, k-tree, wheel or fan, merged in pairs
+    so that many are disconnected in G, with every tree edge in every H_i,
+    which connects each merged subgraph."""
+    seed = draw(st.integers(0, 2**32))
+    g, p = draw(aggregation_graphs(seed))
+    parts = [a + b for a, b in zip(p.parts[::2], p.parts[1::2])]
+    if p.k % 2:
+        parts.append(p.parts[-1])
+    tree = bfs_tree(g, draw(st.integers(0, g.n - 1)))
+    return g, Partition(g.n, parts), [tree.tree_edges] * len(parts), seed
+
+
+@SETTINGS
+@given(bridged_instances())
+def test_part_bridged_only_by_its_shortcut_aggregates_exactly(inst):
+    """A part disconnected in G keeps its merged tree and still learns its
+    exact aggregate."""
+    g, p, shortcut, seed = inst
+    adj = oracles.adjacency(g.n, g.edges)
+    for i, part in enumerate(p.parts):
+        if not connected_in(adj, part):
+            with pytest.raises(SimError):
+                _part_tree(g, part, frozenset(), i)
+            want = _part_tree(g, part, shortcut[i], i)
+            assert sim._chosen_part_tree(g, part, shortcut[i], i) == want
+    task = AggregationTask(values={v: 3 * v - 7 for v in range(g.n)}, op="sum", parts=p)
+    results, _ = partwise_aggregate(g, p, shortcut, task, SimConfig(msg_bits=64, seed=seed))
+    assert results == {v: sum(3 * u - 7 for u in part) for part in p.parts for v in part}
 
 
 @SETTINGS
@@ -797,6 +864,31 @@ def test_aggregation_sends_in_first_use_order(inst):
         step = (record.round, record.src)
         assert last.get(step, -1) < rank, step
         last[step] = rank
+
+
+@SETTINGS
+@given(st.one_of(aggregation_instances(), bridged_instances()))
+def test_rounds_decompose_into_critical_path_and_contention(inst):
+    """No part finishes before its start delay plus twice its tree's
+    height, and with no edge shared by two part trees nothing else costs a
+    round; the meta's tree congestion is the largest edge use.  The bridged
+    parts' trees share tree edges, so delays are drawn and messages wait."""
+    g, p, shortcut, seed = inst
+    task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+    _, trace = partwise_aggregate(g, p, shortcut, task, SimConfig(msg_bits=64, seed=seed))
+    meta = trace.meta
+    trees = [sim._chosen_part_tree(g, part, frozenset(shortcut[i]), i)
+             for i, part in enumerate(p.parts)]
+    edge_use = Counter(
+        (min(v, c), max(v, c)) for _, children, _ in trees for v, cs in children.items() for c in cs
+    )
+    assert meta["tree_congestion"] == max(edge_use.values(), default=0)
+    assert meta["delay_range"] == max(meta["tree_congestion"], 1)
+    assert meta["part_tree_depth"] == max(height for _, _, height in trees)
+    assert meta["critical_path"] >= 2 * meta["part_tree_depth"]
+    assert meta["contention_rounds"] == trace.rounds_used - meta["critical_path"] >= 0
+    if meta["tree_congestion"] <= 1:
+        assert trace.rounds_used == meta["critical_path"] == 2 * meta["part_tree_depth"]
 
 
 @st.composite

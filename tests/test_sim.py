@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import build_fan
+from conftest import build_fan, build_snake
 from treeshort import sim
 from treeshort.audit import audit_shortcut
 from treeshort.engine import EngineConfig, construct_full
@@ -445,26 +445,27 @@ class TestGoldenLogs:
     def test_grid(self):
         g = gen_grid(12, 12)
         trace = self.aggregate_log(g, gen_parts_random(g, 15, 3), 3)
-        assert (trace.rounds_used, trace.messages_sent) == (11, 268)
+        assert (trace.rounds_used, trace.messages_sent) == (10, 258)
         assert log_digest(trace.log) == (
-            "6ae611ab1491a3ee640d556bf4135a222fbf57386397b3508f71ce20790a4647"
+            "3a66a1d81fa3dd5682d8eec4350a8dcf7e7ba036d32fd10bb4a80066997f9c7e"
         )
 
     def test_fan(self):
         trace = self.aggregate_log(*build_fan(9, 18, 9), 1)
-        assert (trace.rounds_used, trace.messages_sent) == (28, 540)
+        assert (trace.rounds_used, trace.messages_sent) == (8, 288)
         assert log_digest(trace.log) == (
-            "6e35ba86f462c9add469e9dec2e8b8d517a8bf9e1ee77fe4393ba70828e38b79"
+            "c683ece1ede7ed2f39eabcd8a191cc36565ddc33871e5c50ee737d1141a5c489"
         )
 
     def test_lower_bound(self):
         # nodes hold roles in several parts and some start delays open late,
-        # so 71 steps end with a message still held back for a busy edge
+        # so 33 steps end with a message still held back for a busy edge, as
+        # many as 5 of them for one destination
         inst = gen_lower_bound(6, 16)
         trace = self.aggregate_log(inst.graph, inst.parts, 1)
-        assert (trace.rounds_used, trace.messages_sent) == (57, 1862)
+        assert (trace.rounds_used, trace.messages_sent) == (36, 1478)
         assert log_digest(trace.log) == (
-            "d8c0c59f16e8c64586886b20da7b953c58496cb58726a2377d0435aab42b0ec0"
+            "be18625cacb8b8d66ee2a44dbdcabe865163995d9c86b930bdbc5a1ed1b94697"
         )
 
     def test_contended_fan(self):
@@ -518,6 +519,20 @@ class TestPartwiseAggregate:
         assert set(results.values()) == {21}
         assert (trace.rounds_used, trace.messages_sent) == (6, 12)
         assert trace.meta["part_tree_depth"] == 3
+
+    @pytest.mark.parametrize(
+        "params, rounds, rounds_empty", [((16, 16, 2), 20, 32), ((32, 32, 4), 44, 130)]
+    )
+    def test_snake_keeps_the_shortcuts_gain(self, params, rounds, rounds_empty):
+        """On snake parts the engine's shortcut cuts rounds well below
+        H_i=∅: the part trees keep H_i where it makes them shorter."""
+        g, p = build_snake(*params)
+        shortcut = construct_full(g, bfs_tree(g, 0), p, EngineConfig(), random.Random(1)).shortcut
+        task = AggregationTask(values={v: v for v in range(g.n)}, op="sum", parts=p)
+        for h, want in ((shortcut, rounds), ([frozenset()] * p.k, rounds_empty)):
+            results, trace = partwise_aggregate(g, p, h, task, SimConfig(seed=1))
+            assert trace.rounds_used == want
+            assert all(results[v] == sum(part) for part in p.parts for v in part)
 
     def test_singleton_parts_cost_nothing(self):
         g = path_graph(7)
